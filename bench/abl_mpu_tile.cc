@@ -1,5 +1,5 @@
-// Ablation (ours): MPU scheduling and staging choices (DESIGN.md experiment
-// A2) — what each piece of the hybrid co-design buys:
+// Ablation (ours): MPU scheduling and staging choices — what each piece of the
+// hybrid co-design buys:
 //   * cell-resident tiles vs per-pair extraction (the register-reuse argument),
 //   * VPU staging vs scalar staging (the hybrid-pipeline argument),
 // for both CIC and QSP, plus the measured MPU occupancy (valid tile slots per

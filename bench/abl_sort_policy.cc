@@ -3,8 +3,7 @@
 // Part A compares the three sorting strategies available to the hybrid kernel
 // under increasing particle churn (thermal velocity): no sorting, counting sort
 // every step, and the GPMA incremental sorter with the adaptive policy.
-// Part B sweeps the fixed re-sort interval to show the policy's sweet spot
-// (DESIGN.md experiment A1).
+// Part B sweeps the fixed re-sort interval to show the policy's sweet spot.
 
 #include <cstdio>
 #include <vector>

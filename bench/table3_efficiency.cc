@@ -8,7 +8,7 @@
 // Efficiency = canonical scalar FLOPs (deposit_scalar.h) / (modeled kernel
 // cycles x platform peak). The LX2 peak is the MOPA rate (64 FLOP/cycle/core);
 // the A800 peak is its FP64 CUDA-core rate. The GPU side runs through the SIMT
-// cost model of src/gpu (DESIGN.md substitution).
+// cost model of src/gpu (src/gpu/gpu_model.h).
 
 #include <cstdio>
 

@@ -423,6 +423,10 @@ void DepositionEngine::StageAndDepositTile(HwContext& hw, TileSet& tiles,
   params.charge = charge;
   params.dt = step_dt_;
   if (esirkepov()) {
+    // The SoA streams may have reallocated since the last registration (the
+    // serial deposit runs no refresh first), and the staging reads them:
+    // bring their regions current, as the direct path does.
+    RegisterStagingRegions(hw, TileKey(t), tile, scratch_[static_cast<size_t>(t)]);
     EsirkepovScratch& es = esirk_scratch_[static_cast<size_t>(t)];
     TileCurrent& tj = tile_currents_[static_cast<size_t>(t)];
     switch (config_.order) {

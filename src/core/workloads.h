@@ -13,8 +13,8 @@
 // preserves the single-species results bit-for-bit); the LWFA workload can add
 // a mobile-ion background with `with_ions`.
 //
-// Grid sizes default to simulator scale (DESIGN.md Sec. 2); the PPC sweep and
-// all algorithmic parameters match the paper.
+// Grid sizes default to simulator scale (README.md, "Hardware model"); the
+// PPC sweep and all algorithmic parameters match the paper.
 
 #ifndef MPIC_SRC_CORE_WORKLOADS_H_
 #define MPIC_SRC_CORE_WORKLOADS_H_

@@ -1,7 +1,7 @@
 // SIMT cost model of the baseline CUDA deposition kernel on a data-center GPU
 // (the paper's A800 comparison, Table 3).
 //
-// This is the DESIGN.md substitution for the real GPU run: deposition is
+// It stands in for the real GPU run (README.md, "Hardware model"): deposition is
 // "executed" warp by warp over the real particle data, charging
 //   * compute cycles for the canonical per-particle arithmetic on the FP64
 //     CUDA cores, and

@@ -1,60 +1,51 @@
 #include "src/hw/cache_model.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace mpic {
 
-CacheLevel::CacheLevel(const CacheLevelConfig& cfg, int line_bytes)
-    : ways_(cfg.ways),
-      num_sets_(static_cast<int>(cfg.size_bytes / (static_cast<size_t>(cfg.ways) *
-                                                   static_cast<size_t>(line_bytes)))) {
-  MPIC_CHECK(ways_ > 0);
-  MPIC_CHECK(num_sets_ > 0);
+CacheLevel::CacheLevel(const CacheLevelConfig& cfg, int line_bytes) : ways_(cfg.ways) {
+  // The recency order packs one 4-bit way index per way into 64 bits.
+  MPIC_CHECK(ways_ > 0 && ways_ <= 16);
+  const size_t num_sets =
+      cfg.size_bytes / (static_cast<size_t>(ways_) * static_cast<size_t>(line_bytes));
+  MPIC_CHECK(num_sets > 0);
   // Power-of-two set count lets us mask instead of mod.
-  MPIC_CHECK((num_sets_ & (num_sets_ - 1)) == 0);
-  tags_.assign(static_cast<size_t>(num_sets_) * ways_, kInvalidTag);
-  lru_.assign(tags_.size(), 0);
-  clock_.assign(static_cast<size_t>(num_sets_), 0);
-}
-
-bool CacheLevel::Access(uint64_t line_addr) {
-  // The stored "tag" is the full line address; comparing it is equivalent to a
-  // tag match within the indexed set.
-  const int set = static_cast<int>(line_addr & static_cast<uint64_t>(num_sets_ - 1));
-  uint64_t* tags = &tags_[static_cast<size_t>(set) * ways_];
-  for (int w = 0; w < ways_; ++w) {
-    if (tags[w] == line_addr) {
-      lru_[static_cast<size_t>(set) * ways_ + w] = ++clock_[set];
-      return true;
-    }
+  MPIC_CHECK((num_sets & (num_sets - 1)) == 0);
+  set_mask_ = static_cast<uint64_t>(num_sets - 1);
+  while ((size_t{1} << set_bits_) < num_sets) {
+    ++set_bits_;
   }
-  return false;
+  print_words_ = (ways_ + 7) / 8;
+  tag0_ = 1 + print_words_;
+  stride_ = static_cast<size_t>(tag0_ + ways_);
+  for (int i = 0; i < ways_; ++i) {
+    empty_order_ |= static_cast<uint64_t>(ways_ - 1 - i) << (4 * i);
+    order_mask_ |= uint64_t{0xF} << (4 * i);
+  }
+  sets_.resize(num_sets * stride_);
+  Reset();
 }
 
 void CacheLevel::Fill(uint64_t line_addr) {
-  const int set = static_cast<int>(line_addr & static_cast<uint64_t>(num_sets_ - 1));
-  uint64_t* tags = &tags_[static_cast<size_t>(set) * ways_];
-  uint32_t* lru = &lru_[static_cast<size_t>(set) * ways_];
-  int victim = 0;
-  uint32_t best = ~uint32_t{0};
-  for (int w = 0; w < ways_; ++w) {
-    if (tags[w] == kInvalidTag) {
-      victim = w;
-      break;
-    }
-    if (lru[w] < best) {
-      best = lru[w];
-      victim = w;
-    }
-  }
-  tags[victim] = line_addr;
-  lru[victim] = ++clock_[set];
+  uint64_t* set = SetBlock(line_addr);
+  const uint64_t victim = (set[0] >> (4 * (ways_ - 1))) & 0xF;
+  set[0] = ((set[0] << 4) & order_mask_) | victim;
+  uint64_t& prints = set[1 + victim / 8];
+  const uint64_t shift = 8 * (victim % 8);
+  prints = (prints & ~(uint64_t{0xFF} << shift)) | (Fingerprint(line_addr) << shift);
+  set[tag0_ + victim] = line_addr;
 }
 
 void CacheLevel::Reset() {
-  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  std::fill(lru_.begin(), lru_.end(), 0u);
-  std::fill(clock_.begin(), clock_.end(), 0u);
+  for (size_t base = 0; base < sets_.size(); base += stride_) {
+    uint64_t* set = &sets_[base];
+    set[0] = empty_order_;
+    std::fill(set + 1, set + tag0_, uint64_t{0});
+    std::fill(set + tag0_, set + stride_, kInvalidTag);
+  }
 }
 
 CacheModel::CacheModel(const MachineConfig& cfg)
@@ -64,40 +55,53 @@ CacheModel::CacheModel(const MachineConfig& cfg)
       dram_penalty_(cfg.dram_penalty_cycles),
       prefetch_factor_(cfg.prefetch_factor),
       remote_factor_(cfg.remote_mem_latency_factor) {
-  stream_next_.assign(static_cast<size_t>(cfg.prefetch_streams), ~uint64_t{0});
+  // stream_bucket_ holds one bit per stream in a 64-bit mask.
+  MPIC_CHECK(cfg.prefetch_streams > 0 && cfg.prefetch_streams <= kMaxStreams);
+  stream_next_.assign(static_cast<size_t>(cfg.prefetch_streams), kNoLine);
   stream_lru_.assign(static_cast<size_t>(cfg.prefetch_streams), 0);
+  stream_bucket_.assign(kStreamBuckets, 0);
 }
 
 bool CacheModel::PrefetchHit(uint64_t line) {
   ++stream_clock_;
-  size_t victim = 0;
-  uint64_t oldest = ~uint64_t{0};
-  for (size_t i = 0; i < stream_next_.size(); ++i) {
-    if (stream_next_[i] == line) {
-      // Predicted: advance the stream.
-      stream_next_[i] = line + 1;
-      stream_lru_[i] = stream_clock_;
-      return true;
-    }
-    if (stream_lru_[i] < oldest) {
-      oldest = stream_lru_[i];
-      victim = i;
+  // Two streams can expect the same line (a new stream may start where an
+  // existing one is headed); the lowest-index one advances.
+  size_t s = 0;
+  bool predicted = false;
+  for (uint64_t candidates = stream_bucket_[StreamBucket(line)]; candidates != 0;
+       candidates &= candidates - 1) {
+    s = static_cast<size_t>(__builtin_ctzll(candidates));
+    if (stream_next_[s] == line) {
+      predicted = true;
+      break;
     }
   }
-  // New (or broken) stream: start tracking from here.
-  stream_next_[victim] = line + 1;
-  stream_lru_[victim] = stream_clock_;
-  return false;
+  if (!predicted) {
+    // New (or broken) stream: start tracking from here, replacing the least
+    // recently used tracker (the lowest index among never-used ones).
+    s = 0;
+    uint64_t oldest = stream_lru_[0];
+    for (size_t i = 1; i < stream_lru_.size(); ++i) {
+      if (stream_lru_[i] < oldest) {
+        oldest = stream_lru_[i];
+        s = i;
+      }
+    }
+  }
+  const uint64_t bit = uint64_t{1} << s;
+  if (stream_next_[s] != kNoLine) {
+    stream_bucket_[StreamBucket(stream_next_[s])] &= ~bit;
+  }
+  stream_next_[s] = line + 1;
+  stream_bucket_[StreamBucket(line + 1)] |= bit;
+  stream_lru_[s] = stream_clock_;
+  return predicted;
 }
 
-double CacheModel::Touch(uint64_t addr, CostLedger& ledger, bool remote) {
-  const uint64_t line = addr / kCacheLineBytes;
+double CacheModel::Miss(uint64_t line, CostLedger& ledger, bool remote) {
   auto& c = ledger.counters();
-  if (l1_.Access(line)) {
-    ++c.l1_hits;
-    return 0.0;
-  }
   ++c.l1_misses;
+  last_line_ = line;
   const double discount = PrefetchHit(line) ? prefetch_factor_ : 1.0;
   if (l2_.Access(line)) {
     ++c.l2_hits;
@@ -119,30 +123,18 @@ double CacheModel::Touch(uint64_t addr, CostLedger& ledger, bool remote) {
   return penalty;
 }
 
-double CacheModel::TouchRange(uint64_t addr, uint64_t bytes, CostLedger& ledger,
-                              bool remote) {
-  if (bytes == 0) {
-    return 0.0;
-  }
-  const uint64_t first = addr / kCacheLineBytes;
-  const uint64_t last = (addr + bytes - 1) / kCacheLineBytes;
-  double penalty = 0.0;
-  for (uint64_t line = first; line <= last; ++line) {
-    penalty += Touch(line * kCacheLineBytes, ledger, remote);
-  }
-  return penalty;
-}
-
 void CacheModel::Reset() {
   l1_.Reset();
   l2_.Reset();
+  last_line_ = kNoLine;
   // The stride-prefetcher streams are cache state too: leaving them warm
   // across a reset lets a pre-reset access pattern discount post-reset
   // misses, which breaks the model-sync guarantee that two runs flushed at
   // the same execution point charge identical cycles from there on.
-  stream_next_.assign(stream_next_.size(), ~uint64_t{0});
+  stream_next_.assign(stream_next_.size(), kNoLine);
   stream_lru_.assign(stream_lru_.size(), 0);
   stream_clock_ = 0;
+  stream_bucket_.assign(stream_bucket_.size(), 0);
 }
 
 }  // namespace mpic

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/hw/fma.h"
 
 namespace mpic {
 
@@ -59,17 +60,9 @@ HwContext& HwContext::worker(int w) {
   return *workers_[static_cast<size_t>(w)];
 }
 
-void HwContext::ChargeMem(const void* p, size_t bytes, double issue_cycles,
-                          bool write, uint64_t count_as_vpu_mem) {
-  (void)write;  // the model charges reads and writes identically
+double HwContext::MemPenalty(const void* p, size_t bytes) {
   const MemLocation loc = mem_.TranslateEx(p);
-  const double penalty = cache_.TouchRange(loc.addr, bytes, ledger_, IsRemote(loc));
-  ledger_.AddCycles(issue_cycles + penalty);
-  if (count_as_vpu_mem != 0) {
-    ledger_.counters().vpu_mem += count_as_vpu_mem;
-  } else {
-    ++ledger_.counters().scalar_mem;
-  }
+  return cache_.TouchRange(loc.addr, bytes, ledger_, IsRemote(loc));
 }
 
 // ---- Scalar stream ---------------------------------------------------------
@@ -77,16 +70,6 @@ void HwContext::ChargeMem(const void* p, size_t bytes, double issue_cycles,
 void HwContext::ScalarOps(int n) {
   ledger_.counters().scalar_ops += static_cast<uint64_t>(n);
   ledger_.AddCycles(scalar_op_cycles_ * n);
-}
-
-double HwContext::LoadScalar(const double* p) {
-  ChargeMem(p, sizeof(double), cfg_.scalar_mem_issue_cycles, /*write=*/false, 0);
-  return *p;
-}
-
-void HwContext::StoreScalar(double* p, double v) {
-  ChargeMem(p, sizeof(double), cfg_.scalar_mem_issue_cycles, /*write=*/true, 0);
-  *p = v;
 }
 
 void HwContext::AccumScalar(double* p, double v) {
@@ -100,14 +83,6 @@ void HwContext::AtomicAccumScalar(double* p, double v) {
   ++ledger_.counters().atomics;
   ledger_.AddCycles(cfg_.atomic_extra_cycles);
   AccumScalar(p, v);
-}
-
-void HwContext::TouchRead(const void* p, size_t bytes) {
-  ChargeMem(p, bytes, cfg_.scalar_mem_issue_cycles, /*write=*/false, 0);
-}
-
-void HwContext::TouchWrite(const void* p, size_t bytes) {
-  ChargeMem(p, bytes, cfg_.scalar_mem_issue_cycles, /*write=*/true, 0);
 }
 
 // ---- VPU stream ------------------------------------------------------------
@@ -149,9 +124,7 @@ Vec8 HwContext::VGather(const double* base, const int64_t* idx, const Mask8& m) 
       continue;
     }
     const double* p = base + idx[i];
-    const MemLocation loc = mem_.TranslateEx(p);
-    ledger_.AddCycles(
-        cache_.TouchRange(loc.addr, sizeof(double), ledger_, IsRemote(loc)));
+    ledger_.AddCycles(MemPenalty(p, sizeof(double)));
     r[i] = *p;
   }
   return r;
@@ -193,9 +166,7 @@ void HwContext::VScatter(double* base, const int64_t* idx, const Vec8& v,
       continue;
     }
     double* p = base + idx[i];
-    const MemLocation loc = mem_.TranslateEx(p);
-    ledger_.AddCycles(
-        cache_.TouchRange(loc.addr, sizeof(double), ledger_, IsRemote(loc)));
+    ledger_.AddCycles(MemPenalty(p, sizeof(double)));
     *p = v[i];
   }
 }
@@ -209,9 +180,7 @@ void HwContext::VScatterAccum(double* base, const int64_t* idx, const Vec8& v,
       continue;
     }
     double* p = base + idx[i];
-    const MemLocation loc = mem_.TranslateEx(p);
-    ledger_.AddCycles(
-        cache_.TouchRange(loc.addr, sizeof(double), ledger_, IsRemote(loc)));
+    ledger_.AddCycles(MemPenalty(p, sizeof(double)));
     *p += v[i];
   }
 }
@@ -273,9 +242,7 @@ Vec8 HwContext::VFma(const Vec8& a, const Vec8& b, const Vec8& c) {
   ++ledger_.counters().vpu_ops;
   ledger_.AddCycles(vpu_op_cycles_);
   Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = std::fma(a[i], b[i], c[i]);
-  }
+  HostFmaKernels().lanes(r, a, b, c);
   return r;
 }
 
@@ -344,11 +311,7 @@ void HwContext::Mopa(MpuTileReg& tile, const Vec8& a, const Vec8& b,
   ++ledger_.counters().mopas;
   ledger_.counters().mopa_valid_slots += static_cast<uint64_t>(valid_slots);
   ledger_.AddCycles(cfg_.mopa_issue_cycles);
-  for (int r = 0; r < kMpuTile; ++r) {
-    for (int c = 0; c < kMpuTile; ++c) {
-      tile.At(r, c) = std::fma(a[r], b[c], tile.At(r, c));
-    }
-  }
+  HostFmaKernels().outer(tile, a, b);
 }
 
 void HwContext::MopaZero(MpuTileReg& tile, const Vec8& a, const Vec8& b,

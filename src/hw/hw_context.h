@@ -7,9 +7,9 @@
 //   (2) charges modeled cycles to the CostLedger under the active Phase,
 //       consulting the CacheModel for every modeled memory access.
 //
-// This is the substitution for the paper's LX2 CPU (DESIGN.md Sec. 2): results
-// are numerically real and validated against scalar references, while "time" is
-// the modeled cycle count.
+// This is the substitution for the paper's LX2 CPU (README.md, "Hardware
+// model"): results are numerically real and validated against scalar
+// references, while "time" is the modeled cycle count.
 
 #ifndef MPIC_SRC_HW_HW_CONTEXT_H_
 #define MPIC_SRC_HW_HW_CONTEXT_H_
@@ -72,15 +72,25 @@ class HwContext {
   // n scalar ALU/FPU micro-ops.
   void ScalarOps(int n);
   // Scalar load of one double (value returned; cache modeled).
-  double LoadScalar(const double* p);
-  void StoreScalar(double* p, double v);
+  double LoadScalar(const double* p) {
+    ChargeMem(p, sizeof(double), cfg_.scalar_mem_issue_cycles, /*write=*/false, 0);
+    return *p;
+  }
+  void StoreScalar(double* p, double v) {
+    ChargeMem(p, sizeof(double), cfg_.scalar_mem_issue_cycles, /*write=*/true, 0);
+    *p = v;
+  }
   // Scalar read-modify-write: *p += v (the canonical deposition update).
   void AccumScalar(double* p, double v);
   // Same, through an atomic (charges cfg.atomic_extra_cycles).
   void AtomicAccumScalar(double* p, double v);
   // Models a scalar-width access to non-double data (indices, flags).
-  void TouchRead(const void* p, size_t bytes);
-  void TouchWrite(const void* p, size_t bytes);
+  void TouchRead(const void* p, size_t bytes) {
+    ChargeMem(p, bytes, cfg_.scalar_mem_issue_cycles, /*write=*/false, 0);
+  }
+  void TouchWrite(const void* p, size_t bytes) {
+    ChargeMem(p, bytes, cfg_.scalar_mem_issue_cycles, /*write=*/true, 0);
+  }
 
   // ---- VPU stream ----------------------------------------------------------
 
@@ -190,8 +200,23 @@ class HwContext {
  private:
   friend class ScopedHomeDomain;
 
+  // One modeled memory instruction: issue cost plus the cache penalty of
+  // [p, p+bytes), charged as one AddCycles. The model charges reads and
+  // writes identically.
   void ChargeMem(const void* p, size_t bytes, double issue_cycles, bool write,
-                 uint64_t count_as_vpu_mem);
+                 uint64_t count_as_vpu_mem) {
+    (void)write;
+    ledger_.AddCycles(issue_cycles + MemPenalty(p, bytes));
+    if (count_as_vpu_mem != 0) {
+      ledger_.counters().vpu_mem += count_as_vpu_mem;
+    } else {
+      ++ledger_.counters().scalar_mem;
+    }
+  }
+  // Translates p and models the access to [p, p+bytes) in this context's
+  // caches; returns the penalty cycles. The whole L1-hit path is inlined
+  // here, so every modeled access makes one out-of-line call.
+  double MemPenalty(const void* p, size_t bytes);
   // Home-domain intent for registrations issued by this context: the scoped
   // placement domain when one is active (authoritative), this context's own
   // domain otherwise (first-touch).

@@ -25,7 +25,7 @@ inline constexpr int kCacheLineBytes = 64;
 
 struct CacheLevelConfig {
   size_t size_bytes = 0;
-  int ways = 0;
+  int ways = 0;  // 1..16; size_bytes / (ways * line) must be a power of two
   // Effective extra cycles charged when an access is served by this level
   // (values are post-overlap estimates for an out-of-order core, not raw
   // load-to-use latencies).
@@ -93,9 +93,9 @@ struct MachineConfig {
   CacheLevelConfig l2{1024 * 1024, 16, 4.0};
   // Effective post-overlap DRAM penalty per missing line.
   double dram_penalty_cycles = 35.0;
-  // Hardware stride prefetcher: number of tracked streams and the residual
-  // fraction of the miss penalty paid when a line was predicted (sequential
-  // next-line access within a tracked stream).
+  // Hardware stride prefetcher: number of tracked streams (1..64) and the
+  // residual fraction of the miss penalty paid when a line was predicted
+  // (sequential next-line access within a tracked stream).
   int prefetch_streams = 32;
   double prefetch_factor = 0.15;
   // Sustainable streaming bandwidth per core, used only by bulk (roofline)

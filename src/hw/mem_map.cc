@@ -138,14 +138,7 @@ bool MemMap::SetHomeDomain(const void* p, int domain) {
   return false;
 }
 
-MemLocation MemMap::TranslateEx(const void* p) {
-  const auto host = reinterpret_cast<uintptr_t>(p);
-  if (mru_ < regions_.size()) {
-    const Region& r = regions_[mru_];
-    if (host >= r.host_base && host < r.host_end) {
-      return MemLocation{r.logical_base + (host - r.host_base), r.home_domain};
-    }
-  }
+MemLocation MemMap::TranslateSearch(uintptr_t host) {
   // Binary search for the region containing `host`.
   size_t lo = 0;
   size_t hi = regions_.size();

@@ -86,7 +86,16 @@ class MemMap {
   uint64_t Translate(const void* p) { return TranslateEx(p).addr; }
 
   // Translate plus the containing region's home domain (-1 when unmapped).
-  MemLocation TranslateEx(const void* p);
+  MemLocation TranslateEx(const void* p) {
+    const auto host = reinterpret_cast<uintptr_t>(p);
+    if (mru_ < regions_.size()) {
+      const Region& r = regions_[mru_];
+      if (host >= r.host_base && host < r.host_end) {
+        return MemLocation{r.logical_base + (host - r.host_base), r.home_domain};
+      }
+    }
+    return TranslateSearch(host);
+  }
 
   // Drops all registrations (e.g. between bench configurations).
   void Clear();
@@ -112,6 +121,8 @@ class MemMap {
   };
 
   void BumpVersion();
+  // TranslateEx past the MRU region: binary search, then the unmapped range.
+  MemLocation TranslateSearch(uintptr_t host);
   // Places a new region (staggered logical base, guard gap), evicting stale
   // regions whose host ranges the new allocation proves freed. Returns the
   // logical base.

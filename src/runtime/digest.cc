@@ -10,6 +10,8 @@ uint64_t HashDoubles(const std::vector<double>& v, uint64_t h) {
   return Fnv1a(v.data(), v.size() * sizeof(double), h);
 }
 
+uint64_t HashDouble(double v, uint64_t h) { return Fnv1a(&v, sizeof(v), h); }
+
 }  // namespace
 
 uint64_t FieldsDigest(const FieldSet& fields) {
@@ -48,6 +50,26 @@ uint64_t SimulationDigest(const Simulation& sim) {
   }
   const int64_t step = sim.step_count();
   return Fnv1a(&step, sizeof(step), h);
+}
+
+uint64_t LedgerDigest(const CostLedger& ledger) {
+  // A new LedgerCounters field must be hashed below, which this assert forces.
+  static_assert(sizeof(LedgerCounters) == 18 * 8,
+                "LedgerCounters changed: update LedgerDigest");
+  uint64_t h = kFnvOffsetBasis;
+  for (double cycles : ledger.phase_cycles()) {
+    h = HashDouble(cycles, h);
+  }
+  const LedgerCounters& c = ledger.counters();
+  const auto d = [](uint64_t v) { return static_cast<double>(v); };
+  for (double v : {d(c.scalar_ops), d(c.scalar_mem), d(c.vpu_ops), d(c.vpu_mem),
+                   d(c.gathers), d(c.scatters), d(c.mopas), d(c.mopa_valid_slots),
+                   d(c.atomics), d(c.tasks_stolen), d(c.tasks_stolen_remote),
+                   c.steal_cycles, d(c.l1_hits), d(c.l1_misses), d(c.l2_hits),
+                   d(c.l2_misses), d(c.remote_lines), c.remote_cycles}) {
+    h = HashDouble(v, h);
+  }
+  return h;
 }
 
 }  // namespace mpic

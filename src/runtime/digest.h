@@ -2,7 +2,7 @@
 // FP64 bytes, so two states digest equal iff they are bitwise equal. The
 // checkpoint tests and bench_abl_resilience gate on these — a restored run
 // must digest identically to the uninterrupted run, across schedules and
-// core counts.
+// core counts. LedgerDigest does the same for the modeled clock.
 
 #ifndef MPIC_SRC_RUNTIME_DIGEST_H_
 #define MPIC_SRC_RUNTIME_DIGEST_H_
@@ -11,6 +11,7 @@
 
 #include "src/common/fnv.h"
 #include "src/grid/field_set.h"
+#include "src/hw/cost_ledger.h"
 #include "src/particles/tile_set.h"
 
 namespace mpic {
@@ -29,6 +30,12 @@ uint64_t ParticlesDigest(const TileSet& tiles);
 // Fields + every species' particles + the step counter: the whole-simulation
 // bit-identity gate.
 uint64_t SimulationDigest(const Simulation& sim);
+
+// FNV-1a over the kNumPhases phase cycle buckets, then every LedgerCounters
+// field in declaration order, each as an FP64 (the counts stay far below
+// 2^53, so the conversion is exact). Equal digests mean the modeled machine
+// did bit-identical work; perfbench prints the same value as ledger_digest.
+uint64_t LedgerDigest(const CostLedger& ledger);
 
 }  // namespace mpic
 
