@@ -1,13 +1,13 @@
 // Current-scheme ablation: charge-conserving Esirkepov deposition vs the
 // paper's direct scheme, on the uniform-plasma workload at CIC and QSP, at
-// 1 and 4 modeled cores, through both step-pipeline schedules.
+// 1 and 4 modeled cores.
 //
-// Per (order, cores, scheme) it prints both schedules' modeled cycles/step,
-// an FNV physics digest, and the max Gauss-law residual change
+// Per (order, cores, scheme) it prints modeled cycles/step, an FNV physics
+// digest, and the max Gauss-law residual change
 // |d(div E - rho/eps0)| / max|rho/eps0| over the run. Four invariants are
 // enforced (non-zero exit on violation):
-//   1. digests match between the fused and legacy schedules, and across core
-//      counts — the scheme changes physics, never the schedule contract;
+//   1. digests match across core counts — the scheme changes physics, never
+//      the schedule contract;
 //   2. the Esirkepov residual stays at floating-point rounding level
 //      (< 1e-8 relative) — the charge-conservation guarantee;
 //   3. the direct residual exceeds it by orders of magnitude (> 1e-6) — the
@@ -49,7 +49,7 @@ struct SchemePoint {
 };
 
 SchemePoint RunPoint(int order, DepositVariant variant, CurrentScheme scheme,
-                     bool fused, int cores, int steps) {
+                     int cores, int steps) {
 #ifdef _OPENMP
   omp_set_num_threads(cores);
 #endif
@@ -62,7 +62,6 @@ SchemePoint RunPoint(int order, DepositVariant variant, CurrentScheme scheme,
   p.order = order;
   p.variant = variant;
   p.scheme = scheme;
-  p.fuse_stages = fused;
   auto sim = MakeUniformSimulation(hw, p);
 
   const GridGeometry& g = sim->fields().geom;
@@ -96,78 +95,51 @@ bool Run(int steps) {
   std::printf("Built without OpenMP: partitions run serially.\n");
 #endif
 
-  ConsoleTable t({"Order", "Cores", "Scheme", "Schedule", "Cycles/step",
-                  "Esirk/direct", "Gauss residual", "Digest"});
+  ConsoleTable t({"Order", "Cores", "Scheme", "Cycles/step", "Esirk/direct",
+                  "Gauss residual", "Digest"});
   bool ok = true;
   for (int order : {1, 3}) {
+    uint64_t one_core_digest[2] = {0, 0};  // per scheme
     for (int cores : {1, 4}) {
-      SchemePoint fused_direct;  // fused direct point, the ratio's baseline
+      double direct_cycles = 0.0;  // the ratio's baseline
       for (int s = 0; s < 2; ++s) {
         const CurrentScheme scheme =
             s == 0 ? CurrentScheme::kDirect : CurrentScheme::kEsirkepov;
-        SchemePoint pts[2];
-        for (int fused = 0; fused < 2; ++fused) {
-          pts[fused] = RunPoint(order, DepositVariant::kFullOpt, scheme,
-                                fused != 0, cores, steps);
-        }
+        const SchemePoint pt =
+            RunPoint(order, DepositVariant::kFullOpt, scheme, cores, steps);
         if (s == 0) {
-          fused_direct = pts[1];
+          direct_cycles = pt.cycles_per_step;
         }
-        // Invariant 1a: fused and legacy agree bitwise.
-        const bool schedules_match = pts[0].digest == pts[1].digest;
-        ok = ok && schedules_match;
+        // Invariant 1: per scheme, digests agree across core counts.
+        if (cores == 1) {
+          one_core_digest[s] = pt.digest;
+        } else if (pt.digest != one_core_digest[s]) {
+          ok = false;
+          std::printf("order %d %s: CORES 1 VS %d DIGEST MISMATCH (BUG!)\n",
+                      order, CurrentSchemeName(scheme), cores);
+        }
         // Invariants 2/3: the residual contract per scheme.
-        const bool residual_ok =
-            scheme == CurrentScheme::kEsirkepov
-                ? pts[1].residual < kEsirkepovTolerance
-                : pts[1].residual > kDirectDriftFloor;
+        const bool residual_ok = scheme == CurrentScheme::kEsirkepov
+                                     ? pt.residual < kEsirkepovTolerance
+                                     : pt.residual > kDirectDriftFloor;
         ok = ok && residual_ok;
-        for (int fused = 1; fused >= 0; --fused) {
-          char digest_hex[32];
-          std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                        static_cast<unsigned long long>(pts[fused].digest));
-          const double ratio =
-              pts[fused].cycles_per_step / fused_direct.cycles_per_step;
-          t.AddRow({std::to_string(order), std::to_string(cores),
-                    CurrentSchemeName(scheme), fused ? "fused" : "legacy",
-                    FormatSci(pts[fused].cycles_per_step, 3),
-                    s == 1 && fused ? FormatDouble(ratio, 3) : std::string("-"),
-                    FormatSci(pts[fused].residual, 2), digest_hex});
-        }
-        if (!schedules_match) {
-          std::printf("order %d cores %d %s: FUSED/LEGACY DIGEST MISMATCH "
-                      "(BUG!)\n",
-                      order, cores, CurrentSchemeName(scheme));
-        }
+        t.AddRow({std::to_string(order), std::to_string(cores),
+                  CurrentSchemeName(scheme), FormatSci(pt.cycles_per_step, 3),
+                  s == 1 ? FormatDouble(pt.cycles_per_step / direct_cycles, 3)
+                         : std::string("-"),
+                  FormatSci(pt.residual, 2), DigestHex(pt.digest)});
         if (!residual_ok) {
           std::printf("order %d cores %d %s: residual %.3e violates the "
                       "%s contract (BUG!)\n",
-                      order, cores, CurrentSchemeName(scheme), pts[1].residual,
+                      order, cores, CurrentSchemeName(scheme), pt.residual,
                       scheme == CurrentScheme::kEsirkepov ? "rounding"
                                                           : "drift");
         }
       }
     }
-    // Invariant 1b: per scheme, digests agree across core counts (checked on
-    // the fused schedule; the legacy one already matched it above).
-    for (int s = 0; s < 2; ++s) {
-      const CurrentScheme scheme =
-          s == 0 ? CurrentScheme::kDirect : CurrentScheme::kEsirkepov;
-      const uint64_t d1 =
-          RunPoint(order, DepositVariant::kFullOpt, scheme, true, 1, steps)
-              .digest;
-      const uint64_t d4 =
-          RunPoint(order, DepositVariant::kFullOpt, scheme, true, 4, steps)
-              .digest;
-      if (d1 != d4) {
-        ok = false;
-        std::printf("order %d %s: CORES 1 VS 4 DIGEST MISMATCH (BUG!)\n", order,
-                    CurrentSchemeName(scheme));
-      }
-    }
   }
   t.Print("Current-scheme ablation: Esirkepov vs direct deposition (kFullOpt)");
-  std::printf("\nInvariants %s: digests identical across schedules and cores, "
+  std::printf("\nInvariants %s: digests identical across cores, "
               "Esirkepov residual < %.0e, direct drift > %.0e.\n",
               ok ? "HOLD" : "VIOLATED", kEsirkepovTolerance, kDirectDriftFloor);
 
@@ -191,10 +163,9 @@ bool Run(int steps) {
   for (const VariantRow& row : variant_rows) {
     for (int order : {1, 3}) {
       const SchemePoint direct = RunPoint(order, row.v, CurrentScheme::kDirect,
-                                          /*fused=*/true, /*cores=*/1, steps);
-      const SchemePoint esirk =
-          RunPoint(order, row.v, CurrentScheme::kEsirkepov,
-                   /*fused=*/true, /*cores=*/1, steps);
+                                          /*cores=*/1, steps);
+      const SchemePoint esirk = RunPoint(order, row.v, CurrentScheme::kEsirkepov,
+                                         /*cores=*/1, steps);
       const double ratio = esirk.cycles_per_step / direct.cycles_per_step;
       const bool within = ratio <= kMaxMpuEsirkepovRatio;
       if (row.gated && !within) {
@@ -213,7 +184,7 @@ bool Run(int steps) {
                      : FormatDouble(100.0 * occ, 1) + "%"});
     }
   }
-  mt.Print("Esirkepov cost across variants (fused, 1 core): the MOPA kernel "
+  mt.Print("Esirkepov cost across variants (1 core): the MOPA kernel "
            "pays <= 1.3x; the VPU combine shows the gap it closes");
   return ok;
 }

@@ -11,7 +11,7 @@
 //
 // Gates (non-zero exit on any failure):
 //   * Physics digests (full SimulationDigest) bit-identical across
-//     ranks {1, 2, 4, 8} x cores {1, 4} x fused/legacy x static/steal.
+//     ranks {1, 2, 4, 8} x cores {1, 4} x static/steal.
 //   * Phase::kComm > 0 on every multi-rank run, and == 0 at one rank.
 //   * The per-phase breakdown sums to the ledger total on every run (the
 //     comm charges must land inside the accounting, not beside it).
@@ -184,31 +184,27 @@ bool Run(int warmup, int steps) {
 
   // ---- Determinism matrix: the decomposition must never touch physics. ----
   {
-    ConsoleTable t({"Ranks", "Cores", "Schedule", "Policy", "Digest", "OK"});
+    ConsoleTable t({"Ranks", "Cores", "Policy", "Digest", "OK"});
     const UniformWorkloadParams p = BaseParams(32);
     uint64_t want = 0;
     bool have_want = false;
     bool all_same = true;
     for (int ranks : rank_counts) {
       for (int cores : {1, 4}) {
-        for (bool fused : {true, false}) {
-          for (bool steal : {false, true}) {
-            UniformWorkloadParams q = p;
-            q.fuse_stages = fused;
-            const RankPoint r = RunPoint(q, ranks, cores, steal, warmup, steps);
-            if (!have_want) {
-              want = r.digest;
-              have_want = true;
-            }
-            const bool same = r.digest == want;
-            all_same = all_same && same;
-            if (!r.phases_sum || !r.comm_ok) {
-              pass = false;
-            }
-            t.AddRow({std::to_string(ranks), std::to_string(cores),
-                      fused ? "fused" : "legacy", steal ? "steal" : "static",
-                      DigestHex(r.digest), same ? "yes" : "NO"});
+        for (bool steal : {false, true}) {
+          const RankPoint r = RunPoint(p, ranks, cores, steal, warmup, steps);
+          if (!have_want) {
+            want = r.digest;
+            have_want = true;
           }
+          const bool same = r.digest == want;
+          all_same = all_same && same;
+          if (!r.phases_sum || !r.comm_ok) {
+            pass = false;
+          }
+          t.AddRow({std::to_string(ranks), std::to_string(cores),
+                    steal ? "steal" : "static", DigestHex(r.digest),
+                    same ? "yes" : "NO"});
         }
       }
     }
@@ -217,8 +213,8 @@ bool Run(int warmup, int steps) {
       std::printf("FAIL: physics digests differ across the rank matrix.\n");
       pass = false;
     } else {
-      std::printf("Physics digests IDENTICAL across ranks x cores x schedule "
-                  "x policy (%s).\n", DigestHex(want).c_str());
+      std::printf("Physics digests IDENTICAL across ranks x cores x policy "
+                  "(%s).\n", DigestHex(want).c_str());
     }
   }
 

@@ -25,11 +25,11 @@
 //
 // Determinism: every cell draws from Rng::ForStream(seed, step, cell, pair),
 // a pure function of the keys — independent of tile partition, core count,
-// thread count, and fused/legacy orchestration. Cells only touch their own
-// bin's particles, so tiles fan out over the modeled cores like every other
-// tile-parallel stage; all cost is charged under Phase::kCollide and the
-// pairing scratch registers with the MemMap under stable keys so modeled
-// cycles stay bit-deterministic across runs.
+// and thread count. Cells only touch their own bin's particles, so tiles fan
+// out over the modeled cores like every other tile-parallel stage; all cost
+// is charged under Phase::kCollide and the pairing scratch registers with the
+// MemMap under stable keys so modeled cycles stay bit-deterministic across
+// runs.
 
 #ifndef MPIC_SRC_COLLIDE_COLLISION_H_
 #define MPIC_SRC_COLLIDE_COLLISION_H_

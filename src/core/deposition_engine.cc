@@ -9,7 +9,6 @@
 #include "src/deposit/esirkepov_mpu.h"
 #include "src/deposit/deposit_scalar.h"
 #include "src/deposit/deposit_staging.h"
-#include "src/hw/parallel_for.h"
 #include "src/hw/rank_topology.h"
 
 namespace mpic {
@@ -682,87 +681,6 @@ void DepositionEngine::FoldCurrentGuards(HwContext& hw, FieldSet& fields) {
   const double guard_nodes =
       static_cast<double>(fields.jx.size()) - static_cast<double>(fields.geom.NumCells());
   hw.ChargeBulk(guard_nodes * 3.0, guard_nodes * 8.0 * 3.0 * 2.0);
-}
-
-// ---- Legacy sweep-per-stage orchestration ----------------------------------
-
-EngineStepStats DepositionEngine::DepositStep(
-    TileSet& tiles, FieldSet& fields, double charge, bool fold_guards,
-    double dt, const std::function<bool(int)>& skip_tile) {
-  EngineStepStats stats;
-  // The resort policy's throughput window measures the deposition phases
-  // (Preproc+Compute+Sort+Reduce) — the same window the fused pipeline feeds
-  // FinishStep, so the two schedules' policy inputs differ only by the real
-  // modeled cost difference, not by accounting scope.
-  const double cycles_before = hw_.ledger().DepositionCycles();
-
-  // Sweep 1: per-tile scan (every mutation — GPMA remove/insert/rebuild, slot
-  // release — touches only the tile's own structures, so tiles run on
-  // separate modeled cores), then the serial ordered delivery barrier.
-  BeginStep(tiles, dt);
-  std::vector<PaddedSlot<TileScanPartial>> partials(
-      static_cast<size_t>(WorkerSlotCount(hw_)));
-  ParallelForTiles(hw_, tiles.num_tiles(), [&](HwContext& hw, int worker, int t) {
-    if (skip_tile && skip_tile(t)) {
-      return;  // quarantined: poisoned positions must not reach the cell math
-    }
-    ScanTile(hw, tiles, t, &partials[static_cast<size_t>(worker)].value);
-  });
-  for (const PaddedSlot<TileScanPartial>& slot : partials) {
-    AccumulateScan(slot.value, &stats);
-  }
-  DeliverMovers(tiles, &stats);
-  PostScanGlobalSort(tiles, fields, &stats);
-
-  // Sweep 2: staging + kernel. Rhocell-backed kernels write only tile-private
-  // staging and rhocell blocks, so they fan out over tiles; kBaselineScatter
-  // and kScalarReference scatter per particle straight into shared J and
-  // therefore stay entirely on the serial path.
-  if (ParallelEnabled(hw_) && deposit_is_tile_parallel()) {
-    RefreshTileRegistrations(tiles);
-    ParallelForTiles(hw_, tiles.num_tiles(), [&](HwContext& hw, int, int t) {
-      if (skip_tile && skip_tile(t)) {
-        return;
-      }
-      StageAndDepositTile(hw, tiles, fields, charge, t);
-    });
-  } else {
-    // Serial deposit: on a multi-rank machine each rank sweeps its own
-    // domain's tiles concurrently, so the charge scales by the rank count.
-    ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
-    for (int t = 0; t < tiles.num_tiles(); ++t) {
-      if (skip_tile && skip_tile(t)) {
-        continue;
-      }
-      StageAndDepositTile(hw_, tiles, fields, charge, t);
-    }
-  }
-
-  // Sweep 3: rhocell -> J reduction, serial here but in the same color-major
-  // tile order as the parallel colored schedule, so legacy and fused paths
-  // accumulate shared halo nodes identically. Reduction is rank-local (each
-  // rank reduces onto its own slab of J), so it too scales by the rank count.
-  {
-    ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
-    for (const std::vector<int>& color_class : reduce_coloring_) {
-      for (int t : color_class) {
-        if (skip_tile && skip_tile(t)) {
-          continue;  // its scratch was not staged this step
-        }
-        ReduceTile(hw_, tiles, fields, t);
-      }
-    }
-  }
-
-  // Fold periodic guard contributions into the interior (single-species mode;
-  // multi-species simulations fold once across all species instead).
-  if (fold_guards) {
-    FoldCurrentGuards(hw_, fields);
-  }
-
-  FinishStep(tiles, fields, hw_.ledger().DepositionCycles() - cycles_before,
-             &stats);
-  return stats;
 }
 
 }  // namespace mpic

@@ -19,12 +19,6 @@
 // and FinishStep evaluates the adaptive global re-sorting policy (Sec. 4.4),
 // performing GlobalSortParticlesByCell when a trigger fires.
 //
-// DepositStep composes the same stages into the legacy sweep-per-stage
-// orchestration (one pass over all tiles per stage); the fused pipeline
-// interleaves them tile-by-tile instead. Both orders are bit-identical: every
-// stage touches only tile-private state until the serial barriers, and the
-// reduction visits color classes in the same order either way.
-//
 // Every cost is charged to the active HwContext under the paper's phases, so a
 // bench can read Total/Preproc/Compute/Sort/Reduce straight off the ledger.
 
@@ -32,7 +26,6 @@
 #define MPIC_SRC_CORE_DEPOSITION_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/core/deposit_variant.h"
@@ -77,10 +70,9 @@ struct EngineStepStats {
 };
 
 // Models a stage's re-read of the x/y/z position streams: one batched vector
-// load per kVpuLanes slots. In the fused pipeline these lines are still
-// resident from the push that just wrote them; in a sweep-per-stage schedule
-// the intervening tiles have evicted them — the cache model sees exactly that
-// difference. Shared by the sort scan and the boundary stage so the two
+// load per kVpuLanes slots. In the fused pass 1 these lines are usually still
+// resident from the push that just wrote them, and the cache model charges
+// them as such. Shared by the sort scan and the boundary stage so the two
 // stages' accounting can never drift apart.
 void TouchPositionStreams(HwContext& hw, const ParticleSoA& soa, int32_t n_slots);
 
@@ -179,24 +171,6 @@ class DepositionEngine {
   // the global re-sorting policy, sorting now if a trigger fires.
   void FinishStep(TileSet& tiles, FieldSet& fields, double step_cycles,
                   EngineStepStats* stats);
-
-  // ---- Legacy sweep-per-stage orchestration --------------------------------
-
-  // Runs the full deposition pipeline for one timestep as separate all-tile
-  // sweeps (scan, delivery, staging+kernel, color-major reduce). J must be
-  // zeroed by the caller. With `fold_guards` (the single-species default) the
-  // periodic guard contributions are folded into the interior before
-  // returning; a multi-species caller passes false for every species and
-  // calls FoldCurrentGuards once after all of them have accumulated, because
-  // folding refills the guards with interior images and a second fold would
-  // double-count the earlier species. `dt` is required (non-zero) by the
-  // Esirkepov scheme only. A non-null `skip_tile` predicate exempts tiles the
-  // health monitor quarantined this step (poisoned lanes that scan/deposit
-  // must not touch); their J contribution is zero and their GPMA stays stale
-  // until the step is rolled back or the tile is scrubbed.
-  EngineStepStats DepositStep(TileSet& tiles, FieldSet& fields, double charge,
-                              bool fold_guards = true, double dt = 0.0,
-                              const std::function<bool(int)>& skip_tile = {});
 
   // Folds the periodic guard contributions of jx/jy/jz into the interior and
   // charges the reduction to the ledger (Phase::kReduce).

@@ -116,6 +116,13 @@ double SpeciesTemperature(const TileSet& tiles, const Species& species) {
 FieldArray DepositChargeDensity(Simulation& sim) {
   const GridGeometry& g = sim.fields().geom;
   FieldArray rho(g.nx, g.ny, g.nz, 2);
+  // rho is a fresh allocation on every call. Registered under its own key and
+  // forgotten on return, it takes exactly one new logical region per call, so
+  // its modeled accesses — and every later region's logical address — depend
+  // on the call sequence alone, never on where the allocator put it.
+  static const uint64_t kRhoKey = MemRegionKey(NextMemOwnerId(), 0, 0);
+  sim.hw().RegisterRegionKeyed(kRhoKey, rho.data(),
+                               rho.vec().size() * sizeof(double));
   for (int sid = 0; sid < sim.num_species(); ++sid) {
     SpeciesBlock& b = sim.block(sid);
     DepositParams dp;
@@ -137,6 +144,7 @@ FieldArray DepositChargeDensity(Simulation& sim) {
       }
     }
   }
+  sim.hw().mem().ForgetKeyed(kRhoKey);
   rho.FoldGuardsPeriodic();
   return rho;
 }

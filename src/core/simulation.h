@@ -4,14 +4,12 @@
 //
 // Particles are organized as a registry of SpeciesBlocks (electrons, ions,
 // counter-streaming beams, ...). The per-step particle schedule lives in
-// core/step_pipeline.h: by default every species runs as two fused
-// cache-resident tile passes (gather -> push -> boundaries -> sort scan, then
-// staging -> kernel -> colored reduction) with the serial mover delivery as
-// the barrier between them; `SimulationConfig::fuse_stages = false` selects
-// the legacy sweep-per-stage schedule, which is bit-identical in physics and
-// differs only in modeled cost. The FieldSet is shared, with each species'
-// engine accumulating into the same J arrays (zeroed once per step,
-// guard-folded once after all species).
+// core/step_pipeline.h: every species runs as two fused cache-resident tile
+// passes (gather -> push -> boundaries -> sort scan, then staging -> kernel
+// -> colored reduction) with the serial mover delivery as the barrier between
+// them. The FieldSet is shared, with each species' engine accumulating into
+// the same J arrays (zeroed once per step, guard-folded once after all
+// species).
 //
 // Step order (standard leapfrog PIC cycle):
 //   zero J -> per species: fused pass 1 -> delivery barrier -> fused pass 2
@@ -59,11 +57,6 @@ struct SimulationConfig {
   double cfl = 0.95;
   SolverKind solver = SolverKind::kCkc;
   int guard_cells = 2;
-
-  // Per-step schedule: fused two-pass pipeline (default) or the legacy
-  // sweep-per-stage schedule. Physics is bit-identical either way; only the
-  // modeled cycle cost differs (see core/step_pipeline.h).
-  bool fuse_stages = true;
 
   // Binary Monte-Carlo Coulomb collisions (src/collide/collision.h). The
   // effective pair list is this config's inter-species pairs plus one intra

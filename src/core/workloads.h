@@ -57,9 +57,6 @@ struct UniformWorkloadParams {
   double u_th = 0.01;     // thermal proper velocity / c
   int tile = 8;           // particles.tile_size (cubic)
   uint64_t seed = 42;
-  // Fused two-pass step pipeline (default) vs. the legacy sweep-per-stage
-  // schedule; physics is bit-identical, only modeled cost differs.
-  bool fuse_stages = true;
   // Workload-wide re-sort policy override (all triggers, including the
   // adaptive performance trigger, restore bit-exactly: checkpoint v2 carries
   // the trigger's throughput baselines, and the `model_sync` handshake makes
@@ -112,8 +109,7 @@ struct BunchedBeamParams {
   double u_th = 0.01;      // thermal spread / c (bunch and background)
   int tile = 4;
   uint64_t seed = 42;
-  // See UniformWorkloadParams::fuse_stages / policy.
-  bool fuse_stages = true;
+  // See UniformWorkloadParams::policy.
   std::optional<ResortPolicyConfig> policy;
 };
 
@@ -137,8 +133,6 @@ struct LwfaWorkloadParams {
   int tile = 8;
   int tile_z = 16;  // paper uses elongated tiles (8 x 8 x 64) for LWFA
   uint64_t seed = 42;
-  // See UniformWorkloadParams::fuse_stages.
-  bool fuse_stages = true;
   // See UniformWorkloadParams::policy.
   std::optional<ResortPolicyConfig> policy;
   // Adds a mobile-ion background species with the same density profile
@@ -168,8 +162,6 @@ struct TwoStreamParams {
   double u_perturb = 5e-3; // seeded velocity perturbation amplitude / u_drift
   int tile = 4;
   uint64_t seed = 42;
-  // See UniformWorkloadParams::fuse_stages.
-  bool fuse_stages = true;
 };
 
 std::unique_ptr<Simulation> MakeTwoStreamSimulation(HwContext& hw,
@@ -200,8 +192,6 @@ struct CollisionalRelaxationParams {
   uint64_t collision_seed = 0xC0111DE5ull;
   int tile = 4;
   uint64_t seed = 42;
-  // See UniformWorkloadParams::fuse_stages.
-  bool fuse_stages = true;
 };
 
 SimulationConfig MakeCollisionalRelaxationConfig(

@@ -124,6 +124,15 @@ uint64_t MemMap::RegisterKeyed(uint64_t key, const void* base, size_t bytes,
   return logical;
 }
 
+void MemMap::ForgetKeyed(uint64_t key) {
+  auto it = keyed_.find(key);
+  if (it == keyed_.end()) {
+    return;
+  }
+  EraseRegion(it->second.host_base, it->second.logical_base);
+  keyed_.erase(it);
+}
+
 bool MemMap::SetHomeDomain(const void* p, int domain) {
   const auto host = reinterpret_cast<uintptr_t>(p);
   for (Region& r : regions_) {

@@ -75,6 +75,12 @@ class MemMap {
   uint64_t RegisterKeyed(uint64_t key, const void* base, size_t bytes,
                          HomeDomain home = {});
 
+  // Drops `key` and its region (no-op for an unknown key). For scratch that
+  // lives for one call: forgetting it on return means the next call's
+  // RegisterKeyed always places a fresh region, wherever the allocator put
+  // the array, and its freed host range cannot alias a later allocation.
+  void ForgetKeyed(uint64_t key);
+
   // Re-homes the region containing `p` (no-op for unmapped pointers; the
   // version stamp bumps only when the domain actually changes). Returns true
   // when a region was found.

@@ -9,13 +9,6 @@
 namespace mpic {
 
 TileScheduleResult BuildTileSchedule(int n, int num_workers,
-                                     const double* estimates,
-                                     double steal_cost) {
-  return BuildTileSchedule(n, num_workers, estimates, steal_cost,
-                           TileSchedulePlacement{});
-}
-
-TileScheduleResult BuildTileSchedule(int n, int num_workers,
                                      const double* estimates, double steal_cost,
                                      const TileSchedulePlacement& placement) {
   if (num_workers < 1) num_workers = 1;

@@ -31,8 +31,8 @@
 // Determinism contract (enforced by tests/checkpoint_test.cc and
 // bench_abl_resilience): save at step k, restore into a freshly built twin,
 // run both to step n — field and particle digests match bit-for-bit, for
-// fused and legacy schedules, any modeled core/rank count, all
-// DepositVariants, both CurrentSchemes, both tile-schedule policies, and
+// any modeled core/rank count, all DepositVariants, both CurrentSchemes,
+// both tile-schedule policies, and
 // with the re-sort policy's adaptive performance trigger enabled. With
 // `model_sync` requested on both sides (see the options below), the modeled
 // cycle ledgers ALSO match a never-interrupted run exactly: both runs pass

@@ -80,9 +80,9 @@ class FaultInjector {
   // runner does. Returns the number of faults applied.
   int ApplyPreStep(Simulation* sim);
 
-  // Step-pipeline hook (fused schedule), between the scan and DeliverMovers:
-  // fires any armed kDropStagedMovers spec for this species. Returns the
-  // number of particles dropped.
+  // Step-pipeline hook, between the scan and DeliverMovers: fires any armed
+  // kDropStagedMovers spec for this species. Returns the number of particles
+  // dropped.
   int64_t OnMoversStaged(SpeciesBlock& block, int sid, int64_t step);
 
   int64_t faults_applied() const { return applied_; }

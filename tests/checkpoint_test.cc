@@ -1,8 +1,8 @@
 // Checkpoint/restart tests: a restored simulation must continue bit-identical
 // to the uninterrupted run — across every deposit variant, shape order, and
-// current scheme; across fused/legacy schedules and modeled core counts;
-// through multi-species engine overrides and the moving window. Corrupted or
-// truncated checkpoints must be rejected with the target simulation untouched.
+// current scheme; across modeled core counts; through multi-species engine
+// overrides and the moving window. Corrupted or truncated checkpoints must be
+// rejected with the target simulation untouched.
 
 #include <gtest/gtest.h>
 
@@ -85,9 +85,9 @@ TEST(CheckpointRoundTrip, EveryVariantOrderAndScheme) {
   }
 }
 
-// A checkpoint is schedule- and core-count-portable: an image saved from a
-// fused 4-core run must continue bit-identically on a legacy 1-core twin, and
-// every other combination.
+// A checkpoint is core-count-portable: an image saved from a 4-core run must
+// continue bit-identically on twins whose core counts split the tiles into
+// different schedules.
 TEST(CheckpointRoundTrip, CrossScheduleAndCoreRestore) {
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 8;
@@ -95,7 +95,6 @@ TEST(CheckpointRoundTrip, CrossScheduleAndCoreRestore) {
   p.tile = 4;
   p.u_th = 0.1;
 
-  p.fuse_stages = true;
   HwContext src_hw(MachineConfig::Lx2MultiCore(4));
   auto src = MakeUniformSimulation(src_hw, p);
   src->Run(3);
@@ -105,17 +104,13 @@ TEST(CheckpointRoundTrip, CrossScheduleAndCoreRestore) {
   const uint64_t want = SimulationDigest(*src);
 
   for (int cores : {1, 2, 4}) {
-    for (bool fused : {true, false}) {
-      SCOPED_TRACE((fused ? "fused " : "legacy ") + std::to_string(cores) +
-                   " cores");
-      p.fuse_stages = fused;
-      HwContext hw(MachineConfig::Lx2MultiCore(cores));
-      auto twin = MakeUniformSimulation(hw, p);
-      const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt);
-      ASSERT_TRUE(st) << st.error;
-      twin->Run(4);
-      EXPECT_EQ(SimulationDigest(*twin), want);
-    }
+    SCOPED_TRACE(std::to_string(cores) + " cores");
+    HwContext hw(MachineConfig::Lx2MultiCore(cores));
+    auto twin = MakeUniformSimulation(hw, p);
+    const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt);
+    ASSERT_TRUE(st) << st.error;
+    twin->Run(4);
+    EXPECT_EQ(SimulationDigest(*twin), want);
   }
 }
 
@@ -270,22 +265,20 @@ TEST(CheckpointRoundTrip, LedgerRestoreResumesModeledClock) {
 // Save with model_sync, restore with restore_ledger + model_sync: the twin
 // must match the saving run bit-for-bit in physics AND in every modeled
 // phase-cycle bucket and ledger counter — including the steal pair and with
-// the adaptive performance trigger at its enabled default — across schedules,
+// the adaptive performance trigger at its enabled default — across
 // tile-schedule policies, core counts, and the multi-rank machine. These are
 // exactly the states version-1 images omitted.
 TEST(CheckpointCycleExact, RestoreMatchesUninterruptedRun) {
   struct Combo {
     int ranks, cores;
-    bool fused, steal;
+    bool steal;
   };
   const std::vector<Combo> combos = {
-      {1, 4, true, false}, {1, 4, true, true}, {1, 4, false, true},
-      {1, 1, true, true},  {2, 4, true, true}, {2, 2, false, false},
+      {1, 4, false}, {1, 4, true}, {1, 1, true}, {2, 4, true}, {2, 2, false},
   };
   for (const Combo& c : combos) {
     SCOPED_TRACE(std::to_string(c.ranks) + " ranks, " +
                  std::to_string(c.cores) + " cores, " +
-                 (c.fused ? "fused, " : "legacy, ") +
                  (c.steal ? "steal" : "static"));
     UniformWorkloadParams p;
     p.nx = p.ny = 8;
@@ -293,7 +286,6 @@ TEST(CheckpointCycleExact, RestoreMatchesUninterruptedRun) {
     p.ppc_x = p.ppc_y = p.ppc_z = 2;
     p.tile = 4;
     p.u_th = 0.1;
-    p.fuse_stages = c.fused;
 
     const MachineConfig mc = MachineConfig::Lx2Cluster(c.ranks, c.cores, c.steal);
     HwContext ref_hw(mc);
@@ -315,13 +307,9 @@ TEST(CheckpointCycleExact, RestoreMatchesUninterruptedRun) {
     ropts.model_sync = true;
     const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt, ropts);
     ASSERT_TRUE(st) << st.error;
-    if (c.steal && c.fused) {
-      // Only the fused pipeline feeds the cost scheduler; legacy sweeps leave
-      // the feedback vectors empty on both sides, which round-trips trivially.
+    if (c.steal) {
       EXPECT_FALSE(twin->block(0).pass1_costs.estimate.empty())
           << "kCostSteal per-tile estimates not restored";
-    }
-    if (c.steal) {
       EXPECT_EQ(twin->block(0).pass1_costs.estimate, est_at_save);
     }
     twin->Run(4);

@@ -1,9 +1,9 @@
 // Takizuka-Abe collision module tests: pairing rules (even/triplet intra,
 // wrap-around inter), per-pair conservation laws, the full-simulation
-// conservation/determinism battery across core counts, thread counts, and
-// fused/legacy orchestrations, the two-temperature relaxation physics, the
-// per-step pairing census across GPMA-valid sort modes and orders 1-3, and
-// ledger determinism with the collision scratch keyed-registered.
+// conservation/determinism battery across core counts and thread counts, the
+// two-temperature relaxation physics, the per-step pairing census across
+// GPMA-valid sort modes and orders 1-3, and ledger determinism with the
+// collision scratch keyed-registered.
 
 #include <gtest/gtest.h>
 
@@ -282,7 +282,7 @@ TEST(CollisionConservation, MomentumExactEnergyToTolerance) {
   }
 }
 
-// ---- Bit-identity matrix: cores x threads x fused/legacy --------------------
+// ---- Bit-identity matrix: cores x threads ----------------------------------
 
 void ExpectFieldsBitIdentical(const FieldSet& a, const FieldSet& b) {
   auto cmp = [](const FieldArray& fa, const FieldArray& fb, const char* name) {
@@ -338,33 +338,25 @@ void ExpectSimsBitIdentical(Simulation& a, Simulation& b) {
 }
 
 // With collisions enabled, the physics must stay bit-identical for any
-// num_cores and for the fused vs legacy orchestration (the OMP_NUM_THREADS
-// axis is covered by CI running the whole suite at 1 and 4 threads). Mirrors
+// num_cores, whose tile schedules differ (the OMP_NUM_THREADS axis is covered
+// by CI running the whole suite at 1 and 4 threads). Mirrors
 // tests/fusion_test.cc's matrix.
 TEST(CollisionDeterminism, BitIdenticalAcrossCoresAndSchedules) {
   UseManyThreads();
   CollisionalRelaxationParams p;
   p.coulomb_log = 300.0;
 
-  p.fuse_stages = true;
   HwContext ref_hw;
   auto ref = MakeCollisionalRelaxationSimulation(ref_hw, p);
   ref->Run(4);
   EXPECT_GT(ref->last_sim_stats().collisions.pairs, 0);
 
-  for (int cores : {1, 2, 4}) {
-    for (bool fused : {true, false}) {
-      SCOPED_TRACE(std::string(fused ? "fused" : "legacy") + " cores " +
-                   std::to_string(cores));
-      if (cores == 1 && fused) {
-        continue;  // the reference itself
-      }
-      p.fuse_stages = fused;
-      HwContext hw(MachineConfig::Lx2MultiCore(cores));
-      auto sim = MakeCollisionalRelaxationSimulation(hw, p);
-      sim->Run(4);
-      ExpectSimsBitIdentical(*ref, *sim);
-    }
+  for (int cores : {2, 4}) {
+    SCOPED_TRACE("cores " + std::to_string(cores));
+    HwContext hw(MachineConfig::Lx2MultiCore(cores));
+    auto sim = MakeCollisionalRelaxationSimulation(hw, p);
+    sim->Run(4);
+    ExpectSimsBitIdentical(*ref, *sim);
   }
 }
 

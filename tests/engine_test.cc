@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -11,6 +12,34 @@
 
 namespace mpic {
 namespace {
+
+// One serial deposition step of an electron species through the engine's
+// public stage API, in step-pipeline order. J must be zeroed by the caller.
+EngineStepStats DepositSerial(HwContext& hw, DepositionEngine& engine,
+                              TileSet& tiles, FieldSet& fields) {
+  EngineStepStats stats;
+  const double cycles_before = hw.ledger().DepositionCycles();
+  engine.BeginStep(tiles);
+  TileScanPartial scan;
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    engine.ScanTile(hw, tiles, t, &scan);
+  }
+  engine.AccumulateScan(scan, &stats);
+  engine.DeliverMovers(tiles, &stats);
+  engine.PostScanGlobalSort(tiles, fields, &stats);
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    engine.StageAndDepositTile(hw, tiles, fields, kElectronCharge, t);
+  }
+  for (const std::vector<int>& color_class : engine.reduce_coloring()) {
+    for (int t : color_class) {
+      engine.ReduceTile(hw, tiles, fields, t);
+    }
+  }
+  DepositionEngine::FoldCurrentGuards(hw, fields);
+  engine.FinishStep(tiles, fields,
+                    hw.ledger().DepositionCycles() - cycles_before, &stats);
+  return stats;
+}
 
 struct EngineWorld {
   explicit EngineWorld(DepositVariant variant, int order = 1, int ppc = 4,
@@ -50,7 +79,7 @@ struct EngineWorld {
     return cfg;
   }
 
-  EngineStepStats Deposit() { return engine.DepositStep(tiles, fields, kElectronCharge); }
+  EngineStepStats Deposit() { return DepositSerial(hw, engine, tiles, fields); }
 
   // Pseudo-random walk that is a pure function of (seed, particle position):
   // identical across worlds even when a global sort reorders particle memory.
@@ -225,7 +254,8 @@ TEST(Engine, FixedIntervalPolicyTriggersGlobalSort) {
   for (int step = 0; step < 9; ++step) {
     world.Jiggle(60 + step, 0.2);
     world.fields.ZeroCurrents();
-    const auto stats = engine.DepositStep(world.tiles, world.fields, kElectronCharge);
+    const auto stats =
+        DepositSerial(world.hw, engine, world.tiles, world.fields);
     sorts += stats.global_sorted ? 1 : 0;
   }
   EXPECT_EQ(sorts, 3);

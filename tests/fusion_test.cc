@@ -1,20 +1,23 @@
-// Fused step-pipeline tests: the two-pass fused schedule must be bit-identical
-// to the legacy sweep-per-stage schedule on every workload, variant, order,
-// species count, and core/thread count; the halo-disjoint reduction coloring
-// must be a valid schedule; and the modeled ledger must be deterministic
-// across runs now that every modeled array (including the gather scratch) is
-// registered with the address map.
+// Step-pipeline tests: the two-pass schedule must be bit-identical across
+// modeled core counts on every workload, variant, order, current scheme, and
+// species count; the halo-disjoint reduction coloring must be a valid
+// schedule; and the modeled ledger must be deterministic across runs now that
+// every modeled array (including the gather scratch and the charge-density
+// diagnostic's scratch) is registered with the address map.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
+#include "src/core/diagnostics.h"
 #include "src/core/simulation.h"
 #include "src/core/workloads.h"
 #include "src/deposit/rhocell.h"
@@ -82,17 +85,20 @@ void ExpectSimsBitIdentical(Simulation& a, Simulation& b) {
   }
 }
 
-// ---- Fused vs. legacy bit identity -----------------------------------------
+// ---- Bit identity across core counts ----------------------------------------
 
-class FusedVsLegacyCores : public ::testing::TestWithParam<int> {};
+// One workload of the cross-core matrix: a 1-core run is the reference, and
+// every entry of `cores` must reproduce it bit for bit.
+struct CoreCase {
+  std::string name;
+  std::function<std::unique_ptr<Simulation>(HwContext&)> make;
+  int steps;
+  std::vector<int> cores;
+};
 
-TEST_P(FusedVsLegacyCores, UniformEveryVariantAndOrder) {
-  UseManyThreads();
-  struct Combo {
-    DepositVariant variant;
-    int order;
-  };
-  std::vector<Combo> combos;
+std::vector<CoreCase> CoreCases() {
+  std::vector<CoreCase> cases;
+  // Every variant at every order its kernels support.
   for (DepositVariant v :
        {DepositVariant::kScalar, DepositVariant::kBaseline,
         DepositVariant::kBaselineIncrSort, DepositVariant::kRhocell,
@@ -104,123 +110,54 @@ TEST_P(FusedVsLegacyCores, UniformEveryVariantAndOrder) {
       if (order == 2 && (traits.uses_rhocell || traits.uses_mpu)) {
         continue;  // rhocell/MPU kernels are odd-order only
       }
-      combos.push_back({v, order});
+      UniformWorkloadParams p;
+      p.nx = p.ny = p.nz = 8;
+      p.ppc_x = p.ppc_y = p.ppc_z = 2;
+      p.tile = 4;
+      p.variant = v;
+      p.order = order;
+      // The default configuration also runs on 3 cores, which split the
+      // tiles unevenly, and for one step more.
+      const bool full_opt_cic = v == DepositVariant::kFullOpt && order == 1;
+      cases.push_back({std::string(VariantName(v)) + " order " +
+                           std::to_string(order),
+                       [p](HwContext& hw) { return MakeUniformSimulation(hw, p); },
+                       full_opt_cic ? 5 : 4,
+                       full_opt_cic ? std::vector<int>{2, 3, 4}
+                                    : std::vector<int>{2, 4}});
     }
   }
-  for (const Combo& c : combos) {
-    SCOPED_TRACE(std::string(VariantName(c.variant)) + " order " +
-                 std::to_string(c.order));
+  {
+    TwoStreamParams p;
+    p.variant = DepositVariant::kFullOpt;
+    cases.push_back({"two-stream",
+                     [p](HwContext& hw) { return MakeTwoStreamSimulation(hw, p); },
+                     5, {2, 4}});
+  }
+  {
+    // Electrons on the full MPU pipeline at CIC; heavy ions on the unsorted
+    // hybrid at QSP — exercises per-species order dispatch.
     UniformWorkloadParams p;
     p.nx = p.ny = p.nz = 8;
-    p.ppc_x = p.ppc_y = p.ppc_z = 2;
     p.tile = 4;
-    p.variant = c.variant;
-    p.order = c.order;
-
-    p.fuse_stages = true;
-    HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto fused = MakeUniformSimulation(fused_hw, p);
-    fused->Run(4);
-
-    p.fuse_stages = false;
-    HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto legacy = MakeUniformSimulation(legacy_hw, p);
-    legacy->Run(4);
-
-    ExpectSimsBitIdentical(*fused, *legacy);
-    // The schedules execute the same work: instruction counters match too.
-    EXPECT_EQ(fused_hw.ledger().counters().mopas,
-              legacy_hw.ledger().counters().mopas);
-    EXPECT_EQ(fused_hw.ledger().counters().scatters,
-              legacy_hw.ledger().counters().scatters);
+    UniformSpeciesParams electrons;
+    electrons.species = Species::Electron();
+    electrons.ppc_x = electrons.ppc_y = electrons.ppc_z = 2;
+    UniformSpeciesParams ions;
+    ions.species = Species::Proton();
+    ions.ppc_x = ions.ppc_y = ions.ppc_z = 1;
+    ions.variant = DepositVariant::kHybridNoSort;
+    ions.order = 3;
+    p.species_params = {electrons, ions};
+    cases.push_back({"mixed per-species engines",
+                     [p](HwContext& hw) { return MakeUniformSimulation(hw, p); },
+                     5, {2, 4}});
   }
-}
-
-TEST_P(FusedVsLegacyCores, TwoStream) {
-  UseManyThreads();
-  TwoStreamParams p;
-  p.variant = DepositVariant::kFullOpt;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeTwoStreamSimulation(fused_hw, p);
-  fused->Run(5);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeTwoStreamSimulation(legacy_hw, p);
-  legacy->Run(5);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-}
-
-TEST_P(FusedVsLegacyCores, LwfaMovingWindowWithIons) {
-  UseManyThreads();
-  LwfaWorkloadParams p;
-  p.nx = p.ny = 8;
-  p.nz = 32;
-  p.tile = 4;
-  p.tile_z = 8;
-  p.variant = DepositVariant::kFullOpt;
-  p.with_ions = true;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeLwfaSimulation(fused_hw, p);
-  fused->Run(8);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeLwfaSimulation(legacy_hw, p);
-  legacy->Run(8);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-}
-
-TEST_P(FusedVsLegacyCores, MultiSpeciesMixedEngineOverrides) {
-  UseManyThreads();
-  // Electrons on the full MPU pipeline at CIC; heavy ions on the unsorted
-  // hybrid at QSP — exercises per-species order dispatch in both schedules.
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 8;
-  p.tile = 4;
-  UniformSpeciesParams electrons;
-  electrons.species = Species::Electron();
-  electrons.ppc_x = electrons.ppc_y = electrons.ppc_z = 2;
-  UniformSpeciesParams ions;
-  ions.species = Species::Proton();
-  ions.ppc_x = ions.ppc_y = ions.ppc_z = 1;
-  ions.variant = DepositVariant::kHybridNoSort;
-  ions.order = 3;
-  p.species_params = {electrons, ions};
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeUniformSimulation(fused_hw, p);
-  fused->Run(5);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeUniformSimulation(legacy_hw, p);
-  legacy->Run(5);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-  ASSERT_EQ(fused->last_sim_stats().species.size(), 2u);
-  EXPECT_EQ(fused->last_sim_stats().species[0].pushed,
-            legacy->last_sim_stats().species[0].pushed);
-  EXPECT_EQ(fused->last_sim_stats().species[1].pushed,
-            legacy->last_sim_stats().species[1].pushed);
-}
-
-TEST_P(FusedVsLegacyCores, EsirkepovUniformEveryOrder) {
-  UseManyThreads();
-  // The charge-conserving scheme runs the same per-tile stages through both
-  // orchestrations: capture, push, wrap (with old-lane shift), scan, staged
-  // deposit into the per-tile TileCurrent, colored reduce. Bit identity must
-  // hold on every order, including TSC (order 2), which only this scheme
-  // supports on the kFullOpt machinery.
+  // The charge-conserving scheme at every order, including TSC (order 2),
+  // which only this scheme supports on the kFullOpt machinery. Its colored
+  // reduce of the per-tile J scratch has a wider halo than rhocell; QSP, the
+  // widest, also runs on 3 cores.
   for (int order : {1, 2, 3}) {
-    SCOPED_TRACE(order);
     UniformWorkloadParams p;
     p.nx = p.ny = p.nz = 8;
     p.ppc_x = p.ppc_y = p.ppc_z = 2;
@@ -228,93 +165,56 @@ TEST_P(FusedVsLegacyCores, EsirkepovUniformEveryOrder) {
     p.variant = DepositVariant::kFullOpt;
     p.order = order;
     p.scheme = CurrentScheme::kEsirkepov;
-
-    p.fuse_stages = true;
-    HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto fused = MakeUniformSimulation(fused_hw, p);
-    fused->Run(4);
-
-    p.fuse_stages = false;
-    HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto legacy = MakeUniformSimulation(legacy_hw, p);
-    legacy->Run(4);
-
-    ExpectSimsBitIdentical(*fused, *legacy);
+    cases.push_back({"Esirkepov order " + std::to_string(order),
+                     [p](HwContext& hw) { return MakeUniformSimulation(hw, p); },
+                     order == 3 ? 5 : 4,
+                     order == 3 ? std::vector<int>{2, 3, 4}
+                                : std::vector<int>{2, 4}});
   }
-}
-
-TEST_P(FusedVsLegacyCores, EsirkepovLwfaMovingWindowWithIons) {
-  UseManyThreads();
-  // Moving window + Esirkepov: window drops remove charge mid-step and the
-  // tile-parallel injection adds it back after the deposit — the old-position
-  // lanes must survive both, and the two schedules must still agree bitwise.
-  LwfaWorkloadParams p;
-  p.nx = p.ny = 8;
-  p.nz = 32;
-  p.tile = 4;
-  p.tile_z = 8;
-  p.variant = DepositVariant::kFullOpt;
-  p.scheme = CurrentScheme::kEsirkepov;
-  p.with_ions = true;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeLwfaSimulation(fused_hw, p);
-  fused->Run(8);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeLwfaSimulation(legacy_hw, p);
-  legacy->Run(8);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cores, FusedVsLegacyCores, ::testing::Values(1, 2, 4));
-
-// Esirkepov across core counts: the colored reduce of the per-tile J scratch
-// (wider halo than rhocell) must be schedule-independent on its own.
-TEST(FusedPipeline, EsirkepovBitIdenticalAcrossCoreCounts) {
-  UseManyThreads();
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 8;
-  p.ppc_x = p.ppc_y = p.ppc_z = 2;
-  p.tile = 4;
-  p.order = 3;
-  p.variant = DepositVariant::kFullOpt;
-  p.scheme = CurrentScheme::kEsirkepov;
-
-  HwContext serial_hw;
-  auto serial = MakeUniformSimulation(serial_hw, p);
-  serial->Run(5);
-  for (int cores : {2, 3, 4}) {
-    SCOPED_TRACE(cores);
-    HwContext par_hw(MachineConfig::Lx2MultiCore(cores));
-    auto parallel = MakeUniformSimulation(par_hw, p);
-    parallel->Run(5);
-    ExpectSimsBitIdentical(*serial, *parallel);
+  // Moving window with ions, direct and Esirkepov: window drops remove charge
+  // mid-step and the tile-parallel injection adds it back after the deposit;
+  // the old-position lanes must survive both.
+  for (CurrentScheme scheme : {CurrentScheme::kDirect, CurrentScheme::kEsirkepov}) {
+    LwfaWorkloadParams p;
+    p.nx = p.ny = 8;
+    p.nz = 32;
+    p.tile = 4;
+    p.tile_z = 8;
+    p.variant = DepositVariant::kFullOpt;
+    p.scheme = scheme;
+    p.with_ions = true;
+    cases.push_back({std::string("LWFA with ions, ") + CurrentSchemeName(scheme),
+                     [p](HwContext& hw) { return MakeLwfaSimulation(hw, p); },
+                     8, {2, 4}});
   }
+  return cases;
 }
 
-// The fused schedule must also be bit-stable across core counts on its own
-// (the legacy path's cross-core determinism is pinned by threading_test).
 TEST(FusedPipeline, BitIdenticalAcrossCoreCounts) {
   UseManyThreads();
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 8;
-  p.ppc_x = p.ppc_y = p.ppc_z = 2;
-  p.tile = 4;
-  p.variant = DepositVariant::kFullOpt;
-
-  HwContext serial_hw;
-  auto serial = MakeUniformSimulation(serial_hw, p);
-  serial->Run(5);
-  for (int cores : {2, 3, 4}) {
-    SCOPED_TRACE(cores);
-    HwContext par_hw(MachineConfig::Lx2MultiCore(cores));
-    auto parallel = MakeUniformSimulation(par_hw, p);
-    parallel->Run(5);
-    ExpectSimsBitIdentical(*serial, *parallel);
+  for (const CoreCase& c : CoreCases()) {
+    SCOPED_TRACE(c.name);
+    HwContext serial_hw;
+    auto serial = c.make(serial_hw);
+    serial->Run(c.steps);
+    for (int cores : c.cores) {
+      SCOPED_TRACE(std::to_string(cores) + " cores");
+      HwContext par_hw(MachineConfig::Lx2MultiCore(cores));
+      auto parallel = c.make(par_hw);
+      parallel->Run(c.steps);
+      ExpectSimsBitIdentical(*serial, *parallel);
+      // The cores split the same work: instruction counters match too.
+      EXPECT_EQ(serial_hw.ledger().counters().mopas,
+                par_hw.ledger().counters().mopas);
+      EXPECT_EQ(serial_hw.ledger().counters().scatters,
+                par_hw.ledger().counters().scatters);
+      const auto& want = serial->last_sim_stats().species;
+      const auto& got = parallel->last_sim_stats().species;
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t sid = 0; sid < want.size(); ++sid) {
+        EXPECT_EQ(want[sid].pushed, got[sid].pushed) << "species " << sid;
+      }
+    }
   }
 }
 
@@ -398,7 +298,7 @@ TEST(ReduceColoring, SingleTileIsOneClass) {
 }
 
 // The colored parallel reduction must agree bitwise with the serial
-// color-major sweep — pinned end-to-end by running the same fused workload at
+// color-major sweep — pinned end-to-end by running the same workload at
 // 1 and 4 cores with a QSP rhocell variant (halo 1, eight color classes).
 TEST(ReduceColoring, ColoredReduceMatchesSerialReduceBitwise) {
   UseManyThreads();
@@ -420,16 +320,20 @@ TEST(ReduceColoring, ColoredReduceMatchesSerialReduceBitwise) {
   ExpectSimsBitIdentical(*serial, *parallel);
 }
 
-// ---- Ledger determinism (registered gather scratch) -------------------------
+// ---- Ledger determinism (registered scratch) ---------------------------------
 
 // Two runs of the same configuration in one process must charge exactly the
 // same cycles in every phase, even though the allocator hands the second run
 // different host addresses. Before the gather scratch was registered with the
 // MemMap, its identity-mapped addresses made the modeled cache behavior (and
-// so total cycles) wobble by ~0.25% run to run.
+// so total cycles) wobble by ~0.25% run to run. The `diagnose` input adds a
+// mid-run charge-density diagnostic, which deposits into a fresh array on
+// every call; its modeled accesses must not carry that array's host address
+// into the cache model and the later steps' cycles.
 TEST(LedgerDeterminism, RepeatedRunsChargeIdenticalCycles) {
   UseManyThreads();
-  auto run = [](int cores, std::unique_ptr<std::vector<char>>* ballast) {
+  auto run = [](int cores, bool diagnose,
+                std::unique_ptr<std::vector<char>>* ballast) {
     UniformWorkloadParams p;
     p.nx = p.ny = p.nz = 8;
     p.ppc_x = p.ppc_y = p.ppc_z = 2;
@@ -437,46 +341,31 @@ TEST(LedgerDeterminism, RepeatedRunsChargeIdenticalCycles) {
     p.variant = DepositVariant::kFullOpt;
     HwContext hw(MachineConfig::Lx2MultiCore(cores));
     auto sim = MakeUniformSimulation(hw, p);
-    sim->Run(4);
+    sim->Run(2);
+    if (diagnose) {
+      DepositChargeDensity(*sim);
+    }
+    sim->Run(2);
     // Shift the heap before the next run allocates, so identical cycle totals
     // cannot come from the allocator accidentally reusing the same addresses.
     *ballast = std::make_unique<std::vector<char>>(4097, 'x');
     return hw.ledger();
   };
-  for (int cores : {1, 4}) {
-    SCOPED_TRACE(cores);
-    std::unique_ptr<std::vector<char>> ballast_a, ballast_b;
-    const CostLedger a = run(cores, &ballast_a);
-    const CostLedger b = run(cores, &ballast_b);
-    for (int ph = 0; ph < kNumPhases; ++ph) {
-      EXPECT_DOUBLE_EQ(a.PhaseCycles(static_cast<Phase>(ph)),
-                       b.PhaseCycles(static_cast<Phase>(ph)))
-          << PhaseName(static_cast<Phase>(ph));
+  for (bool diagnose : {false, true}) {
+    for (int cores : {1, 4}) {
+      SCOPED_TRACE(std::to_string(cores) + " cores" +
+                   (diagnose ? ", diagnostic" : ""));
+      std::unique_ptr<std::vector<char>> ballast_a, ballast_b;
+      const CostLedger a = run(cores, diagnose, &ballast_a);
+      const CostLedger b = run(cores, diagnose, &ballast_b);
+      for (int ph = 0; ph < kNumPhases; ++ph) {
+        EXPECT_DOUBLE_EQ(a.PhaseCycles(static_cast<Phase>(ph)),
+                         b.PhaseCycles(static_cast<Phase>(ph)))
+            << PhaseName(static_cast<Phase>(ph));
+      }
+      EXPECT_EQ(a.counters().l1_misses, b.counters().l1_misses);
+      EXPECT_EQ(a.counters().l2_misses, b.counters().l2_misses);
     }
-    EXPECT_EQ(a.counters().l1_misses, b.counters().l1_misses);
-    EXPECT_EQ(a.counters().l2_misses, b.counters().l2_misses);
-  }
-}
-
-// ---- Fused pipeline is modeled as cheaper -----------------------------------
-
-TEST(FusedPipeline, ModeledCyclesBelowLegacySweeps) {
-  UseManyThreads();
-  auto total = [](bool fused, int cores) {
-    UniformWorkloadParams p;
-    p.nx = p.ny = p.nz = 16;
-    p.ppc_x = p.ppc_y = p.ppc_z = 4;
-    p.tile = 4;
-    p.variant = DepositVariant::kFullOpt;
-    p.fuse_stages = fused;
-    HwContext hw(MachineConfig::Lx2MultiCore(cores));
-    auto sim = MakeUniformSimulation(hw, p);
-    sim->Run(3);
-    return hw.ledger().TotalCycles();
-  };
-  for (int cores : {1, 4}) {
-    SCOPED_TRACE(cores);
-    EXPECT_LT(total(/*fused=*/true, cores), total(/*fused=*/false, cores));
   }
 }
 

@@ -146,7 +146,7 @@ TEST(MultiSpecies, ProtonDriftCurrentMatchesAnalytic) {
               std::fabs(expected) * 1e-9);
 }
 
-TEST(MultiSpecies, ElectronOnlyDefaultMatchesLegacyPath) {
+TEST(MultiSpecies, EmptySecondSpeciesMatchesSingleSpeciesRun) {
   // A two-species run whose second species is empty must reproduce the
   // single-species fields exactly: the species loop and the shared guard fold
   // cannot perturb the electron-only physics.

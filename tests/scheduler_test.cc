@@ -2,9 +2,9 @@
 // pure deterministic function of the cost estimates (LPT over bucketed costs,
 // steal simulation over raw costs), every position must execute exactly once,
 // and — the load-bearing invariant — physics must stay bit-identical between
-// the static partition and the stealing schedule for every workload, modeled
-// core count, and pipeline flavor. The OpenMP-thread dimension is covered by
-// CI running this binary at OMP_NUM_THREADS=1 and 4.
+// the static partition and the stealing schedule for every workload and
+// modeled core count. The OpenMP-thread dimension is covered by CI running
+// this binary at OMP_NUM_THREADS=1 and 4.
 
 #include <gtest/gtest.h>
 
@@ -160,9 +160,12 @@ TEST(TileScheduler, ScheduleIsDeterministic) {
     for (size_t k = 0; k < a.worker_tasks[w].size(); ++k) {
       EXPECT_EQ(a.worker_tasks[w][k].pos, b.worker_tasks[w][k].pos);
       EXPECT_EQ(a.worker_tasks[w][k].stolen, b.worker_tasks[w][k].stolen);
+      // The default placement is flat memory: no steal crosses a domain.
+      EXPECT_FALSE(a.worker_tasks[w][k].remote);
     }
   }
   EXPECT_EQ(a.total_steals, b.total_steals);
+  EXPECT_EQ(a.total_steals_remote, 0);
   EXPECT_EQ(a.makespan, b.makespan);
   ExpectCoversEveryPositionOnce(a, 48);
 }
@@ -214,29 +217,6 @@ TEST(NumaDomain, ContiguousSplitLikeRankOfTile) {
   EXPECT_EQ(NumaDomainOfWorker(1, 2, 8), 1);
   EXPECT_EQ(NumaDomainOfWorker(9, 4, 2), 1);  // out-of-range worker clamps
   EXPECT_EQ(NumaDomainOfWorker(-1, 4, 2), 0);
-}
-
-TEST(TileScheduler, PlacementFreeOverloadMatchesDefaultPlacement) {
-  // The 4-arg overload must stay byte-identical to the 5-arg call with a
-  // default placement (no previous owners, flat domains): the PR 8 schedule.
-  std::vector<double> cost(48);
-  for (int i = 0; i < 48; ++i) {
-    cost[static_cast<size_t>(i)] = 100.0 + 37.0 * ((i * 13) % 29);
-  }
-  const TileScheduleResult a = BuildTileSchedule(48, 4, cost.data(), 120.0);
-  const TileScheduleResult b =
-      BuildTileSchedule(48, 4, cost.data(), 120.0, TileSchedulePlacement{});
-  ASSERT_EQ(a.worker_tasks.size(), b.worker_tasks.size());
-  for (size_t w = 0; w < a.worker_tasks.size(); ++w) {
-    ASSERT_EQ(a.worker_tasks[w].size(), b.worker_tasks[w].size());
-    for (size_t k = 0; k < a.worker_tasks[w].size(); ++k) {
-      EXPECT_EQ(a.worker_tasks[w][k].pos, b.worker_tasks[w][k].pos);
-      EXPECT_EQ(a.worker_tasks[w][k].stolen, b.worker_tasks[w][k].stolen);
-      EXPECT_FALSE(b.worker_tasks[w][k].remote);
-    }
-  }
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(b.total_steals_remote, 0);
 }
 
 TEST(TileScheduler, StickyOwnerPreferredWithinBucket) {
@@ -410,14 +390,12 @@ uint64_t DigestAfterRun(std::unique_ptr<Simulation> sim, int steps) {
   return SimulationDigest(*sim);
 }
 
-// Builds (workload x pipeline) under one (policy, cores) machine and returns
-// the digests after a few steps.
+// Builds each workload under one (policy, cores) machine and returns the
+// digests after a few steps.
 struct MatrixDigests {
-  uint64_t uniform_fused = 0;
-  uint64_t uniform_legacy = 0;
-  uint64_t bunched_fused = 0;
-  uint64_t bunched_legacy = 0;
-  uint64_t lwfa_fused = 0;
+  uint64_t uniform = 0;
+  uint64_t bunched = 0;
+  uint64_t lwfa = 0;
 };
 
 MatrixDigests RunMatrix(TileSchedulePolicy policy, int cores) {
@@ -433,20 +411,16 @@ MatrixDigests RunMatrix(TileSchedulePolicy policy, int cores) {
   up.nx = up.ny = up.nz = 8;
   up.ppc_x = up.ppc_y = up.ppc_z = 2;
   up.tile = 4;
-  for (const bool fused : {true, false}) {
-    up.fuse_stages = fused;
+  {
     HwContext hw(mk_hw());
-    const uint64_t digest = DigestAfterRun(MakeUniformSimulation(hw, up), 4);
-    (fused ? d.uniform_fused : d.uniform_legacy) = digest;
+    d.uniform = DigestAfterRun(MakeUniformSimulation(hw, up), 4);
   }
 
   BunchedBeamParams bp;
   bp.ppc_x = bp.ppc_y = bp.ppc_z = 4;  // lighter than the bench, same shape
-  for (const bool fused : {true, false}) {
-    bp.fuse_stages = fused;
+  {
     HwContext hw(mk_hw());
-    const uint64_t digest = DigestAfterRun(MakeBunchedBeamSimulation(hw, bp), 3);
-    (fused ? d.bunched_fused : d.bunched_legacy) = digest;
+    d.bunched = DigestAfterRun(MakeBunchedBeamSimulation(hw, bp), 3);
   }
 
   LwfaWorkloadParams lp;
@@ -456,7 +430,7 @@ MatrixDigests RunMatrix(TileSchedulePolicy policy, int cores) {
   lp.tile_z = 8;
   {
     HwContext hw(mk_hw());
-    d.lwfa_fused = DigestAfterRun(MakeLwfaSimulation(hw, lp), 6);
+    d.lwfa = DigestAfterRun(MakeLwfaSimulation(hw, lp), 6);
   }
   return d;
 }
@@ -467,14 +441,9 @@ TEST_P(SchedulerBitIdentity, DigestsMatchStaticAcrossPolicies) {
   const int cores = GetParam();
   const MatrixDigests st = RunMatrix(TileSchedulePolicy::kStatic, cores);
   const MatrixDigests sl = RunMatrix(TileSchedulePolicy::kCostSteal, cores);
-  EXPECT_EQ(st.uniform_fused, sl.uniform_fused);
-  EXPECT_EQ(st.uniform_legacy, sl.uniform_legacy);
-  EXPECT_EQ(st.bunched_fused, sl.bunched_fused);
-  EXPECT_EQ(st.bunched_legacy, sl.bunched_legacy);
-  EXPECT_EQ(st.lwfa_fused, sl.lwfa_fused);
-  // Fused vs legacy is also bit-identical, under either policy.
-  EXPECT_EQ(st.uniform_fused, st.uniform_legacy);
-  EXPECT_EQ(sl.bunched_fused, sl.bunched_legacy);
+  EXPECT_EQ(st.uniform, sl.uniform);
+  EXPECT_EQ(st.bunched, sl.bunched);
+  EXPECT_EQ(st.lwfa, sl.lwfa);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, SchedulerBitIdentity, ::testing::Values(1, 2, 4));
