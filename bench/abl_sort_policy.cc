@@ -26,14 +26,16 @@ void PartA() {
       p.ppc_x = p.ppc_y = p.ppc_z = 4;  // PPC 64
       p.variant = v;
       p.u_th = u_th;
-      const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/4);
+      // 20 steps, twice the default min_sort_interval, so kFullOpt's
+      // adaptive re-sort can fire inside the measured window.
+      const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/20);
       t.AddRow({FormatDouble(u_th, 3), VariantName(v),
                 FormatDouble(r.report.deposition_seconds, 4),
                 FormatDouble(PhaseSec(r.report, Phase::kSort), 4),
                 std::to_string(r.global_sorts)});
     }
   }
-  t.Print("Ablation A1a: sorting strategy vs particle churn (uniform, CIC)");
+  t.Print("Ablation A1a: sorting strategy vs particle churn (uniform, CIC, 20 steps)");
 }
 
 void PartB() {

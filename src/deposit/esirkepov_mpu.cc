@@ -287,6 +287,25 @@ void FlushAccum(HwContext& hw, const NarrowAccum<Order>& acc,
   }
 }
 
+// One batch's load of a side stream (bx, by, bz, qf or wide). Pids come in
+// ascending runs from the bins / slot walk, so a sorted batch's elements sit
+// in a line or two and one read of its pid span [first, first + span) loads
+// them. Between global sorts a bin's pids spread over the tile's slots and
+// the span grows to hundreds of lines; once its line loads would issue slower
+// than one gather (lines x vector_mem_issue_cycles > gather_issue_cycles, 8
+// lines on Lx2), the stream is gathered over the batch's lanes instead.
+template <typename T>
+void TouchSideStream(HwContext& hw, const std::vector<T>& stream, size_t first,
+                     size_t span, const int64_t* lanes, const Mask8& active) {
+  const size_t lines = (span * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes;
+  if (static_cast<double>(lines) * hw.cfg().vector_mem_issue_cycles <=
+      hw.cfg().gather_issue_cycles) {
+    hw.TouchRead(&stream[first], sizeof(T) * span);
+  } else {
+    hw.TouchGather(stream.data(), sizeof(T), lanes, active);
+  }
+}
+
 // One batch of up to kVpuLanes staged particles: batched loads, then greedy
 // width-adaptive packing (deterministic — depends only on staged widths in
 // pid order). A group of g particles shares each plane tile at lane pitch S,
@@ -297,22 +316,25 @@ template <int Order>
 void ProcessBatch(HwContext& hw, const EsirkepovScratch& scratch,
                   const double f[3], const int32_t* pids, int count,
                   TileCurrent& tile_j) {
-  // Side streams once per batch over the pid span (pids come in ascending
-  // runs from the bins / slot walk); window blocks as unaligned vector loads,
-  // one contiguous stream when the batch's slots are consecutive.
+  // Side streams once per batch, each read over the pid span or gathered
+  // (TouchSideStream); window blocks as unaligned vector loads, one
+  // contiguous stream when the batch's slots are consecutive.
+  int64_t lanes[kVpuLanes] = {};
   int32_t lo = pids[0];
   int32_t hi = pids[0];
-  for (int s = 1; s < count; ++s) {
+  for (int s = 0; s < count; ++s) {
+    lanes[s] = pids[s];
     lo = std::min(lo, pids[s]);
     hi = std::max(hi, pids[s]);
   }
+  const Mask8 active = Mask8::FirstN(count);
   const auto first = static_cast<size_t>(lo);
   const auto span = static_cast<size_t>(hi - lo) + 1;
-  hw.TouchRead(&scratch.bx[first], sizeof(int32_t) * span);
-  hw.TouchRead(&scratch.by[first], sizeof(int32_t) * span);
-  hw.TouchRead(&scratch.bz[first], sizeof(int32_t) * span);
-  hw.TouchRead(&scratch.qf[first], sizeof(double) * span);
-  hw.TouchRead(&scratch.wide[first], sizeof(uint8_t) * span);
+  TouchSideStream(hw, scratch.bx, first, span, lanes, active);
+  TouchSideStream(hw, scratch.by, first, span, lanes, active);
+  TouchSideStream(hw, scratch.bz, first, span, lanes, active);
+  TouchSideStream(hw, scratch.qf, first, span, lanes, active);
+  TouchSideStream(hw, scratch.wide, first, span, lanes, active);
 
   const size_t stride = static_cast<size_t>(scratch.stride());
   const size_t loads =

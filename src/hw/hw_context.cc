@@ -115,17 +115,26 @@ void HwContext::VStoreMasked(double* p, const Vec8& v, const Mask8& m) {
   }
 }
 
-Vec8 HwContext::VGather(const double* base, const int64_t* idx, const Mask8& m) {
+void HwContext::TouchGather(const void* base, size_t elem_bytes,
+                            const int64_t* idx, const Mask8& m) {
   ++ledger_.counters().gathers;
   ledger_.AddCycles(cfg_.gather_issue_cycles);
+  const auto* bytes = static_cast<const char*>(base);
+  const auto elem = static_cast<int64_t>(elem_bytes);
+  for (int i = 0; i < kVpuLanes; ++i) {
+    if (m.lane[static_cast<size_t>(i)]) {
+      ledger_.AddCycles(MemPenalty(bytes + idx[i] * elem, elem_bytes));
+    }
+  }
+}
+
+Vec8 HwContext::VGather(const double* base, const int64_t* idx, const Mask8& m) {
+  TouchGather(base, sizeof(double), idx, m);
   Vec8 r = Vec8::Zero();
   for (int i = 0; i < kVpuLanes; ++i) {
-    if (!m.lane[static_cast<size_t>(i)]) {
-      continue;
+    if (m.lane[static_cast<size_t>(i)]) {
+      r[i] = base[idx[i]];
     }
-    const double* p = base + idx[i];
-    ledger_.AddCycles(MemPenalty(p, sizeof(double)));
-    r[i] = *p;
   }
   return r;
 }

@@ -101,6 +101,12 @@ class HwContext {
 
   // Gather/scatter with 64-bit lane indices relative to `base` (elements).
   Vec8 VGather(const double* base, const int64_t* idx, const Mask8& m);
+  // The cost of a gather of one `elem_bytes` element per active lane at
+  // base + idx[i] * elem_bytes, with no data moved: one gather issue
+  // (cfg.gather_issue_cycles), then each active lane's line penalty in lane
+  // order. VGather charges through it, so every gather width pays one rule.
+  void TouchGather(const void* base, size_t elem_bytes, const int64_t* idx,
+                   const Mask8& m);
   // Indexed load that detects a contiguous ascending run over the active lanes
   // (the post-global-sort common case) and charges vector-load cost instead of
   // gather cost. Sorted kernels use this; the paper's point that "unordered

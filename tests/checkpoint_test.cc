@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -51,39 +52,61 @@ std::vector<EngineCombo> AllEngineCombos() {
   return combos;
 }
 
-TEST(CheckpointRoundTrip, EveryVariantOrderAndScheme) {
-  for (const EngineCombo& c : AllEngineCombos()) {
-    SCOPED_TRACE(std::string(VariantName(c.variant)) + " order " +
-                 std::to_string(c.order) +
-                 (c.scheme == CurrentScheme::kEsirkepov ? " esirkepov"
-                                                        : " direct"));
-    UniformWorkloadParams p;
-    p.nx = p.ny = p.nz = 8;
-    p.ppc_x = p.ppc_y = p.ppc_z = 1;
-    p.tile = 4;
-    p.variant = c.variant;
-    p.order = c.order;
-    p.scheme = c.scheme;
-    p.u_th = 0.1;  // enough churn for movers and slot recycling
-
-    HwContext ref_hw(MachineConfig::Lx2MultiCore(2));
-    auto ref = MakeUniformSimulation(ref_hw, p);
-    ref->Run(3);
-    std::vector<uint8_t> ckpt;
-    ASSERT_TRUE(SaveCheckpoint(*ref, &ckpt)) << "save failed";
-    ref->Run(3);
-    const uint64_t want = SimulationDigest(*ref);
-
-    HwContext twin_hw(MachineConfig::Lx2MultiCore(2));
-    auto twin = MakeUniformSimulation(twin_hw, p);
-    twin->Run(1);  // desynchronize; restore must overwrite everything
-    const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt);
-    ASSERT_TRUE(st) << st.error;
-    EXPECT_EQ(twin->step_count(), 3);
-    twin->Run(3);
-    EXPECT_EQ(SimulationDigest(*twin), want);
-  }
+std::string EngineComboName(const EngineCombo& c) {
+  return std::string(VariantName(c.variant)) + " order " +
+         std::to_string(c.order) +
+         (c.scheme == CurrentScheme::kEsirkepov ? " esirkepov" : " direct");
 }
+
+// A gtest parameter name: letters, digits and underscores only.
+std::string TestNameOf(std::string name) {
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) {
+      c = '_';
+    }
+  }
+  return name;
+}
+
+// One test case per engine combination, so ctest can run them side by side.
+class CheckpointEngine : public ::testing::TestWithParam<int> {};
+
+TEST_P(CheckpointEngine, RoundTrip) {
+  const EngineCombo c = AllEngineCombos()[static_cast<size_t>(GetParam())];
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 1;
+  p.tile = 4;
+  p.variant = c.variant;
+  p.order = c.order;
+  p.scheme = c.scheme;
+  p.u_th = 0.1;  // enough churn for movers and slot recycling
+
+  HwContext ref_hw(MachineConfig::Lx2MultiCore(2));
+  auto ref = MakeUniformSimulation(ref_hw, p);
+  ref->Run(3);
+  std::vector<uint8_t> ckpt;
+  ASSERT_TRUE(SaveCheckpoint(*ref, &ckpt)) << "save failed";
+  ref->Run(3);
+  const uint64_t want = SimulationDigest(*ref);
+
+  HwContext twin_hw(MachineConfig::Lx2MultiCore(2));
+  auto twin = MakeUniformSimulation(twin_hw, p);
+  twin->Run(1);  // desynchronize; restore must overwrite everything
+  const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt);
+  ASSERT_TRUE(st) << st.error;
+  EXPECT_EQ(twin->step_count(), 3);
+  twin->Run(3);
+  EXPECT_EQ(SimulationDigest(*twin), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CheckpointEngine,
+    ::testing::Range(0, static_cast<int>(AllEngineCombos().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return TestNameOf(
+          EngineComboName(AllEngineCombos()[static_cast<size_t>(info.param)]));
+    });
 
 // A checkpoint is core-count-portable: an image saved from a 4-core run must
 // continue bit-identically on twins whose core counts split the tiles into
@@ -267,75 +290,84 @@ TEST(CheckpointRoundTrip, LedgerRestoreResumesModeledClock) {
 // phase-cycle bucket and ledger counter — including the steal pair and with
 // the adaptive performance trigger at its enabled default — across
 // tile-schedule policies, core counts, and the multi-rank machine. These are
-// exactly the states version-1 images omitted.
-TEST(CheckpointCycleExact, RestoreMatchesUninterruptedRun) {
-  struct Combo {
-    int ranks, cores;
-    bool steal;
-  };
-  const std::vector<Combo> combos = {
-      {1, 4, false}, {1, 4, true}, {1, 1, true}, {2, 4, true}, {2, 2, false},
-  };
-  for (const Combo& c : combos) {
-    SCOPED_TRACE(std::to_string(c.ranks) + " ranks, " +
-                 std::to_string(c.cores) + " cores, " +
-                 (c.steal ? "steal" : "static"));
-    UniformWorkloadParams p;
-    p.nx = p.ny = 8;
-    p.nz = 16;
-    p.ppc_x = p.ppc_y = p.ppc_z = 2;
-    p.tile = 4;
-    p.u_th = 0.1;
+// exactly the states version-1 images omitted. One test case per machine.
+struct CycleExactMachine {
+  int ranks, cores;
+  bool steal;
+};
 
-    const MachineConfig mc = MachineConfig::Lx2Cluster(c.ranks, c.cores, c.steal);
-    HwContext ref_hw(mc);
-    auto ref = MakeUniformSimulation(ref_hw, p);
-    ref->Run(4);
-    std::vector<uint8_t> ckpt;
-    CheckpointWriteOptions wopts;
-    wopts.model_sync = true;
-    ASSERT_TRUE(SaveCheckpoint(*ref, &ckpt, wopts));
-    const std::vector<double> est_at_save = ref->block(0).pass1_costs.estimate;
-    ref->Run(4);
-    const uint64_t want = SimulationDigest(*ref);
-
-    HwContext twin_hw(mc);
-    auto twin = MakeUniformSimulation(twin_hw, p);
-    twin->Run(2);  // desynchronize; restore must overwrite everything
-    CheckpointReadOptions ropts;
-    ropts.restore_ledger = true;
-    ropts.model_sync = true;
-    const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt, ropts);
-    ASSERT_TRUE(st) << st.error;
-    if (c.steal) {
-      EXPECT_FALSE(twin->block(0).pass1_costs.estimate.empty())
-          << "kCostSteal per-tile estimates not restored";
-      EXPECT_EQ(twin->block(0).pass1_costs.estimate, est_at_save);
-    }
-    twin->Run(4);
-
-    EXPECT_EQ(SimulationDigest(*twin), want);
-    for (int ph = 0; ph < kNumPhases; ++ph) {
-      EXPECT_DOUBLE_EQ(twin_hw.ledger().PhaseCycles(static_cast<Phase>(ph)),
-                       ref_hw.ledger().PhaseCycles(static_cast<Phase>(ph)))
-          << "phase " << PhaseName(static_cast<Phase>(ph));
-    }
-    const LedgerCounters& a = ref_hw.ledger().counters();
-    const LedgerCounters& b = twin_hw.ledger().counters();
-    EXPECT_EQ(b.scalar_ops, a.scalar_ops);
-    EXPECT_EQ(b.vpu_ops, a.vpu_ops);
-    EXPECT_EQ(b.vpu_mem, a.vpu_mem);
-    EXPECT_EQ(b.gathers, a.gathers);
-    EXPECT_EQ(b.scatters, a.scatters);
-    EXPECT_EQ(b.mopas, a.mopas);
-    EXPECT_EQ(b.l1_hits, a.l1_hits);
-    EXPECT_EQ(b.l1_misses, a.l1_misses);
-    EXPECT_EQ(b.l2_hits, a.l2_hits);
-    EXPECT_EQ(b.l2_misses, a.l2_misses);
-    EXPECT_EQ(b.tasks_stolen, a.tasks_stolen);
-    EXPECT_DOUBLE_EQ(b.steal_cycles, a.steal_cycles);
-  }
+std::vector<CycleExactMachine> CycleExactMachines() {
+  return {{1, 4, false}, {1, 4, true}, {1, 1, true}, {2, 4, true}, {2, 2, false}};
 }
+
+class CheckpointMachine : public ::testing::TestWithParam<int> {};
+
+TEST_P(CheckpointMachine, CycleExactRestore) {
+  const CycleExactMachine c = CycleExactMachines()[static_cast<size_t>(GetParam())];
+  UniformWorkloadParams p;
+  p.nx = p.ny = 8;
+  p.nz = 16;
+  p.ppc_x = p.ppc_y = p.ppc_z = 2;
+  p.tile = 4;
+  p.u_th = 0.1;
+
+  const MachineConfig mc = MachineConfig::Lx2Cluster(c.ranks, c.cores, c.steal);
+  HwContext ref_hw(mc);
+  auto ref = MakeUniformSimulation(ref_hw, p);
+  ref->Run(4);
+  std::vector<uint8_t> ckpt;
+  CheckpointWriteOptions wopts;
+  wopts.model_sync = true;
+  ASSERT_TRUE(SaveCheckpoint(*ref, &ckpt, wopts));
+  const std::vector<double> est_at_save = ref->block(0).pass1_costs.estimate;
+  ref->Run(4);
+  const uint64_t want = SimulationDigest(*ref);
+
+  HwContext twin_hw(mc);
+  auto twin = MakeUniformSimulation(twin_hw, p);
+  twin->Run(2);  // desynchronize; restore must overwrite everything
+  CheckpointReadOptions ropts;
+  ropts.restore_ledger = true;
+  ropts.model_sync = true;
+  const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt, ropts);
+  ASSERT_TRUE(st) << st.error;
+  if (c.steal) {
+    EXPECT_FALSE(twin->block(0).pass1_costs.estimate.empty())
+        << "kCostSteal per-tile estimates not restored";
+    EXPECT_EQ(twin->block(0).pass1_costs.estimate, est_at_save);
+  }
+  twin->Run(4);
+
+  EXPECT_EQ(SimulationDigest(*twin), want);
+  for (int ph = 0; ph < kNumPhases; ++ph) {
+    EXPECT_DOUBLE_EQ(twin_hw.ledger().PhaseCycles(static_cast<Phase>(ph)),
+                     ref_hw.ledger().PhaseCycles(static_cast<Phase>(ph)))
+        << "phase " << PhaseName(static_cast<Phase>(ph));
+  }
+  const LedgerCounters& a = ref_hw.ledger().counters();
+  const LedgerCounters& b = twin_hw.ledger().counters();
+  EXPECT_EQ(b.scalar_ops, a.scalar_ops);
+  EXPECT_EQ(b.vpu_ops, a.vpu_ops);
+  EXPECT_EQ(b.vpu_mem, a.vpu_mem);
+  EXPECT_EQ(b.gathers, a.gathers);
+  EXPECT_EQ(b.scatters, a.scatters);
+  EXPECT_EQ(b.mopas, a.mopas);
+  EXPECT_EQ(b.l1_hits, a.l1_hits);
+  EXPECT_EQ(b.l1_misses, a.l1_misses);
+  EXPECT_EQ(b.l2_hits, a.l2_hits);
+  EXPECT_EQ(b.l2_misses, a.l2_misses);
+  EXPECT_EQ(b.tasks_stolen, a.tasks_stolen);
+  EXPECT_DOUBLE_EQ(b.steal_cycles, a.steal_cycles);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CheckpointMachine,
+    ::testing::Range(0, static_cast<int>(CycleExactMachines().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      const CycleExactMachine c = CycleExactMachines()[static_cast<size_t>(info.param)];
+      return std::to_string(c.ranks) + "ranks_" + std::to_string(c.cores) +
+             "cores_" + (c.steal ? "steal" : "static");
+    });
 
 // The kCostSteal estimate wire-through is not cosmetic: a restored stealing
 // run must replan the same schedule and therefore accumulate the same steal

@@ -1,12 +1,14 @@
 // Tests for the MPU Esirkepov kernel (esirkepov_mpu.h): equivalence with the
 // scalar-reference combine on both schedulings, the bitwise sparse-fallback
 // contract, the Gauss-residual / digest matrix across core counts,
-// occupancy-counter determinism, and MopaZero semantics.
+// occupancy-counter determinism, modeled traffic in decayed particle order,
+// and MopaZero semantics.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -307,6 +309,57 @@ TEST(MpuEsirkepovOccupancy, CounterDeterminism) {
                      (64.0 * static_cast<double>(ca.mopas));
   EXPECT_GT(occ, 0.0);
   EXPECT_LT(occ, 1.0);
+}
+
+// ---- Modeled traffic between global sorts ------------------------------------
+
+// Modeled L1 lookups (hits + misses) of one serial deposit pass over every
+// tile: staging plus the Esirkepov kernel, no reduction.
+uint64_t DepositPassLookups(Simulation& sim) {
+  HwContext& hw = sim.hw();
+  TileSet& tiles = sim.tiles();
+  const LedgerCounters& c = hw.ledger().counters();
+  const uint64_t before = c.l1_hits + c.l1_misses;
+  sim.engine().BeginStep(tiles, sim.dt());
+  sim.engine().RefreshTileRegistrations(tiles);
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    sim.engine().StageAndDepositTile(hw, tiles, sim.fields(),
+                                     sim.species(0).charge, t);
+  }
+  return c.l1_hits + c.l1_misses - before;
+}
+
+// Between global sorts the GPMA keeps every particle in its cell's bin, but a
+// bin's pids spread over the tile's slots, so one batch's pid span covers
+// hundreds of side-stream lines. The kernel gathers a side stream once its
+// span outgrows one gather, which keeps the decayed order's modeled traffic
+// near the freshly sorted order's.
+TEST(EsirkepovMpuTraffic, DecayedOrderStaysNearSortedOrder) {
+  HwContext hw(MachineConfig::Lx2());
+  BunchedBeamParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.ppc_x = p.ppc_y = p.ppc_z = 4;
+  p.scheme = CurrentScheme::kEsirkepov;
+  ResortPolicyConfig never;
+  never.sort_interval = std::numeric_limits<int>::max();
+  never.trigger_rebuild_count = std::numeric_limits<int>::max();
+  never.trigger_empty_ratio = 0.0;
+  never.trigger_full_ratio = 1.0;
+  never.trigger_perf_enable = false;
+  p.policy = never;
+  auto sim = MakeBunchedBeamSimulation(hw, p);
+  const int64_t sorts = sim->engine().total_global_sorts();
+  sim->Run(20);
+  ASSERT_EQ(sim->engine().total_global_sorts(), sorts) << "a re-sort fired";
+
+  const double live = static_cast<double>(sim->tiles().TotalLive());
+  const auto decayed = static_cast<double>(DepositPassLookups(*sim));
+  sim->engine().GlobalSort(sim->tiles());
+  const auto sorted = static_cast<double>(DepositPassLookups(*sim));
+  ASSERT_GT(sorted, 0.0);
+  EXPECT_LE(decayed, 1.5 * sorted)
+      << "L1 lookups per particle: decayed " << decayed / live << ", sorted "
+      << sorted / live;
 }
 
 // MopaZero overwrites the tile with the plain outer product (no accumulate)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -95,6 +96,16 @@ struct CoreCase {
   int steps;
   std::vector<int> cores;
 };
+
+// A gtest parameter name: letters, digits and underscores only.
+std::string TestNameOf(std::string name) {
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) {
+      c = '_';
+    }
+  }
+  return name;
+}
 
 std::vector<CoreCase> CoreCases() {
   std::vector<CoreCase> cases;
@@ -190,33 +201,41 @@ std::vector<CoreCase> CoreCases() {
   return cases;
 }
 
-TEST(FusedPipeline, BitIdenticalAcrossCoreCounts) {
+// One test case per workload, so ctest can run them side by side.
+class FusedPipeline : public ::testing::TestWithParam<int> {};
+
+TEST_P(FusedPipeline, BitIdenticalAcrossCoreCounts) {
   UseManyThreads();
-  for (const CoreCase& c : CoreCases()) {
-    SCOPED_TRACE(c.name);
-    HwContext serial_hw;
-    auto serial = c.make(serial_hw);
-    serial->Run(c.steps);
-    for (int cores : c.cores) {
-      SCOPED_TRACE(std::to_string(cores) + " cores");
-      HwContext par_hw(MachineConfig::Lx2MultiCore(cores));
-      auto parallel = c.make(par_hw);
-      parallel->Run(c.steps);
-      ExpectSimsBitIdentical(*serial, *parallel);
-      // The cores split the same work: instruction counters match too.
-      EXPECT_EQ(serial_hw.ledger().counters().mopas,
-                par_hw.ledger().counters().mopas);
-      EXPECT_EQ(serial_hw.ledger().counters().scatters,
-                par_hw.ledger().counters().scatters);
-      const auto& want = serial->last_sim_stats().species;
-      const auto& got = parallel->last_sim_stats().species;
-      ASSERT_EQ(want.size(), got.size());
-      for (size_t sid = 0; sid < want.size(); ++sid) {
-        EXPECT_EQ(want[sid].pushed, got[sid].pushed) << "species " << sid;
-      }
+  const CoreCase c = CoreCases()[static_cast<size_t>(GetParam())];
+  HwContext serial_hw;
+  auto serial = c.make(serial_hw);
+  serial->Run(c.steps);
+  for (int cores : c.cores) {
+    SCOPED_TRACE(std::to_string(cores) + " cores");
+    HwContext par_hw(MachineConfig::Lx2MultiCore(cores));
+    auto parallel = c.make(par_hw);
+    parallel->Run(c.steps);
+    ExpectSimsBitIdentical(*serial, *parallel);
+    // The cores split the same work: instruction counters match too.
+    EXPECT_EQ(serial_hw.ledger().counters().mopas,
+              par_hw.ledger().counters().mopas);
+    EXPECT_EQ(serial_hw.ledger().counters().scatters,
+              par_hw.ledger().counters().scatters);
+    const auto& want = serial->last_sim_stats().species;
+    const auto& got = parallel->last_sim_stats().species;
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t sid = 0; sid < want.size(); ++sid) {
+      EXPECT_EQ(want[sid].pushed, got[sid].pushed) << "species " << sid;
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, FusedPipeline,
+    ::testing::Range(0, static_cast<int>(CoreCases().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return TestNameOf(CoreCases()[static_cast<size_t>(info.param)].name);
+    });
 
 // ---- Colored reduction schedule --------------------------------------------
 

@@ -8,6 +8,7 @@
 #include "src/hw/machine_config.h"
 #include "src/hw/mem_map.h"
 #include "src/hw/vec.h"
+#include "src/runtime/digest.h"
 
 namespace mpic {
 namespace {
@@ -169,6 +170,75 @@ TEST(HwContext, GatherScatterSemantics) {
   hw.VScatter(buf.data(), idx, Vec8::Splat(-1.0), Mask8::FirstN(2));
   EXPECT_DOUBLE_EQ(buf[0], -1.0);
   EXPECT_DOUBLE_EQ(buf[16], 102.0);
+}
+
+// TouchGather charges one gather at any element width: one gathers count, the
+// gather issue, then each active lane's line penalty in lane order, with
+// masked lanes untouched. The reference replays the same lanes, in the same
+// order, on a twin context's cache and address map.
+template <typename T>
+class TouchGatherWidth : public ::testing::Test {};
+using GatherElementTypes = ::testing::Types<int32_t, uint8_t, double>;
+TYPED_TEST_SUITE(TouchGatherWidth, GatherElementTypes);
+
+TYPED_TEST(TouchGatherWidth, ChargesOneIssueAndActiveLanePenaltiesInOrder) {
+  constexpr int64_t kPerLine = kCacheLineBytes / sizeof(TypeParam);
+  std::vector<TypeParam> buf(static_cast<size_t>(32 * kPerLine));
+  HwContext hw;
+  HwContext ref;
+  hw.RegisterRegion(buf.data(), buf.size() * sizeof(TypeParam));
+  ref.RegisterRegion(buf.data(), buf.size() * sizeof(TypeParam));
+  // Cold lines, a revisit of lane 0's line (an L1 hit), an ascending run the
+  // stride prefetcher can follow, and a masked lane on a line of its own.
+  const int64_t idx[kVpuLanes] = {3 * kPerLine,  kPerLine,      3 * kPerLine + 1,
+                                  9 * kPerLine,  20 * kPerLine, 10 * kPerLine,
+                                  11 * kPerLine, 12 * kPerLine};
+  Mask8 m = Mask8::All();
+  m.lane[4] = false;
+
+  hw.TouchGather(buf.data(), sizeof(TypeParam), idx, m);
+
+  double want = hw.cfg().gather_issue_cycles;
+  for (int i = 0; i < kVpuLanes; ++i) {
+    if (m.lane[static_cast<size_t>(i)]) {
+      const TypeParam* p = &buf[static_cast<size_t>(idx[i])];
+      want += ref.cache().TouchRange(ref.mem().Translate(p), sizeof(TypeParam),
+                                     ref.ledger());
+    }
+  }
+  const LedgerCounters& got = hw.ledger().counters();
+  EXPECT_EQ(got.gathers, 1u);
+  EXPECT_EQ(got.scalar_mem, 0u);
+  EXPECT_EQ(got.vpu_mem, 0u);
+  EXPECT_DOUBLE_EQ(hw.ledger().TotalCycles(), want);
+  EXPECT_GT(want, hw.cfg().gather_issue_cycles);
+  // One lookup per active lane: the masked lane's line was never touched.
+  EXPECT_EQ(got.l1_hits + got.l1_misses, 7u);
+  EXPECT_EQ(got.l1_hits, ref.ledger().counters().l1_hits);
+  EXPECT_EQ(got.l1_misses, ref.ledger().counters().l1_misses);
+  EXPECT_EQ(got.l2_misses, ref.ledger().counters().l2_misses);
+  EXPECT_GE(got.l1_hits, 1u);
+}
+
+// VGather charges through TouchGather: twin contexts, one gathering values and
+// one only charging, end with the same ledger.
+TEST(HwContext, VGatherChargesExactlyTouchGather) {
+  std::vector<double> buf(512);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<double>(i);
+  }
+  HwContext gather;
+  HwContext touch;
+  gather.RegisterRegion(buf.data(), buf.size() * sizeof(double));
+  touch.RegisterRegion(buf.data(), buf.size() * sizeof(double));
+  const int64_t idx[kVpuLanes] = {40, 8, 300, 41, 9, 500, 16, 24};
+  for (const Mask8& m : {Mask8::All(), Mask8::FirstN(5)}) {
+    const Vec8 v = gather.VGather(buf.data(), idx, m);
+    touch.TouchGather(buf.data(), sizeof(double), idx, m);
+    EXPECT_DOUBLE_EQ(v[2], 300.0);
+  }
+  EXPECT_EQ(gather.ledger().counters().gathers, 2u);
+  EXPECT_EQ(LedgerDigest(gather.ledger()), LedgerDigest(touch.ledger()));
 }
 
 TEST(HwContext, ScatterAccumConflictCountsDuplicates) {
