@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
   mpic::FieldSet mpu_fields(geom, 2);
   mpic::DepositScratch scratch;
   mpic::RhocellBuffer rhocell(tile.num_cells(), 1);
-  mpic::StageTileVpu<1>(hw, tile, params, scratch);
-  mpic::DepositMpu<1>(hw, tile, params, scratch, rhocell,
+  mpic::DepositMpu<1>(hw, tile, params, /*vpu_staging=*/true, scratch, rhocell,
                       mpic::MpuScheduling::kCellResident);
   mpic::ReduceRhocellToGrid<1>(hw, tile, rhocell, mpu_fields);
   mpu_fields.jx.FoldGuardsPeriodic();

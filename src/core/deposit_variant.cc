@@ -6,7 +6,6 @@ VariantTraits TraitsOf(DepositVariant v) {
   VariantTraits t;
   switch (v) {
     case DepositVariant::kScalar:
-      t.staging = StagingKind::kNone;
       t.kernel = KernelKind::kScalarReference;
       break;
     case DepositVariant::kBaseline:
@@ -29,28 +28,27 @@ VariantTraits TraitsOf(DepositVariant v) {
       break;
     case DepositVariant::kRhocellIncrSortVpu:
       t.sort_mode = SortMode::kIncremental;
-      t.staging = StagingKind::kVpu;
+      t.vpu_staging = true;
       t.kernel = KernelKind::kRhocellVpu;
       t.sorted_iteration = true;
       t.uses_rhocell = true;
       break;
     case DepositVariant::kMatrixOnly:
       t.sort_mode = SortMode::kIncremental;
-      t.staging = StagingKind::kScalarLoop;
       t.kernel = KernelKind::kMpu;
       t.sorted_iteration = true;
       t.uses_rhocell = true;
       t.uses_mpu = true;
       break;
     case DepositVariant::kHybridNoSort:
-      t.staging = StagingKind::kVpu;
+      t.vpu_staging = true;
       t.kernel = KernelKind::kMpu;
       t.uses_rhocell = true;
       t.uses_mpu = true;
       break;
     case DepositVariant::kHybridGlobalSort:
       t.sort_mode = SortMode::kGlobalEachStep;
-      t.staging = StagingKind::kVpu;
+      t.vpu_staging = true;
       t.kernel = KernelKind::kMpu;
       t.sorted_iteration = true;
       t.uses_rhocell = true;
@@ -58,7 +56,7 @@ VariantTraits TraitsOf(DepositVariant v) {
       break;
     case DepositVariant::kFullOpt:
       t.sort_mode = SortMode::kIncremental;
-      t.staging = StagingKind::kVpu;
+      t.vpu_staging = true;
       t.kernel = KernelKind::kMpu;
       t.sorted_iteration = true;
       t.uses_rhocell = true;

@@ -50,12 +50,6 @@ enum class SortMode {
   kGlobalEachStep,  // counting sort of every tile every step
 };
 
-enum class StagingKind {
-  kScalarLoop,  // models compiler-emitted staging
-  kVpu,         // hand-vectorized staging
-  kNone,        // kernel stages internally (scalar reference)
-};
-
 enum class KernelKind {
   kScalarReference,
   kBaselineScatter,
@@ -66,7 +60,10 @@ enum class KernelKind {
 
 struct VariantTraits {
   SortMode sort_mode = SortMode::kNone;
-  StagingKind staging = StagingKind::kScalarLoop;
+  // Cost profile of the staging: hand-vectorized when set, otherwise the
+  // scalar loop that models compiler-emitted staging (the scalar reference
+  // kernel stages nothing; the Esirkepov scheme stages with this profile).
+  bool vpu_staging = false;
   KernelKind kernel = KernelKind::kBaselineScatter;
   // Kernel iterates cell-by-cell through the GPMA (requires a sort mode that
   // keeps the GPMA valid).

@@ -45,6 +45,27 @@ uint64_t DepositionEngine::EsirkepovKey(int t) const {
   return MemRegionKey(mem_owner_id_, t, 32);
 }
 
+size_t DepositionEngine::StagingSlots(const ParticleTile& tile) const {
+  if (esirkepov()) {
+    // The MOPA combine stages chunk by chunk, the staged scalar/VPU combine
+    // tile-wide.
+    return traits_.uses_mpu
+               ? static_cast<size_t>(DepositChunkSlots(tile, traits_.sorted_iteration))
+               : tile.soa().size();
+  }
+  switch (traits_.kernel) {
+    case KernelKind::kScalarReference:
+      return 0;
+    case KernelKind::kBaselineScatter:
+    case KernelKind::kRhocellAutoVec:
+      return tile.soa().size();
+    case KernelKind::kRhocellVpu:
+    case KernelKind::kMpu:
+      return static_cast<size_t>(DepositChunkSlots(tile, traits_.sorted_iteration));
+  }
+  return 0;
+}
+
 DepositionEngine::DepositionEngine(HwContext& hw, const EngineConfig& config)
     : hw_(hw), config_(config), traits_(TraitsOf(config.variant)),
       mem_owner_id_(NextMemOwnerId()), policy_(config.policy) {
@@ -401,11 +422,11 @@ void DepositionEngine::RefreshTileRegistrations(
     // arrays stay empty then.
     if (esirkepov()) {
       EsirkepovScratch& es = esirk_scratch_[static_cast<size_t>(t)];
-      es.Resize(tile.soa().size(), config_.order);
+      es.Resize(StagingSlots(tile), config_.order);
       RegisterEsirkepovRegions(hw_, EsirkepovKey(t), es,
                                tile_currents_[static_cast<size_t>(t)]);
-    } else if (traits_.staging != StagingKind::kNone) {
-      scratch.Resize(tile.soa().size(), config_.order);
+    } else {
+      scratch.Resize(StagingSlots(tile), config_.order);
     }
     RegisterStagingRegions(hw_, TileKey(t), tile, scratch);
   }
@@ -471,22 +492,23 @@ void DepositionEngine::EsirkepovDepositTileImpl(HwContext& hw, uint64_t key_base
                                                 TileCurrent& tile_j) {
   // Size and register the staging before anything touches it (same contract
   // as the direct path: writes must land in deterministically mapped memory).
-  scratch.Resize(tile.soa().size(), Order);
+  scratch.Resize(StagingSlots(tile), Order);
   RegisterEsirkepovRegions(hw, key_base, scratch, tile_j);
   // The variant's staging cost profile carries over: VPU-staged variants
   // charge batched staging, the others the scalar loop.
-  StageEsirkepovTile<Order>(hw, tile, params, traits_.staging == StagingKind::kVpu,
-                            scratch);
   if (traits_.uses_mpu) {
-    // MPU variants route the combine through the MOPA kernel, riding the GPMA
-    // sort cell-resident where the variant maintains it, pairwise otherwise —
-    // the same scheduling split as the direct DepositMpu dispatch.
+    // MPU variants route the combine through the MOPA kernel, which stages
+    // chunk by chunk and rides the GPMA sort cell-resident where the variant
+    // maintains it, pairwise otherwise — the same scheduling split as the
+    // direct DepositMpu dispatch.
     DepositEsirkepovMpuTile<Order>(hw, tile, params,
                                    traits_.sorted_iteration
                                        ? MpuScheduling::kCellResident
                                        : MpuScheduling::kPairwise,
-                                   config_.sparse_fallback_ppc, scratch, tile_j);
+                                   config_.sparse_fallback_ppc,
+                                   traits_.vpu_staging, scratch, tile_j);
   } else {
+    StageEsirkepovTile<Order>(hw, tile, params, traits_.vpu_staging, scratch);
     DepositEsirkepovTile<Order>(hw, tile, params, traits_.sorted_iteration,
                                 scratch, tile_j);
   }
@@ -502,32 +524,23 @@ void DepositionEngine::StageAndDepositTileImpl(HwContext& hw, uint64_t tile_key,
   // kernels touch anything: scratch/SoA vectors may have (re)allocated since
   // the last registration (cheap no-op otherwise), and the staging writes
   // must land in registered memory to keep the modeled cache deterministic.
-  if (traits_.staging != StagingKind::kNone) {
-    scratch.Resize(tile.soa().size(), Order);
-  }
+  scratch.Resize(StagingSlots(tile), Order);
   RegisterStagingRegions(hw, tile_key, tile, scratch);
 
-  switch (traits_.staging) {
-    case StagingKind::kScalarLoop:
-      StageTileScalar<Order>(hw, tile, params, scratch);
-      break;
-    case StagingKind::kVpu:
-      StageTileVpu<Order>(hw, tile, params, scratch);
-      break;
-    case StagingKind::kNone:
-      break;
-  }
-
+  // The compiler-vectorized kernels read StageTileScalar's tile-wide staging;
+  // the hand-written batch kernels stage chunk by chunk inside.
   switch (traits_.kernel) {
     case KernelKind::kScalarReference:
       DepositScalarTile<Order>(hw, tile, params, fields);
       break;
     case KernelKind::kBaselineScatter:
+      StageTileScalar<Order>(hw, tile, params, scratch);
       DepositBaselineTile<Order>(hw, tile, params, scratch, fields,
                                  traits_.sorted_iteration);
       break;
     case KernelKind::kRhocellAutoVec:
       if constexpr (Order == 1 || Order == 3) {
+        StageTileScalar<Order>(hw, tile, params, scratch);
         DepositRhocellAutoVec<Order>(hw, tile, params, scratch, rhocell,
                                      traits_.sorted_iteration);
       }
@@ -540,7 +553,8 @@ void DepositionEngine::StageAndDepositTileImpl(HwContext& hw, uint64_t tile_key,
       break;
     case KernelKind::kMpu:
       if constexpr (Order == 1 || Order == 3) {
-        DepositMpu<Order>(hw, tile, params, scratch, rhocell,
+        DepositMpu<Order>(hw, tile, params, traits_.vpu_staging,
+                          scratch, rhocell,
                           traits_.sorted_iteration ? MpuScheduling::kCellResident
                                                    : MpuScheduling::kPairwise,
                           config_.sparse_fallback_ppc);
@@ -610,11 +624,11 @@ void DepositionEngine::RegisterRegions(TileSet& tiles, FieldSet& fields) {
 void DepositionEngine::ReregisterModelRegions(TileSet& tiles, FieldSet& fields) {
   for (int t = 0; t < tiles.num_tiles(); ++t) {
     ParticleTile& tile = tiles.tile(t);
-    const size_t n = tile.soa().size();
+    const size_t slots = StagingSlots(tile);
     if (esirkepov()) {
-      esirk_scratch_[static_cast<size_t>(t)].Resize(n, config_.order);
-    } else if (traits_.staging != StagingKind::kNone) {
-      scratch_[static_cast<size_t>(t)].Resize(n, config_.order);
+      esirk_scratch_[static_cast<size_t>(t)].Resize(slots, config_.order);
+    } else {
+      scratch_[static_cast<size_t>(t)].Resize(slots, config_.order);
     }
   }
   RegisterRegions(tiles, fields);

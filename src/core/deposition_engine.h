@@ -272,6 +272,13 @@ class DepositionEngine {
   // streams 32..68.
   uint64_t TileKey(int t) const;
   uint64_t EsirkepovKey(int t) const;
+  // Entries of the tile's staging scratch the current scheme uses. Direct:
+  // the DepositScratch holds every SoA slot for the tile-wide StageTileScalar
+  // layout, one chunk (DepositChunkSlots) for the chunk-staged DepositMpu and
+  // DepositRhocellVpu, none for the scalar reference. Esirkepov: the
+  // EsirkepovScratch holds one chunk for the MOPA combine, every SoA slot for
+  // the staged scalar/VPU combine.
+  size_t StagingSlots(const ParticleTile& tile) const;
   template <int Order>
   void EsirkepovDepositTileImpl(HwContext& hw, uint64_t key_base,
                                 ParticleTile& tile, const DepositParams& params,

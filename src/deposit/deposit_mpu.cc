@@ -4,7 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/deposit/deposit_rhocell.h"
-#include "src/deposit/particle_iteration.h"
+#include "src/deposit/deposit_staging.h"
 
 namespace mpic {
 namespace {
@@ -16,38 +16,22 @@ void ChargeVpuOps(HwContext& hw, int n) {
   hw.ChargeCycles(n / static_cast<double>(hw.cfg().vpu_pipes));
 }
 
-// Gathers the staged streams needed at a given order for a batch of pids.
-template <int Order>
-void GatherStagedBatch(HwContext& hw, const DepositScratch& scratch,
-                       const int64_t* pids, int count) {
-  constexpr int kSupport = Order + 1;
-  const Mask8 m = Mask8::FirstN(count);
-  for (int t = 0; t < kSupport; ++t) {
-    hw.VGatherAuto(scratch.sx[t].data(), pids, m);
-    hw.VGatherAuto(scratch.sy[t].data(), pids, m);
-    hw.VGatherAuto(scratch.sz_[t].data(), pids, m);
-  }
-  hw.VGatherAuto(scratch.wqx.data(), pids, m);
-  hw.VGatherAuto(scratch.wqy.data(), pids, m);
-  hw.VGatherAuto(scratch.wqz.data(), pids, m);
-}
-
-
 // Lightweight VPU deposition for sparse bins (the adaptive fallback of
 // Sec. 6.1): per particle, build the node-weight vector and accumulate into
 // the cell's rhocell blocks directly — no tile setup or extraction to
-// amortize. Semantically identical to the MPU path.
+// amortize. Semantically identical to the MPU path. The bin's particles sit
+// in chunk slots [first, first + len).
 template <int Order>
 void DepositSparseBinVpu(HwContext& hw, const DepositScratch& scratch,
-                         RhocellBuffer& rhocell, int cell, const int32_t* pids,
+                         RhocellBuffer& rhocell, int cell, int32_t first,
                          int32_t len) {
   constexpr int kSupport = Order + 1;
   constexpr int kNodes = Support3D(Order);
   constexpr int kRows = kNodes / kVpuLanes == 0 ? 1 : kNodes / kVpuLanes;
   double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
                        rhocell.CellJz(cell)};
-  for (int32_t s = 0; s < len; ++s) {
-    const auto i = static_cast<size_t>(pids[s]);
+  for (int32_t s = first; s < first + len; ++s) {
+    const auto i = static_cast<size_t>(s);
     // Scalar staged loads (too few particles to batch).
     hw.TouchRead(&scratch.wqx[i], sizeof(double));
     hw.TouchRead(&scratch.wqy[i], sizeof(double));
@@ -155,87 +139,73 @@ void CicAccumulateBlocks(HwContext& hw, RhocellBuffer& rhocell, int cell,
   }
 }
 
-void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
-                   const DepositScratch& scratch, RhocellBuffer& rhocell,
+void DepositMpuCic(HwContext& hw, const ParticleTile& tile, const DepositParams& params,
+                   bool vpu_staging, DepositScratch& scratch, RhocellBuffer& rhocell,
                    MpuScheduling scheduling, int sparse_fallback_ppc) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
   MpuTileReg tiles[3];
   for (auto& t : tiles) {
     hw.TileZero(t);
   }
-
-  if (scheduling == MpuScheduling::kCellResident) {
-    // Tiles accumulate across every particle of the cell; one extraction per
-    // cell merges the p1-class and p2-class blocks (same cell by sorting).
-    ForEachCellBin(hw, tile, [&](int cell, const int32_t* pids, int32_t len) {
-      if (len < sparse_fallback_ppc) {
-        DepositSparseBinVpu<1>(hw, scratch, rhocell, cell, pids, len);
-        return;
-      }
-      int64_t batch[kVpuLanes];
-      for (int32_t s = 0; s < len; s += kVpuLanes) {
-        const int count = std::min<int32_t>(kVpuLanes, len - s);
-        for (int j = 0; j < count; ++j) {
-          batch[j] = pids[s + j];
+  const bool sorted = scheduling == MpuScheduling::kCellResident;
+  ForEachStagedChunk<1>(hw, tile, params, vpu_staging, sorted, scratch,
+                        [&](const DepositChunk& chunk) {
+    if (sorted) {
+      // Tiles accumulate across every particle of the cell; one extraction
+      // per cell merges the p1-class and p2-class blocks (same cell by
+      // sorting).
+      ForEachChunkBin(tile, chunk, [&](int cell, int32_t first, int32_t len) {
+        if (len < sparse_fallback_ppc) {
+          DepositSparseBinVpu<1>(hw, scratch, rhocell, cell, first, len);
+          return;
         }
-        GatherStagedBatch<1>(hw, scratch, batch, count);
-        for (int j = 0; j < count; j += 2) {
-          CicMopaPair(hw, scratch, batch[j], j + 1 < count ? batch[j + 1] : -1,
-                      tiles);
+        for (int32_t s = first; s < first + len; s += kVpuLanes) {
+          const int count = std::min<int32_t>(kVpuLanes, first + len - s);
+          LoadStagedBatch<1>(hw, scratch, s, count);
+          for (int j = 0; j < count; j += 2) {
+            CicMopaPair(hw, scratch, s + j, j + 1 < count ? s + j + 1 : -1, tiles);
+          }
         }
-      }
-      double p1_nodes[3][8], p2_nodes[3][8], merged[3][8];
-      CicReadTiles(hw, tiles, p1_nodes, p2_nodes);
-      ChargeVpuOps(hw, 3);  // merge adds (one per component)
-      for (int comp = 0; comp < 3; ++comp) {
-        for (int k = 0; k < 8; ++k) {
-          merged[comp][k] = p1_nodes[comp][k] + p2_nodes[comp][k];
+        double p1_nodes[3][8], p2_nodes[3][8], merged[3][8];
+        CicReadTiles(hw, tiles, p1_nodes, p2_nodes);
+        ChargeVpuOps(hw, 3);  // merge adds (one per component)
+        for (int comp = 0; comp < 3; ++comp) {
+          for (int k = 0; k < 8; ++k) {
+            merged[comp][k] = p1_nodes[comp][k] + p2_nodes[comp][k];
+          }
         }
-      }
-      CicAccumulateBlocks(hw, rhocell, cell, merged);
-      for (auto& t : tiles) {
-        hw.TileZero(t);
-      }
-    });
-    return;
-  }
-
-  // Pairwise: slot order; tiles are drained after every pair, and each
-  // particle's block goes to its own cell (the pair may straddle cells).
-  int64_t batch[kVpuLanes];
-  int batch_fill = 0;
-  auto flush = [&]() {
-    if (batch_fill == 0) {
+        CicAccumulateBlocks(hw, rhocell, cell, merged);
+        for (auto& t : tiles) {
+          hw.TileZero(t);
+        }
+      });
       return;
     }
-    GatherStagedBatch<1>(hw, scratch, batch, batch_fill);
-    for (int j = 0; j < batch_fill; j += 2) {
-      const int64_t p1 = batch[j];
-      const int64_t p2 = j + 1 < batch_fill ? batch[j + 1] : -1;
-      CicMopaPair(hw, scratch, p1, p2, tiles);
-      double p1_nodes[3][8], p2_nodes[3][8];
-      CicReadTiles(hw, tiles, p1_nodes, p2_nodes);
-      CicAccumulateBlocks(hw, rhocell,
-                          StagedCellOf<1>(tile, scratch, static_cast<size_t>(p1)),
-                          p1_nodes);
-      if (p2 >= 0) {
+    // Pairwise: slot order; tiles are drained after every pair, and each
+    // particle's block goes to its own cell (the pair may straddle cells).
+    for (int32_t s = 0; s < chunk.count; s += kVpuLanes) {
+      const int count = std::min<int32_t>(kVpuLanes, chunk.count - s);
+      LoadStagedBatch<1>(hw, scratch, s, count);
+      for (int j = 0; j < count; j += 2) {
+        const int64_t p1 = s + j;
+        const int64_t p2 = j + 1 < count ? s + j + 1 : -1;
+        CicMopaPair(hw, scratch, p1, p2, tiles);
+        double p1_nodes[3][8], p2_nodes[3][8];
+        CicReadTiles(hw, tiles, p1_nodes, p2_nodes);
         CicAccumulateBlocks(hw, rhocell,
-                            StagedCellOf<1>(tile, scratch, static_cast<size_t>(p2)),
-                            p2_nodes);
+                            StagedCellOf<1>(tile, scratch, static_cast<size_t>(p1)),
+                            p1_nodes);
+        if (p2 >= 0) {
+          CicAccumulateBlocks(hw, rhocell,
+                              StagedCellOf<1>(tile, scratch, static_cast<size_t>(p2)),
+                              p2_nodes);
+        }
+        for (auto& t : tiles) {
+          hw.TileZero(t);
+        }
       }
-      for (auto& t : tiles) {
-        hw.TileZero(t);
-      }
-    }
-    batch_fill = 0;
-  };
-  ForEachParticle(hw, tile, /*sorted=*/false, [&](int32_t pid) {
-    batch[batch_fill++] = pid;
-    if (batch_fill == kVpuLanes) {
-      flush();
     }
   });
-  flush();
 }
 
 // ---------------------------------------------------------------------------
@@ -308,8 +278,8 @@ void QspAccumulateBlock(HwContext& hw, double* block, const double nodes[64]) {
   }
 }
 
-void DepositMpuQsp(HwContext& hw, const ParticleTile& tile,
-                   const DepositScratch& scratch, RhocellBuffer& rhocell,
+void DepositMpuQsp(HwContext& hw, const ParticleTile& tile, const DepositParams& params,
+                   bool vpu_staging, DepositScratch& scratch, RhocellBuffer& rhocell,
                    MpuScheduling scheduling, int sparse_fallback_ppc) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
   MpuTileReg tiles[4];
@@ -318,111 +288,99 @@ void DepositMpuQsp(HwContext& hw, const ParticleTile& tile,
   }
   const std::vector<double>* wq_streams[3] = {&scratch.wqx, &scratch.wqy,
                                               &scratch.wqz};
-
-  if (scheduling == MpuScheduling::kCellResident) {
-    ForEachCellBin(hw, tile, [&](int cell, const int32_t* pids, int32_t len) {
-      if (len < sparse_fallback_ppc) {
-        DepositSparseBinVpu<3>(hw, scratch, rhocell, cell, pids, len);
-        return;
-      }
-      double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
-                           rhocell.CellJz(cell)};
-      // One pass per component keeps the live tile count at four (the z-terms),
-      // trading three passes over the bin for register-file residency.
-      for (int comp = 0; comp < 3; ++comp) {
-        int64_t batch[kVpuLanes];
-        for (int32_t s = 0; s < len; s += kVpuLanes) {
-          const int count = std::min<int32_t>(kVpuLanes, len - s);
-          for (int j = 0; j < count; ++j) {
-            batch[j] = pids[s + j];
+  const bool sorted = scheduling == MpuScheduling::kCellResident;
+  ForEachStagedChunk<3>(hw, tile, params, vpu_staging, sorted, scratch,
+                        [&](const DepositChunk& chunk) {
+    if (sorted) {
+      ForEachChunkBin(tile, chunk, [&](int cell, int32_t first, int32_t len) {
+        if (len < sparse_fallback_ppc) {
+          DepositSparseBinVpu<3>(hw, scratch, rhocell, cell, first, len);
+          return;
+        }
+        double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
+                             rhocell.CellJz(cell)};
+        // One pass per component keeps the live tile count at four (the
+        // z-terms), trading three passes over the bin for register-file
+        // residency.
+        for (int comp = 0; comp < 3; ++comp) {
+          for (int32_t s = first; s < first + len; s += kVpuLanes) {
+            const int count = std::min<int32_t>(kVpuLanes, first + len - s);
+            LoadStagedBatch<3>(hw, scratch, s, count);
+            for (int j = 0; j < count; j += 2) {
+              QspMopaPair(hw, scratch, s + j, j + 1 < count ? s + j + 1 : -1,
+                          *wq_streams[comp], tiles);
+            }
           }
-          GatherStagedBatch<3>(hw, scratch, batch, count);
-          for (int j = 0; j < count; j += 2) {
-            QspMopaPair(hw, scratch, batch[j], j + 1 < count ? batch[j + 1] : -1,
-                        *wq_streams[comp], tiles);
+          double p1_nodes[64], p2_nodes[64];
+          QspReadTiles(hw, tiles, p1_nodes, p2_nodes);
+          ChargeVpuOps(hw, 8);  // merge adds (8 vectors)
+          double merged[64];
+          for (int k = 0; k < 64; ++k) {
+            merged[k] = p1_nodes[k] + p2_nodes[k];
+          }
+          QspAccumulateBlock(hw, blocks[comp], merged);
+          for (auto& t : tiles) {
+            hw.TileZero(t);
           }
         }
-        double p1_nodes[64], p2_nodes[64];
-        QspReadTiles(hw, tiles, p1_nodes, p2_nodes);
-        ChargeVpuOps(hw, 8);  // merge adds (8 vectors)
-        double merged[64];
-        for (int k = 0; k < 64; ++k) {
-          merged[k] = p1_nodes[k] + p2_nodes[k];
-        }
-        QspAccumulateBlock(hw, blocks[comp], merged);
-        for (auto& t : tiles) {
-          hw.TileZero(t);
-        }
-      }
-    });
-    return;
-  }
-
-  // Pairwise: per pair, per component, four MOPAs then immediate extraction.
-  int64_t batch[kVpuLanes];
-  int batch_fill = 0;
-  auto flush = [&]() {
-    if (batch_fill == 0) {
+      });
       return;
     }
-    GatherStagedBatch<3>(hw, scratch, batch, batch_fill);
-    for (int j = 0; j < batch_fill; j += 2) {
-      const int64_t p1 = batch[j];
-      const int64_t p2 = j + 1 < batch_fill ? batch[j + 1] : -1;
-      const int cell1 = StagedCellOf<3>(tile, scratch, static_cast<size_t>(p1));
-      const int cell2 =
-          p2 >= 0 ? StagedCellOf<3>(tile, scratch, static_cast<size_t>(p2)) : -1;
-      for (int comp = 0; comp < 3; ++comp) {
-        QspMopaPair(hw, scratch, p1, p2, *wq_streams[comp], tiles);
-        double p1_nodes[64], p2_nodes[64];
-        QspReadTiles(hw, tiles, p1_nodes, p2_nodes);
-        double* block1 = comp == 0   ? rhocell.CellJx(cell1)
-                         : comp == 1 ? rhocell.CellJy(cell1)
-                                     : rhocell.CellJz(cell1);
-        QspAccumulateBlock(hw, block1, p1_nodes);
-        if (p2 >= 0) {
-          double* block2 = comp == 0   ? rhocell.CellJx(cell2)
-                           : comp == 1 ? rhocell.CellJy(cell2)
-                                       : rhocell.CellJz(cell2);
-          QspAccumulateBlock(hw, block2, p2_nodes);
-        }
-        for (auto& t : tiles) {
-          hw.TileZero(t);
+    // Pairwise: per pair, per component, four MOPAs then immediate extraction.
+    for (int32_t s = 0; s < chunk.count; s += kVpuLanes) {
+      const int count = std::min<int32_t>(kVpuLanes, chunk.count - s);
+      LoadStagedBatch<3>(hw, scratch, s, count);
+      for (int j = 0; j < count; j += 2) {
+        const int64_t p1 = s + j;
+        const int64_t p2 = j + 1 < count ? s + j + 1 : -1;
+        const int cell1 = StagedCellOf<3>(tile, scratch, static_cast<size_t>(p1));
+        const int cell2 =
+            p2 >= 0 ? StagedCellOf<3>(tile, scratch, static_cast<size_t>(p2)) : -1;
+        for (int comp = 0; comp < 3; ++comp) {
+          QspMopaPair(hw, scratch, p1, p2, *wq_streams[comp], tiles);
+          double p1_nodes[64], p2_nodes[64];
+          QspReadTiles(hw, tiles, p1_nodes, p2_nodes);
+          double* block1 = comp == 0   ? rhocell.CellJx(cell1)
+                           : comp == 1 ? rhocell.CellJy(cell1)
+                                       : rhocell.CellJz(cell1);
+          QspAccumulateBlock(hw, block1, p1_nodes);
+          if (p2 >= 0) {
+            double* block2 = comp == 0   ? rhocell.CellJx(cell2)
+                             : comp == 1 ? rhocell.CellJy(cell2)
+                                         : rhocell.CellJz(cell2);
+            QspAccumulateBlock(hw, block2, p2_nodes);
+          }
+          for (auto& t : tiles) {
+            hw.TileZero(t);
+          }
         }
       }
     }
-    batch_fill = 0;
-  };
-  ForEachParticle(hw, tile, /*sorted=*/false, [&](int32_t pid) {
-    batch[batch_fill++] = pid;
-    if (batch_fill == kVpuLanes) {
-      flush();
-    }
   });
-  flush();
 }
 
 }  // namespace
 
 template <int Order>
 void DepositMpu(HwContext& hw, const ParticleTile& tile, const DepositParams& params,
-                const DepositScratch& scratch, RhocellBuffer& rhocell,
+                bool vpu_staging, DepositScratch& scratch, RhocellBuffer& rhocell,
                 MpuScheduling scheduling, int sparse_fallback_ppc) {
   static_assert(Order == 1 || Order == 3,
                 "the MPU mapping is defined for CIC (1) and QSP (3)");
-  (void)params;
   if constexpr (Order == 1) {
-    DepositMpuCic(hw, tile, scratch, rhocell, scheduling, sparse_fallback_ppc);
+    DepositMpuCic(hw, tile, params, vpu_staging, scratch, rhocell, scheduling,
+                  sparse_fallback_ppc);
   } else {
-    DepositMpuQsp(hw, tile, scratch, rhocell, scheduling, sparse_fallback_ppc);
+    DepositMpuQsp(hw, tile, params, vpu_staging, scratch, rhocell, scheduling,
+                  sparse_fallback_ppc);
   }
 }
 
 template void DepositMpu<1>(HwContext&, const ParticleTile&, const DepositParams&,
-                            const DepositScratch&, RhocellBuffer&, MpuScheduling,
+                            bool, DepositScratch&, RhocellBuffer&, MpuScheduling,
                             int);
 template void DepositMpu<3>(HwContext&, const ParticleTile&, const DepositParams&,
-                            const DepositScratch&, RhocellBuffer&, MpuScheduling,
+                            bool, DepositScratch&, RhocellBuffer&, MpuScheduling,
                             int);
 
 }  // namespace mpic

@@ -22,6 +22,13 @@
 //     once per cell (the register-reuse the incremental sorter exists for).
 //   kPairwise     — no sorting assumption; tiles are zeroed and extracted per
 //     particle pair (models Hybrid-noSort's VPU<->MPU traffic).
+//
+// Staging: the kernel stages its own operands in the chunked layout
+// (deposit_staging.h), one chunk of particles at a time in deposit order —
+// whole GPMA bins for kCellResident, the next 64 live slots for kPairwise —
+// so the VPU data preparation feeds the MOPAs from L1. Batches, pairs and
+// accumulation order follow the deposit order, so J does not depend on the
+// chunking.
 
 #ifndef MPIC_SRC_DEPOSIT_DEPOSIT_MPU_H_
 #define MPIC_SRC_DEPOSIT_DEPOSIT_MPU_H_
@@ -40,7 +47,9 @@ enum class MpuScheduling {
 
 // Deposits all live particles of the tile into `rhocell` using the MPU.
 // kCellResident iterates via the tile's GPMA (particles must be cell-sorted);
-// kPairwise iterates in SoA slot order. Charged to Phase::kCompute.
+// kPairwise iterates in SoA slot order. Staging (StageChunk into `scratch`,
+// VPU profile when `vpu_staging`, scalar otherwise) is charged to
+// Phase::kPreproc, everything else to Phase::kCompute.
 //
 // sparse_fallback_ppc implements the adaptive strategy the paper recommends
 // for production (Sec. 6.1) and lists as future work (Sec. 7): bins holding
@@ -49,7 +58,7 @@ enum class MpuScheduling {
 // amortize. 0 disables the fallback. Only meaningful with kCellResident.
 template <int Order>
 void DepositMpu(HwContext& hw, const ParticleTile& tile, const DepositParams& params,
-                const DepositScratch& scratch, RhocellBuffer& rhocell,
+                bool vpu_staging, DepositScratch& scratch, RhocellBuffer& rhocell,
                 MpuScheduling scheduling, int sparse_fallback_ppc = 0);
 
 }  // namespace mpic

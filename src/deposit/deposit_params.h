@@ -3,6 +3,7 @@
 #ifndef MPIC_SRC_DEPOSIT_DEPOSIT_PARAMS_H_
 #define MPIC_SRC_DEPOSIT_DEPOSIT_PARAMS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -21,9 +22,16 @@ struct DepositParams {
   double InvCellVolume() const { return 1.0 / (geom.dx * geom.dy * geom.dz); }
 };
 
-// Per-slot staged particle quantities produced by the preprocessing stage
-// (Algorithm 2, Stage 1) and consumed by the compute stage. Arrays are indexed
-// by tile-local pid (SoA slot) so both sorted and unsorted kernels can use them.
+// Staged particle quantities produced by the preprocessing stage (Algorithm 2,
+// Stage 1) and consumed by the compute stage, in one of two layouts (see
+// deposit_staging.h):
+//   * tile-wide — one entry per SoA slot, indexed by tile-local pid, filled by
+//     StageTileScalar for the baseline and auto-vectorized rhocell kernels;
+//   * chunked — one chunk of particles in deposit order, indexed by chunk slot
+//     (DepositChunkSlots entries), restaged chunk by chunk by the MPU and
+//     hand-tuned VPU rhocell kernels.
+// The Esirkepov scheme's EsirkepovScratch (esirkepov.h) has the same two
+// layouts.
 struct DepositScratch {
   void Resize(size_t n_slots, int order) {
     const size_t terms = static_cast<size_t>(order) + 1;
@@ -39,6 +47,11 @@ struct DepositScratch {
     wqx.resize(n_slots);
     wqy.resize(n_slots);
     wqz.resize(n_slots);
+  }
+  // Entries an order-`order` staging can write: every stream it uses holds
+  // that many.
+  size_t slots(int order) const {
+    return std::min(ix.size(), sx[static_cast<size_t>(order)].size());
   }
 
   // 1D shape terms per axis; sx[t][pid] is the weight of node (start+t).

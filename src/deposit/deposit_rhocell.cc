@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/deposit/deposit_staging.h"
 #include "src/deposit/particle_iteration.h"
 
 namespace mpic {
@@ -92,69 +93,48 @@ void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
 
 template <int Order>
 void DepositRhocellVpu(HwContext& hw, const ParticleTile& tile,
-                       const DepositParams& params, const DepositScratch& scratch,
+                       const DepositParams& params, DepositScratch& scratch,
                        RhocellBuffer& rhocell, bool sorted) {
   static_assert(Order == 1 || Order == 3, "rhocell requires odd order");
-  (void)params;
   PhaseScope phase(hw.ledger(), Phase::kCompute);
-  constexpr int kSupport = Order + 1;
   constexpr int kNodes = Support3D(Order);
   constexpr int kRows = kNodes / kVpuLanes == 0 ? 1 : kNodes / kVpuLanes;
 
-  int64_t batch_pids[kVpuLanes];
-  int batch_fill = 0;
-  auto flush_batch = [&]() {
-    if (batch_fill == 0) {
-      return;
-    }
-    // Batched gathers of the staged streams (cheap when pids are contiguous
-    // after a global sort; scattered after incremental churn).
-    const Mask8 m = Mask8::FirstN(batch_fill);
-    for (int t = 0; t < kSupport; ++t) {
-      hw.VGatherAuto(scratch.sx[t].data(), batch_pids, m);
-      hw.VGatherAuto(scratch.sy[t].data(), batch_pids, m);
-      hw.VGatherAuto(scratch.sz_[t].data(), batch_pids, m);
-    }
-    hw.VGatherAuto(scratch.wqx.data(), batch_pids, m);
-    hw.VGatherAuto(scratch.wqy.data(), batch_pids, m);
-    hw.VGatherAuto(scratch.wqz.data(), batch_pids, m);
+  ForEachStagedChunk<Order>(hw, tile, params, /*vpu_staging=*/true, sorted, scratch,
+                            [&](const DepositChunk& chunk) {
+    // Batches of kVpuLanes over the chunk's slots; a chunk of whole bins may
+    // end in a partial batch. Each particle accumulates in deposit order.
+    for (int32_t first = 0; first < chunk.count; first += kVpuLanes) {
+      const int batch = std::min<int32_t>(kVpuLanes, chunk.count - first);
+      LoadStagedBatch<Order>(hw, scratch, first, batch);
+      for (int bi = 0; bi < batch; ++bi) {
+        const auto i = static_cast<size_t>(first + bi);
+        double w3[Support3D(Order)];
+        NodeWeights<Order>(scratch, i, w3);
+        // Register-resident weight construction: permutes + multiplies.
+        const int build_ops = Order == 1 ? 7 : 24;
+        hw.ledger().counters().vpu_ops += static_cast<uint64_t>(build_ops);
+        hw.ChargeCycles(build_ops / static_cast<double>(hw.cfg().vpu_pipes));
 
-    for (int bi = 0; bi < batch_fill; ++bi) {
-      const auto i = static_cast<size_t>(batch_pids[bi]);
-      double w3[Support3D(Order)];
-      NodeWeights<Order>(scratch, i, w3);
-      // Register-resident weight construction: permutes + multiplies.
-      const int build_ops = Order == 1 ? 7 : 24;
-      hw.ledger().counters().vpu_ops += static_cast<uint64_t>(build_ops);
-      hw.ChargeCycles(build_ops / static_cast<double>(hw.cfg().vpu_pipes));
-
-      const int cell = StagedCellOf<Order>(tile, scratch, i);
-      hw.ScalarOps(4);
-      const double factors[3] = {scratch.wqx[i], scratch.wqy[i], scratch.wqz[i]};
-      double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
-                           rhocell.CellJz(cell)};
-      for (int comp = 0; comp < 3; ++comp) {
-        AccumulateBlock<Order>(blocks[comp], w3, factors[comp]);
-        for (int r = 0; r < kRows; ++r) {
-          hw.TouchRead(blocks[comp] + r * kVpuLanes,
-                       sizeof(double) * std::min(kNodes, kVpuLanes));
-          hw.TouchWrite(blocks[comp] + r * kVpuLanes,
-                        sizeof(double) * std::min(kNodes, kVpuLanes));
+        const int cell = StagedCellOf<Order>(tile, scratch, i);
+        hw.ScalarOps(4);
+        const double factors[3] = {scratch.wqx[i], scratch.wqy[i], scratch.wqz[i]};
+        double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
+                             rhocell.CellJz(cell)};
+        for (int comp = 0; comp < 3; ++comp) {
+          AccumulateBlock<Order>(blocks[comp], w3, factors[comp]);
+          for (int r = 0; r < kRows; ++r) {
+            hw.TouchRead(blocks[comp] + r * kVpuLanes,
+                         sizeof(double) * std::min(kNodes, kVpuLanes));
+            hw.TouchWrite(blocks[comp] + r * kVpuLanes,
+                          sizeof(double) * std::min(kNodes, kVpuLanes));
+          }
+          hw.ledger().counters().vpu_ops += static_cast<uint64_t>(2 * kRows);
+          hw.ChargeCycles(2.0 * kRows / static_cast<double>(hw.cfg().vpu_pipes));
         }
-        hw.ledger().counters().vpu_ops += static_cast<uint64_t>(2 * kRows);
-        hw.ChargeCycles(2.0 * kRows / static_cast<double>(hw.cfg().vpu_pipes));
       }
     }
-    batch_fill = 0;
-  };
-
-  ForEachParticle(hw, tile, sorted, [&](int32_t pid) {
-    batch_pids[batch_fill++] = pid;
-    if (batch_fill == kVpuLanes) {
-      flush_batch();
-    }
   });
-  flush_batch();
 }
 
 template <int Order>
@@ -212,10 +192,10 @@ template void DepositRhocellAutoVec<3>(HwContext&, const ParticleTile&,
                                        const DepositParams&, const DepositScratch&,
                                        RhocellBuffer&, bool);
 template void DepositRhocellVpu<1>(HwContext&, const ParticleTile&,
-                                   const DepositParams&, const DepositScratch&,
+                                   const DepositParams&, DepositScratch&,
                                    RhocellBuffer&, bool);
 template void DepositRhocellVpu<3>(HwContext&, const ParticleTile&,
-                                   const DepositParams&, const DepositScratch&,
+                                   const DepositParams&, DepositScratch&,
                                    RhocellBuffer&, bool);
 template void ReduceRhocellToGrid<1>(HwContext&, const ParticleTile&, RhocellBuffer&,
                                      FieldSet&);

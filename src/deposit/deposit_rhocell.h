@@ -4,8 +4,11 @@
 //     kernel of Vincenti et al.: the 8-node (CIC) / 64-node (QSP) inner loop
 //     vectorizes because the cell block is contiguous, but the per-particle
 //     setup stays scalar and particles arrive in whatever order the tile holds.
-//   DepositRhocellVpu — the hand-tuned strongest VPU baseline: batched staged
-//     gathers, register-built weight vectors, vector FMAs into the cell block.
+//   DepositRhocellVpu — the hand-tuned strongest VPU baseline: it stages its
+//     own operands chunk by chunk in deposit order (the VPU profile of
+//     StageChunk, deposit_staging.h), then per batch of 8: vector loads of
+//     the staged chunk, register-built weight vectors, vector FMAs into the
+//     cell block.
 //
 // Both accumulate into a RhocellBuffer; ReduceRhocellToGrid then performs the
 // single O(num_cells) scatter-add onto the global J arrays (Equation 5).
@@ -31,9 +34,10 @@ void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
                            const DepositParams& params, const DepositScratch& scratch,
                            RhocellBuffer& rhocell, bool sorted);
 
+// Staging is charged to Phase::kPreproc, the rest to Phase::kCompute.
 template <int Order>
 void DepositRhocellVpu(HwContext& hw, const ParticleTile& tile,
-                       const DepositParams& params, const DepositScratch& scratch,
+                       const DepositParams& params, DepositScratch& scratch,
                        RhocellBuffer& rhocell, bool sorted);
 
 // Scatter-adds every cell block onto fields.jx/jy/jz and zeroes the buffer.

@@ -1,5 +1,6 @@
 #include "src/deposit/deposit_staging.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/particles/species.h"
@@ -29,9 +30,11 @@ constexpr int VpuStagingOps() {
   return kIndexOps + kShapeOps + kVelocityOps + kCurrentOps;
 }
 
+// Stages SoA particle `i` into scratch slot `slot` (i itself in the tile-wide
+// layout, the chunk slot in the chunked one). Pure arithmetic.
 template <int Order>
-void StageOneParticle(const ParticleSoA& soa, size_t i, const DepositParams& params,
-                      DepositScratch& scratch) {
+void StageOneParticle(const ParticleSoA& soa, size_t i, size_t slot,
+                      const DepositParams& params, DepositScratch& scratch) {
   constexpr int kSupport = Order + 1;
   const GridGeometry& g = params.geom;
   const double gx = (soa.x[i] - g.x0) / g.dx;
@@ -44,13 +47,13 @@ void StageOneParticle(const ParticleSoA& soa, size_t i, const DepositParams& par
   ShapeFunction<Order>::Weights(gy, &start_y, wy);
   ShapeFunction<Order>::Weights(gz, &start_z, wz);
 
-  scratch.ix[i] = static_cast<int32_t>(start_x);
-  scratch.iy[i] = static_cast<int32_t>(start_y);
-  scratch.iz[i] = static_cast<int32_t>(start_z);
+  scratch.ix[slot] = static_cast<int32_t>(start_x);
+  scratch.iy[slot] = static_cast<int32_t>(start_y);
+  scratch.iz[slot] = static_cast<int32_t>(start_z);
   for (int t = 0; t < kSupport; ++t) {
-    scratch.sx[t][i] = wx[t];
-    scratch.sy[t][i] = wy[t];
-    scratch.sz_[t][i] = wz[t];
+    scratch.sx[t][slot] = wx[t];
+    scratch.sy[t][slot] = wy[t];
+    scratch.sz_[t][slot] = wz[t];
   }
 
   const double ux = soa.ux[i];
@@ -60,9 +63,37 @@ void StageOneParticle(const ParticleSoA& soa, size_t i, const DepositParams& par
   const double gamma = std::sqrt(1.0 + (ux * ux + uy * uy + uz * uz) * inv_c2);
   const double inv_gamma = 1.0 / gamma;
   const double qw = params.charge * soa.w[i] * params.InvCellVolume();
-  scratch.wqx[i] = qw * ux * inv_gamma;
-  scratch.wqy[i] = qw * uy * inv_gamma;
-  scratch.wqz[i] = qw * uz * inv_gamma;
+  scratch.wqx[slot] = qw * ux * inv_gamma;
+  scratch.wqy[slot] = qw * uy * inv_gamma;
+  scratch.wqz[slot] = qw * uz * inv_gamma;
+}
+
+// The scalar profile for one particle: scalar loads of the seven SoA streams,
+// scalar staging math, scalar stores of the staged values into `slot`.
+template <int Order>
+void StageOneScalar(HwContext& hw, const ParticleSoA& soa, size_t i, size_t slot,
+                    const DepositParams& params, DepositScratch& scratch) {
+  constexpr int kSupport = Order + 1;
+  // Loads: x, y, z, ux, uy, uz, w.
+  hw.TouchRead(&soa.x[i], sizeof(double));
+  hw.TouchRead(&soa.y[i], sizeof(double));
+  hw.TouchRead(&soa.z[i], sizeof(double));
+  hw.TouchRead(&soa.ux[i], sizeof(double));
+  hw.TouchRead(&soa.uy[i], sizeof(double));
+  hw.TouchRead(&soa.uz[i], sizeof(double));
+  hw.TouchRead(&soa.w[i], sizeof(double));
+  hw.ScalarOps(ScalarStagingOps<Order>());
+  StageOneParticle<Order>(soa, i, slot, params, scratch);
+  // Stores: 3 int indices, 3*kSupport shape terms, 3 current factors.
+  hw.TouchWrite(&scratch.ix[slot], sizeof(int32_t) * 3);
+  for (int t = 0; t < kSupport; ++t) {
+    hw.TouchWrite(&scratch.sx[t][slot], sizeof(double));
+    hw.TouchWrite(&scratch.sy[t][slot], sizeof(double));
+    hw.TouchWrite(&scratch.sz_[t][slot], sizeof(double));
+  }
+  hw.TouchWrite(&scratch.wqx[slot], sizeof(double));
+  hw.TouchWrite(&scratch.wqy[slot], sizeof(double));
+  hw.TouchWrite(&scratch.wqz[slot], sizeof(double));
 }
 
 }  // namespace
@@ -71,7 +102,6 @@ template <int Order>
 void StageTileScalar(HwContext& hw, const ParticleTile& tile,
                      const DepositParams& params, DepositScratch& scratch) {
   PhaseScope phase(hw.ledger(), Phase::kPreproc);
-  constexpr int kSupport = Order + 1;
   const ParticleSoA& soa = tile.soa();
   scratch.Resize(soa.size(), Order);
   for (size_t i = 0; i < soa.size(); ++i) {
@@ -79,68 +109,79 @@ void StageTileScalar(HwContext& hw, const ParticleTile& tile,
       hw.ScalarOps(1);  // validity test
       continue;
     }
-    // Loads: x, y, z, ux, uy, uz, w.
-    hw.TouchRead(&soa.x[i], sizeof(double));
-    hw.TouchRead(&soa.y[i], sizeof(double));
-    hw.TouchRead(&soa.z[i], sizeof(double));
-    hw.TouchRead(&soa.ux[i], sizeof(double));
-    hw.TouchRead(&soa.uy[i], sizeof(double));
-    hw.TouchRead(&soa.uz[i], sizeof(double));
-    hw.TouchRead(&soa.w[i], sizeof(double));
-    hw.ScalarOps(ScalarStagingOps<Order>());
-    StageOneParticle<Order>(soa, i, params, scratch);
-    // Stores: 3 int indices, 3*kSupport shape terms, 3 current factors.
-    hw.TouchWrite(&scratch.ix[i], sizeof(int32_t) * 3);
-    for (int t = 0; t < kSupport; ++t) {
-      hw.TouchWrite(&scratch.sx[t][i], sizeof(double));
-      hw.TouchWrite(&scratch.sy[t][i], sizeof(double));
-      hw.TouchWrite(&scratch.sz_[t][i], sizeof(double));
-    }
-    hw.TouchWrite(&scratch.wqx[i], sizeof(double));
-    hw.TouchWrite(&scratch.wqy[i], sizeof(double));
-    hw.TouchWrite(&scratch.wqz[i], sizeof(double));
+    StageOneScalar<Order>(hw, soa, i, i, params, scratch);
   }
 }
 
 template <int Order>
-void StageTileVpu(HwContext& hw, const ParticleTile& tile, const DepositParams& params,
-                  DepositScratch& scratch) {
+void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& params,
+                bool vpu_staging, const int32_t* pids, int32_t count,
+                DepositScratch& scratch) {
   PhaseScope phase(hw.ledger(), Phase::kPreproc);
+  if (!vpu_staging) {
+    for (int32_t k = 0; k < count; ++k) {
+      StageOneScalar<Order>(hw, soa, static_cast<size_t>(pids[k]),
+                            static_cast<size_t>(k), params, scratch);
+    }
+    return;
+  }
   constexpr int kSupport = Order + 1;
-  const ParticleSoA& soa = tile.soa();
-  scratch.Resize(soa.size(), Order);
-  const size_t n = soa.size();
-  for (size_t base = 0; base < n; base += kVpuLanes) {
-    const size_t batch = std::min(n - base, static_cast<size_t>(kVpuLanes));
-    // Vector loads of the seven SoA streams (contiguous in slot order).
+  for (int32_t base = 0; base < count; base += kVpuLanes) {
+    const int batch = std::min<int32_t>(kVpuLanes, count - base);
+    int64_t idx[kVpuLanes];
+    for (int j = 0; j < batch; ++j) {
+      idx[j] = pids[base + j];
+    }
+    // Indexed loads of the seven SoA streams.
+    const Mask8 m = Mask8::FirstN(batch);
     for (const auto* stream : {&soa.x, &soa.y, &soa.z, &soa.ux, &soa.uy, &soa.uz,
                                &soa.w}) {
-      hw.TouchRead(stream->data() + base, sizeof(double) * batch);
-      hw.ledger().counters().vpu_mem += 1;
+      hw.VGatherAuto(stream->data(), idx, m);
     }
     // Vectorized staging arithmetic for the batch (charged in one go; the real
     // per-lane arithmetic runs below).
     hw.ledger().counters().vpu_ops += static_cast<uint64_t>(VpuStagingOps<Order>());
     hw.ChargeCycles(VpuStagingOps<Order>() /
                     static_cast<double>(hw.cfg().vpu_pipes));
-    // Real arithmetic (values must be exact; compute per lane).
-    for (size_t i = base; i < base + batch; ++i) {
-      StageOneParticle<Order>(soa, i, params, scratch);
+    for (int j = 0; j < batch; ++j) {
+      StageOneParticle<Order>(soa, static_cast<size_t>(idx[j]),
+                              static_cast<size_t>(base + j), params, scratch);
     }
     // Vector stores of the staged streams.
-    hw.TouchWrite(&scratch.ix[base], sizeof(int32_t) * batch);
-    hw.TouchWrite(&scratch.iy[base], sizeof(int32_t) * batch);
-    hw.TouchWrite(&scratch.iz[base], sizeof(int32_t) * batch);
+    const auto b = static_cast<size_t>(base);
+    const auto n = static_cast<size_t>(batch);
+    hw.TouchWrite(&scratch.ix[b], sizeof(int32_t) * n);
+    hw.TouchWrite(&scratch.iy[b], sizeof(int32_t) * n);
+    hw.TouchWrite(&scratch.iz[b], sizeof(int32_t) * n);
     for (int t = 0; t < kSupport; ++t) {
-      hw.TouchWrite(&scratch.sx[t][base], sizeof(double) * batch);
-      hw.TouchWrite(&scratch.sy[t][base], sizeof(double) * batch);
-      hw.TouchWrite(&scratch.sz_[t][base], sizeof(double) * batch);
+      hw.TouchWrite(&scratch.sx[t][b], sizeof(double) * n);
+      hw.TouchWrite(&scratch.sy[t][b], sizeof(double) * n);
+      hw.TouchWrite(&scratch.sz_[t][b], sizeof(double) * n);
     }
-    hw.TouchWrite(&scratch.wqx[base], sizeof(double) * batch);
-    hw.TouchWrite(&scratch.wqy[base], sizeof(double) * batch);
-    hw.TouchWrite(&scratch.wqz[base], sizeof(double) * batch);
+    hw.TouchWrite(&scratch.wqx[b], sizeof(double) * n);
+    hw.TouchWrite(&scratch.wqy[b], sizeof(double) * n);
+    hw.TouchWrite(&scratch.wqz[b], sizeof(double) * n);
     hw.ledger().counters().vpu_mem += static_cast<uint64_t>(6 + 3 * kSupport);
   }
+}
+
+template <int Order>
+void LoadStagedBatch(HwContext& hw, const DepositScratch& scratch, int32_t first,
+                     int count) {
+  constexpr int kSupport = Order + 1;
+  int64_t slots[kVpuLanes];
+  for (int j = 0; j < count; ++j) {
+    slots[j] = first + j;
+  }
+  const Mask8 m = Mask8::FirstN(count);
+  for (int t = 0; t < kSupport; ++t) {
+    hw.VGatherAuto(scratch.sx[t].data(), slots, m);
+    hw.VGatherAuto(scratch.sy[t].data(), slots, m);
+    hw.VGatherAuto(scratch.sz_[t].data(), slots, m);
+  }
+  hw.VGatherAuto(scratch.wqx.data(), slots, m);
+  hw.VGatherAuto(scratch.wqy.data(), slots, m);
+  hw.VGatherAuto(scratch.wqz.data(), slots, m);
 }
 
 void RegisterStagingRegions(HwContext& hw, uint64_t tile_key_base,
@@ -186,11 +227,13 @@ template void StageTileScalar<2>(HwContext&, const ParticleTile&, const DepositP
                                  DepositScratch&);
 template void StageTileScalar<3>(HwContext&, const ParticleTile&, const DepositParams&,
                                  DepositScratch&);
-template void StageTileVpu<1>(HwContext&, const ParticleTile&, const DepositParams&,
-                              DepositScratch&);
-template void StageTileVpu<2>(HwContext&, const ParticleTile&, const DepositParams&,
-                              DepositScratch&);
-template void StageTileVpu<3>(HwContext&, const ParticleTile&, const DepositParams&,
-                              DepositScratch&);
+template void LoadStagedBatch<1>(HwContext&, const DepositScratch&, int32_t, int);
+template void LoadStagedBatch<3>(HwContext&, const DepositScratch&, int32_t, int);
+template void StageChunk<1>(HwContext&, const ParticleSoA&, const DepositParams&,
+                            bool, const int32_t*, int32_t, DepositScratch&);
+template void StageChunk<2>(HwContext&, const ParticleSoA&, const DepositParams&,
+                            bool, const int32_t*, int32_t, DepositScratch&);
+template void StageChunk<3>(HwContext&, const ParticleSoA&, const DepositParams&,
+                            bool, const int32_t*, int32_t, DepositScratch&);
 
 }  // namespace mpic

@@ -1,34 +1,82 @@
 // Stage 1 of the deposition pipeline (Algorithm 2): compute per-particle cell
 // indices, 1D shape terms and effective current factors into DepositScratch.
 //
-// Two cost profiles exist for the same arithmetic:
-//   * StageTileScalar — models what compilers actually emit for the irregular
-//     staging loop in the baseline and auto-vectorized rhocell kernels
-//     (scalar loads, scalar math).
-//   * StageTileVpu    — the hand-vectorized staging used by the strongest VPU
-//     baseline and by MatrixPIC (8 particles per iteration, contiguous vector
-//     loads in SoA slot order).
+// Two staging layouts exist for the same arithmetic (StageOneParticle):
+//   * Tile-wide — StageTileScalar stages every SoA slot of the tile, indexed by
+//     pid, before the kernel runs. It models what compilers emit for the
+//     irregular staging loop of the baseline and auto-vectorized rhocell
+//     kernels (scalar loads, scalar math), and those kernels read it back by
+//     pid.
+//   * Chunked — the hand-written batch kernels (DepositMpu, DepositRhocellVpu)
+//     stage one chunk of particles at a time in the order they deposit
+//     (ForEachDepositChunk) and consume it at once, indexed by chunk slot, so
+//     the staged operands are read back while L1-resident. StageChunk stages
+//     a chunk with the VPU profile (8 particles per batch: indexed loads of
+//     the seven SoA streams, vector stores of the staged streams) or with the
+//     scalar profile of StageTileScalar (kMatrixOnly's compiler-emitted
+//     staging).
 //
-// Both produce numerically identical staging values; tests assert this.
+// The Esirkepov scheme's EsirkepovScratch (esirkepov.h) uses the same two
+// layouts: StageEsirkepovTile for its staged scalar/VPU combine, and a
+// StageChunk overload that its MPU combine runs through ForEachStagedChunk.
+//
+// Every layout and profile produces numerically identical staged values;
+// tests assert this.
 
 #ifndef MPIC_SRC_DEPOSIT_DEPOSIT_STAGING_H_
 #define MPIC_SRC_DEPOSIT_DEPOSIT_STAGING_H_
 
 #include "src/deposit/deposit_params.h"
+#include "src/deposit/particle_iteration.h"
 #include "src/hw/hw_context.h"
 #include "src/particles/particle_tile.h"
 
 namespace mpic {
 
-// Stages every SoA slot of the tile (dead slots produce unused values). Charged
-// to Phase::kPreproc.
+// Stages every SoA slot of the tile into the tile-wide layout (dead slots keep
+// stale values). Charged to Phase::kPreproc.
 template <int Order>
 void StageTileScalar(HwContext& hw, const ParticleTile& tile,
                      const DepositParams& params, DepositScratch& scratch);
 
+// Stages particles pids[0..count) of `soa` into chunk slots [0, count) of the
+// chunked layout; `scratch` must hold `count` entries. With `vpu_staging` each
+// batch of kVpuLanes loads its seven SoA streams through HwContext::VGatherAuto
+// (one vector load when the batch's pids are consecutive, one gather
+// otherwise) and writes the staged streams with vector stores; without it the
+// particles take StageTileScalar's scalar path. Charged to Phase::kPreproc.
 template <int Order>
-void StageTileVpu(HwContext& hw, const ParticleTile& tile,
-                  const DepositParams& params, DepositScratch& scratch);
+void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& params,
+                bool vpu_staging, const int32_t* pids, int32_t count,
+                DepositScratch& scratch);
+
+// Loads the staged streams a kernel reads at a given order (3 * (Order + 1)
+// shape terms, 3 current factors) for the batch in chunk slots
+// [first, first + count), count <= kVpuLanes: consecutive slots, so each
+// stream is one vector load (VGatherAuto's contiguous case).
+template <int Order>
+void LoadStagedBatch(HwContext& hw, const DepositScratch& scratch, int32_t first,
+                     int count);
+
+// The chunked kernels' shared loop: for each chunk of ForEachDepositChunk,
+// stages it into `scratch` (the StageChunk overload for the scratch type:
+// DepositScratch here, EsirkepovScratch in esirkepov.h) and hands it to
+// deposit(chunk) while it is L1-resident. The caller sizes `scratch` to
+// DepositChunkSlots before registering it; a smaller scratch grows to the
+// chunk. The traversal is charged in the caller's phase.
+template <int Order, typename Scratch, typename Fn>
+void ForEachStagedChunk(HwContext& hw, const ParticleTile& tile,
+                        const DepositParams& params, bool vpu_staging, bool sorted,
+                        Scratch& scratch, Fn&& deposit) {
+  ForEachDepositChunk(hw, tile, sorted, [&](const DepositChunk& chunk) {
+    if (scratch.slots(Order) < static_cast<size_t>(chunk.count)) {
+      scratch.Resize(static_cast<size_t>(chunk.count), Order);
+    }
+    StageChunk<Order>(hw, tile.soa(), params, vpu_staging, chunk.pids, chunk.count,
+                      scratch);
+    deposit(chunk);
+  });
+}
 
 // Registers the tile's SoA arrays (including the old-position lanes) and the
 // scratch arrays with the hardware model's address space under stable keys

@@ -91,19 +91,21 @@ constexpr int VpuEsirkepovStagingOps() {
   return kIndexOps + kShapeOps + kCombineOps + 2;
 }
 
+// Stages SoA particle `i` into scratch slot `slot` (i itself in the tile-wide
+// layout, the chunk slot in the chunked one). Pure arithmetic.
 template <int Order>
-void StageOneEsirkepov(const ParticleSoA& soa, size_t i, const DepositParams& params,
-                       EsirkepovScratch& scratch) {
+void StageOneEsirkepov(const ParticleSoA& soa, size_t i, size_t slot,
+                       const DepositParams& params, EsirkepovScratch& scratch) {
   constexpr int kW = Order + 2;
   const GridGeometry& g = params.geom;
   AxisWindow<Order> ax, ay, az;
   ax.Eval(g.GridX(soa.xo[i]), g.GridX(soa.x[i]));
   ay.Eval(g.GridY(soa.yo[i]), g.GridY(soa.y[i]));
   az.Eval(g.GridZ(soa.zo[i]), g.GridZ(soa.z[i]));
-  scratch.bx[i] = static_cast<int32_t>(ax.base);
-  scratch.by[i] = static_cast<int32_t>(ay.base);
-  scratch.bz[i] = static_cast<int32_t>(az.base);
-  double* w = scratch.Win(i);
+  scratch.bx[slot] = static_cast<int32_t>(ax.base);
+  scratch.by[slot] = static_cast<int32_t>(ay.base);
+  scratch.bz[slot] = static_cast<int32_t>(az.base);
+  double* w = scratch.Win(slot);
   const AxisWindow<Order>* axes[3] = {&ax, &ay, &az};
   for (int axis = 0; axis < 3; ++axis) {
     double* m = w + scratch.OffM(axis);
@@ -120,10 +122,56 @@ void StageOneEsirkepov(const ParticleSoA& soa, size_t i, const DepositParams& pa
                      ? (axes[axis]->backward ? -0.5 : 0.5) * axes[axis]->d[kW - 1]
                      : 0.0));
   }
-  scratch.qf[i] = params.charge * soa.w[i] * params.InvCellVolume();
-  scratch.wide[i] = static_cast<uint8_t>(
+  scratch.qf[slot] = params.charge * soa.w[i] * params.InvCellVolume();
+  scratch.wide[slot] = static_cast<uint8_t>(
       (ax.wide ? 1 : 0) | (ay.wide ? 2 : 0) | (az.wide ? 4 : 0) |
       (ax.backward ? 8 : 0) | (ay.backward ? 16 : 0) | (az.backward ? 32 : 0));
+}
+
+// The scalar profile for one particle: scalar loads of the seven consumed SoA
+// streams, scalar staging math, one contiguous block store plus the small
+// side streams into `slot`.
+template <int Order>
+void StageOneEsirkepovScalar(HwContext& hw, const ParticleSoA& soa, size_t i,
+                             size_t slot, const DepositParams& params,
+                             EsirkepovScratch& scratch) {
+  // Loads: x, y, z and the old-position lanes, plus the weight.
+  hw.TouchRead(&soa.x[i], sizeof(double));
+  hw.TouchRead(&soa.y[i], sizeof(double));
+  hw.TouchRead(&soa.z[i], sizeof(double));
+  hw.TouchRead(&soa.xo[i], sizeof(double));
+  hw.TouchRead(&soa.yo[i], sizeof(double));
+  hw.TouchRead(&soa.zo[i], sizeof(double));
+  hw.TouchRead(&soa.w[i], sizeof(double));
+  hw.ScalarOps(ScalarEsirkepovStagingOps<Order>());
+  StageOneEsirkepov<Order>(soa, i, slot, params, scratch);
+  hw.TouchWrite(&scratch.bx[slot], sizeof(int32_t) * 3);
+  hw.TouchWrite(scratch.Win(slot),
+                sizeof(double) * static_cast<size_t>(scratch.stride()));
+  hw.TouchWrite(&scratch.qf[slot], sizeof(double));
+  hw.TouchWrite(&scratch.wide[slot], sizeof(uint8_t));
+}
+
+// The VPU profile's arithmetic and stores for a batch of `batch` particles
+// staged into slots [base, base + batch): the staged streams go out as vector
+// stores, the packed window blocks as one contiguous run of them.
+template <int Order>
+void ChargeVpuEsirkepovBatch(HwContext& hw, const EsirkepovScratch& scratch,
+                             size_t base, size_t batch) {
+  hw.ledger().counters().vpu_ops +=
+      static_cast<uint64_t>(VpuEsirkepovStagingOps<Order>());
+  hw.ChargeCycles(VpuEsirkepovStagingOps<Order>() /
+                  static_cast<double>(hw.cfg().vpu_pipes));
+  hw.TouchWrite(&scratch.bx[base], sizeof(int32_t) * batch);
+  hw.TouchWrite(&scratch.by[base], sizeof(int32_t) * batch);
+  hw.TouchWrite(&scratch.bz[base], sizeof(int32_t) * batch);
+  hw.TouchWrite(scratch.Win(base),
+                sizeof(double) * static_cast<size_t>(scratch.stride()) * batch);
+  hw.TouchWrite(&scratch.qf[base], sizeof(double) * batch);
+  hw.TouchWrite(&scratch.wide[base], sizeof(uint8_t) * batch);
+  const auto block_stores = static_cast<uint64_t>(
+      (static_cast<size_t>(scratch.stride()) * batch + kVpuLanes - 1) / kVpuLanes);
+  hw.ledger().counters().vpu_mem += block_stores + 5;
 }
 
 }  // namespace
@@ -142,22 +190,7 @@ void StageEsirkepovTile(HwContext& hw, const ParticleTile& tile,
         hw.ScalarOps(1);  // validity test
         continue;
       }
-      // Loads: x, y, z and the old-position lanes, plus the weight.
-      hw.TouchRead(&soa.x[i], sizeof(double));
-      hw.TouchRead(&soa.y[i], sizeof(double));
-      hw.TouchRead(&soa.z[i], sizeof(double));
-      hw.TouchRead(&soa.xo[i], sizeof(double));
-      hw.TouchRead(&soa.yo[i], sizeof(double));
-      hw.TouchRead(&soa.zo[i], sizeof(double));
-      hw.TouchRead(&soa.w[i], sizeof(double));
-      hw.ScalarOps(ScalarEsirkepovStagingOps<Order>());
-      StageOneEsirkepov<Order>(soa, i, params, scratch);
-      // One contiguous block store plus the small side streams.
-      hw.TouchWrite(&scratch.bx[i], sizeof(int32_t) * 3);
-      hw.TouchWrite(scratch.Win(i),
-                    sizeof(double) * static_cast<size_t>(scratch.stride()));
-      hw.TouchWrite(&scratch.qf[i], sizeof(double));
-      hw.TouchWrite(&scratch.wide[i], sizeof(uint8_t));
+      StageOneEsirkepovScalar<Order>(hw, soa, i, i, params, scratch);
     }
     return;
   }
@@ -169,28 +202,46 @@ void StageEsirkepovTile(HwContext& hw, const ParticleTile& tile,
       hw.TouchRead(stream->data() + base, sizeof(double) * batch);
       hw.ledger().counters().vpu_mem += 1;
     }
-    hw.ledger().counters().vpu_ops +=
-        static_cast<uint64_t>(VpuEsirkepovStagingOps<Order>());
-    hw.ChargeCycles(VpuEsirkepovStagingOps<Order>() /
-                    static_cast<double>(hw.cfg().vpu_pipes));
     // Real arithmetic (values must be exact; compute per live lane).
     for (size_t i = base; i < base + batch; ++i) {
       if (tile.IsLive(static_cast<int32_t>(i))) {
-        StageOneEsirkepov<Order>(soa, i, params, scratch);
+        StageOneEsirkepov<Order>(soa, i, i, params, scratch);
       }
     }
-    // Vector stores of the staged streams: the packed window blocks go out as
-    // one contiguous run of vector stores, the side streams as one store each.
-    hw.TouchWrite(&scratch.bx[base], sizeof(int32_t) * batch);
-    hw.TouchWrite(&scratch.by[base], sizeof(int32_t) * batch);
-    hw.TouchWrite(&scratch.bz[base], sizeof(int32_t) * batch);
-    hw.TouchWrite(scratch.Win(base),
-                  sizeof(double) * static_cast<size_t>(scratch.stride()) * batch);
-    hw.TouchWrite(&scratch.qf[base], sizeof(double) * batch);
-    hw.TouchWrite(&scratch.wide[base], sizeof(uint8_t) * batch);
-    const auto block_stores = static_cast<uint64_t>(
-        (static_cast<size_t>(scratch.stride()) * batch + kVpuLanes - 1) / kVpuLanes);
-    hw.ledger().counters().vpu_mem += block_stores + 5;
+    ChargeVpuEsirkepovBatch<Order>(hw, scratch, base, batch);
+  }
+}
+
+template <int Order>
+void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& params,
+                bool vpu_staging, const int32_t* pids, int32_t count,
+                EsirkepovScratch& scratch) {
+  PhaseScope phase(hw.ledger(), Phase::kPreproc);
+  if (!vpu_staging) {
+    for (int32_t k = 0; k < count; ++k) {
+      StageOneEsirkepovScalar<Order>(hw, soa, static_cast<size_t>(pids[k]),
+                                     static_cast<size_t>(k), params, scratch);
+    }
+    return;
+  }
+  for (int32_t base = 0; base < count; base += kVpuLanes) {
+    const int batch = std::min<int32_t>(kVpuLanes, count - base);
+    int64_t idx[kVpuLanes];
+    for (int j = 0; j < batch; ++j) {
+      idx[j] = pids[base + j];
+    }
+    // Indexed loads of the seven consumed SoA streams.
+    const Mask8 m = Mask8::FirstN(batch);
+    for (const auto* stream :
+         {&soa.x, &soa.y, &soa.z, &soa.xo, &soa.yo, &soa.zo, &soa.w}) {
+      hw.VGatherAuto(stream->data(), idx, m);
+    }
+    for (int j = 0; j < batch; ++j) {
+      StageOneEsirkepov<Order>(soa, static_cast<size_t>(idx[j]),
+                               static_cast<size_t>(base + j), params, scratch);
+    }
+    ChargeVpuEsirkepovBatch<Order>(hw, scratch, static_cast<size_t>(base),
+                                   static_cast<size_t>(batch));
   }
 }
 
@@ -479,6 +530,12 @@ template void StageEsirkepovTile<2>(HwContext&, const ParticleTile&,
                                     const DepositParams&, bool, EsirkepovScratch&);
 template void StageEsirkepovTile<3>(HwContext&, const ParticleTile&,
                                     const DepositParams&, bool, EsirkepovScratch&);
+template void StageChunk<1>(HwContext&, const ParticleSoA&, const DepositParams&,
+                            bool, const int32_t*, int32_t, EsirkepovScratch&);
+template void StageChunk<2>(HwContext&, const ParticleSoA&, const DepositParams&,
+                            bool, const int32_t*, int32_t, EsirkepovScratch&);
+template void StageChunk<3>(HwContext&, const ParticleSoA&, const DepositParams&,
+                            bool, const int32_t*, int32_t, EsirkepovScratch&);
 template void DepositEsirkepovTile<1>(HwContext&, const ParticleTile&,
                                       const DepositParams&, bool,
                                       const EsirkepovScratch&, TileCurrent&);

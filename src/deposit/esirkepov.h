@@ -12,12 +12,16 @@
 // components land at their Yee locations (Jx at i+1/2 etc.); rho is nodal.
 //
 // The engine path is *staged*, in the spirit of the rhocell pipeline
-// (Algorithm 2): StageEsirkepovTile evaluates, once per particle, the
-// per-axis weight windows over the union of the old and new shape supports —
-// the midpoint weights m = (S_old + S_new)/2 and difference weights
+// (Algorithm 2): a staging pass evaluates, once per particle, the per-axis
+// weight windows over the union of the old and new shape supports — the
+// midpoint weights m = (S_old + S_new)/2 and difference weights
 // d = S_new - S_old — into an EsirkepovScratch (keyed MemMap registration,
 // Phase::kPreproc, scalar or VPU cost profile matching the variant's
-// staging). A combine kernel then forms each transverse plane as the rank-2
+// staging). The layouts follow the direct scheme's (deposit_staging.h):
+// StageEsirkepovTile stages the whole tile for the staged scalar/VPU
+// combine; the MPU combine stages chunk by chunk in deposit order through the
+// chunked StageChunk and consumes each chunk from L1. A combine kernel then
+// forms each transverse plane as the rank-2
 // sum outer(m_b, m_c) + (1/12) outer(d_b, d_c) and accumulates the running
 // density-decomposition sums into a per-tile Yee-staggered TileCurrent
 // scratch (Phase::kCompute). The writes are tile-private, so tiles fan out in
@@ -118,10 +122,14 @@ class TileCurrent {
   std::vector<double> jx_, jy_, jz_;
 };
 
-// Staged per-particle quantities of the Esirkepov decomposition, indexed by
-// tile-local pid like DepositScratch. Per axis the window holds the midpoint
-// weights m[t] = (S_old[t] + S_new[t]) / 2 and the difference weights
-// d[t] = S_new[t] - S_old[t] over the union support of Order + 2 nodes.
+// Staged per-particle quantities of the Esirkepov decomposition, in one of
+// DepositScratch's two layouts (deposit_params.h): tile-wide, indexed by
+// tile-local pid (StageEsirkepovTile, read back by DepositEsirkepovTile), or
+// chunked, indexed by chunk slot (the StageChunk overload below, which
+// DepositEsirkepovMpuTile runs chunk by chunk in deposit order). Per axis the window
+// holds the midpoint weights m[t] = (S_old[t] + S_new[t]) / 2 and the
+// difference weights d[t] = S_new[t] - S_old[t] over the union support of
+// Order + 2 nodes.
 //
 // The last m lane is never stored: on a narrow axis it is zero, and on a wide
 // axis exactly one of the two supports covers the last union node, so
@@ -156,6 +164,10 @@ struct EsirkepovScratch {
   // m window carries window - 1 stored lanes, d the full width.
   int OffM(int axis) const { return axis * (2 * window - 1); }
   int OffD(int axis) const { return OffM(axis) + window - 1; }
+
+  // Entries an order-`order` staging can write (none when the blocks are
+  // strided for another order).
+  size_t slots(int order) const { return window == order + 2 ? qf.size() : 0; }
 
   void Resize(size_t n_slots, int order) {
     window = order + 2;
@@ -196,13 +208,28 @@ inline double EsirkepovWideLastM(uint8_t wide_bits, int axis, double d_last) {
 }
 
 // Stage 1: per-axis weight windows + charge factor for every live particle,
-// from the SoA old-position lanes and current positions. `vpu_staging`
-// selects the batched VPU cost profile (values are identical either way),
-// mirroring StageTileScalar / StageTileVpu. Charged to Phase::kPreproc.
+// from the SoA old-position lanes and current positions, tile-wide (every
+// SoA slot, indexed by pid). `vpu_staging` selects the batched VPU cost
+// profile (contiguous vector loads of the SoA streams, vector stores) or the
+// scalar loop; values are identical either way. Used by the staged
+// scalar/VPU combine. Charged to Phase::kPreproc.
 template <int Order>
 void StageEsirkepovTile(HwContext& hw, const ParticleTile& tile,
                         const DepositParams& params, bool vpu_staging,
                         EsirkepovScratch& scratch);
+
+// Stage 1, chunked: stages particles pids[0..count) of `soa` into chunk slots
+// [0, count); `scratch` must hold `count` slots. The cost profiles are those
+// of the direct scheme's StageChunk (deposit_staging.h): with `vpu_staging`
+// each batch of kVpuLanes loads its seven SoA streams through
+// HwContext::VGatherAuto (one vector load when the batch's pids are
+// consecutive, one gather otherwise) and writes the staged streams with
+// vector stores; without it, StageEsirkepovTile's scalar path per particle.
+// Values equal StageEsirkepovTile's. Charged to Phase::kPreproc.
+template <int Order>
+void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& params,
+                bool vpu_staging, const int32_t* pids, int32_t count,
+                EsirkepovScratch& scratch);
 
 // Stage 2: combines the staged axis windows by outer product into the
 // density-decomposition stencil and accumulates the running sums into the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "src/deposit/deposit_staging.h"
 #include "src/deposit/particle_iteration.h"
 
 namespace mpic {
@@ -287,68 +288,36 @@ void FlushAccum(HwContext& hw, const NarrowAccum<Order>& acc,
   }
 }
 
-// One batch's load of a side stream (bx, by, bz, qf or wide). Pids come in
-// ascending runs from the bins / slot walk, so a sorted batch's elements sit
-// in a line or two and one read of its pid span [first, first + span) loads
-// them. Between global sorts a bin's pids spread over the tile's slots and
-// the span grows to hundreds of lines; once its line loads would issue slower
-// than one gather (lines x vector_mem_issue_cycles > gather_issue_cycles, 8
-// lines on Lx2), the stream is gathered over the batch's lanes instead.
-template <typename T>
-void TouchSideStream(HwContext& hw, const std::vector<T>& stream, size_t first,
-                     size_t span, const int64_t* lanes, const Mask8& active) {
-  const size_t lines = (span * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes;
-  if (static_cast<double>(lines) * hw.cfg().vector_mem_issue_cycles <=
-      hw.cfg().gather_issue_cycles) {
-    hw.TouchRead(&stream[first], sizeof(T) * span);
-  } else {
-    hw.TouchGather(stream.data(), sizeof(T), lanes, active);
-  }
-}
-
-// One batch of up to kVpuLanes staged particles: batched loads, then greedy
-// width-adaptive packing (deterministic — depends only on staged widths in
-// pid order). A group of g particles shares each plane tile at lane pitch S,
-// S the widest member's slot width: all-narrow order-1 groups pack FOUR
-// particles per tile (pitch 2), orders 2-3 pack pairs, boundary-crossing
-// order-3 particles go single.
+// One batch of up to kVpuLanes staged particles in chunk slots
+// [first, first + count): batched loads, then greedy width-adaptive packing
+// (deterministic — depends only on staged widths in deposit order). A group
+// of g particles shares each plane tile at lane pitch S, S the widest
+// member's slot width: all-narrow order-1 groups pack FOUR particles per
+// tile (pitch 2), orders 2-3 pack pairs, boundary-crossing order-3 particles
+// go single.
 template <int Order>
 void ProcessBatch(HwContext& hw, const EsirkepovScratch& scratch,
-                  const double f[3], const int32_t* pids, int count,
+                  const double f[3], int32_t first, int count,
                   TileCurrent& tile_j) {
-  // Side streams once per batch, each read over the pid span or gathered
-  // (TouchSideStream); window blocks as unaligned vector loads, one
-  // contiguous stream when the batch's slots are consecutive.
-  int64_t lanes[kVpuLanes] = {};
-  int32_t lo = pids[0];
-  int32_t hi = pids[0];
-  for (int s = 0; s < count; ++s) {
-    lanes[s] = pids[s];
-    lo = std::min(lo, pids[s]);
-    hi = std::max(hi, pids[s]);
-  }
-  const Mask8 active = Mask8::FirstN(count);
-  const auto first = static_cast<size_t>(lo);
-  const auto span = static_cast<size_t>(hi - lo) + 1;
-  TouchSideStream(hw, scratch.bx, first, span, lanes, active);
-  TouchSideStream(hw, scratch.by, first, span, lanes, active);
-  TouchSideStream(hw, scratch.bz, first, span, lanes, active);
-  TouchSideStream(hw, scratch.qf, first, span, lanes, active);
-  TouchSideStream(hw, scratch.wide, first, span, lanes, active);
+  // The batch's slots are consecutive: each side stream is one vector load,
+  // the window blocks one contiguous run of unaligned vector loads.
+  const auto lo = static_cast<size_t>(first);
+  const auto n = static_cast<size_t>(count);
+  hw.TouchRead(&scratch.bx[lo], sizeof(int32_t) * n);
+  hw.TouchRead(&scratch.by[lo], sizeof(int32_t) * n);
+  hw.TouchRead(&scratch.bz[lo], sizeof(int32_t) * n);
+  hw.TouchRead(&scratch.qf[lo], sizeof(double) * n);
+  hw.TouchRead(&scratch.wide[lo], sizeof(uint8_t) * n);
 
   const size_t stride = static_cast<size_t>(scratch.stride());
-  const size_t loads =
-      span == static_cast<size_t>(count)
-          ? (static_cast<size_t>(count) * stride + kVpuLanes - 1) / kVpuLanes
-          : static_cast<size_t>(count) * ((stride + kVpuLanes - 1) / kVpuLanes);
+  const size_t loads = (n * stride + kVpuLanes - 1) / kVpuLanes;
   hw.ledger().counters().vpu_mem += static_cast<uint64_t>(loads);
   hw.ChargeCycles(static_cast<double>(loads) * hw.cfg().vector_mem_issue_cycles);
+  hw.TouchRead(scratch.Win(lo), sizeof(double) * stride * n);
 
   WindowView<Order> views[kVpuLanes];
   for (int s = 0; s < count; ++s) {
-    const auto i = static_cast<size_t>(pids[s]);
-    hw.TouchRead(scratch.Win(i), sizeof(double) * stride);
-    views[s] = MakeView<Order>(hw, scratch, f, i);
+    views[s] = MakeView<Order>(hw, scratch, f, lo + static_cast<size_t>(s));
   }
 
   // Orders 1-2: all-narrow particles sharing the batch's reference base
@@ -406,17 +375,18 @@ void ProcessBatch(HwContext& hw, const EsirkepovScratch& scratch,
 // Sparse-bin fallback: per-particle VPU combine reproducing
 // DepositEsirkepovTile's arithmetic (same expressions, same order) so the
 // adaptive path stays bitwise identical to the staged scalar kernel.
+// The bin's particles sit in chunk slots [first, first + len).
 template <int Order>
 void DepositEsirkepovBinVpu(HwContext& hw, const EsirkepovScratch& scratch,
-                            const double f[3], const int32_t* pids, int32_t len,
+                            const double f[3], int32_t first, int32_t len,
                             TileCurrent& tile_j) {
   constexpr int kW = Order + 2;
   constexpr double k12 = 1.0 / 12.0;
   double* jx = tile_j.jx().data();
   double* jy = tile_j.jy().data();
   double* jz = tile_j.jz().data();
-  for (int32_t s = 0; s < len; ++s) {
-    const auto i = static_cast<size_t>(pids[s]);
+  for (int32_t s = first; s < first + len; ++s) {
+    const auto i = static_cast<size_t>(s);
     hw.TouchRead(&scratch.bx[i], sizeof(int32_t));
     hw.TouchRead(&scratch.by[i], sizeof(int32_t));
     hw.TouchRead(&scratch.bz[i], sizeof(int32_t));
@@ -501,55 +471,49 @@ template <int Order>
 void DepositEsirkepovMpuTile(HwContext& hw, const ParticleTile& tile,
                              const DepositParams& params,
                              MpuScheduling scheduling, int sparse_fallback_ppc,
-                             const EsirkepovScratch& scratch,
+                             bool vpu_staging, EsirkepovScratch& scratch,
                              TileCurrent& tile_j) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
   MPIC_CHECK_MSG(params.dt > 0.0, "Esirkepov deposition needs the step dt");
   const GridGeometry& g = params.geom;
   const double f[3] = {g.dx / params.dt, g.dy / params.dt, g.dz / params.dt};
+  const bool sorted = scheduling == MpuScheduling::kCellResident;
 
-  if (scheduling == MpuScheduling::kCellResident) {
-    ForEachCellBin(hw, tile, [&](int cell, const int32_t* pids, int32_t len) {
-      (void)cell;
-      if (len < sparse_fallback_ppc) {
-        DepositEsirkepovBinVpu<Order>(hw, scratch, f, pids, len, tile_j);
-        return;
-      }
-      for (int32_t s = 0; s < len; s += kVpuLanes) {
-        const int count =
-            static_cast<int>(std::min<int32_t>(kVpuLanes, len - s));
-        ProcessBatch<Order>(hw, scratch, f, pids + s, count, tile_j);
-      }
-    });
-    return;
-  }
-
-  // Pairwise: slot-order traversal, batches of up to kVpuLanes live slots.
-  int32_t buf[kVpuLanes];
-  int nbuf = 0;
-  ForEachParticle(hw, tile, /*sorted=*/false, [&](int32_t pid) {
-    buf[nbuf++] = pid;
-    if (nbuf == kVpuLanes) {
-      ProcessBatch<Order>(hw, scratch, f, buf, nbuf, tile_j);
-      nbuf = 0;
+  ForEachStagedChunk<Order>(hw, tile, params, vpu_staging, sorted, scratch,
+                            [&](const DepositChunk& chunk) {
+    if (sorted) {
+      ForEachChunkBin(tile, chunk, [&](int cell, int32_t first, int32_t len) {
+        (void)cell;
+        if (len < sparse_fallback_ppc) {
+          DepositEsirkepovBinVpu<Order>(hw, scratch, f, first, len, tile_j);
+          return;
+        }
+        for (int32_t s = first; s < first + len; s += kVpuLanes) {
+          const int count = std::min<int32_t>(kVpuLanes, first + len - s);
+          ProcessBatch<Order>(hw, scratch, f, s, count, tile_j);
+        }
+      });
+      return;
+    }
+    // Pairwise: batches of up to kVpuLanes live slots in slot order.
+    for (int32_t s = 0; s < chunk.count; s += kVpuLanes) {
+      const int count = std::min<int32_t>(kVpuLanes, chunk.count - s);
+      ProcessBatch<Order>(hw, scratch, f, s, count, tile_j);
     }
   });
-  if (nbuf > 0) {
-    ProcessBatch<Order>(hw, scratch, f, buf, nbuf, tile_j);
-  }
 }
 
 template void DepositEsirkepovMpuTile<1>(HwContext&, const ParticleTile&,
                                          const DepositParams&, MpuScheduling,
-                                         int, const EsirkepovScratch&,
+                                         int, bool, EsirkepovScratch&,
                                          TileCurrent&);
 template void DepositEsirkepovMpuTile<2>(HwContext&, const ParticleTile&,
                                          const DepositParams&, MpuScheduling,
-                                         int, const EsirkepovScratch&,
+                                         int, bool, EsirkepovScratch&,
                                          TileCurrent&);
 template void DepositEsirkepovMpuTile<3>(HwContext&, const ParticleTile&,
                                          const DepositParams&, MpuScheduling,
-                                         int, const EsirkepovScratch&,
+                                         int, bool, EsirkepovScratch&,
                                          TileCurrent&);
 
 }  // namespace mpic

@@ -54,10 +54,16 @@
 // register file (1-4 Vec8 each); order 3 keeps per-particle extraction, where
 // the direct-scheme baseline is already beaten outright.
 //
-// Scheduling mirrors DepositMpu: cell-resident rides the GPMA bins (pairs come
-// from the same cell; bins below sparse_fallback_ppc take a per-particle VPU
-// path that reproduces DepositEsirkepovTile's arithmetic bit-for-bit),
-// pairwise walks slot order for the unsorted hybrid variants. Values are
+// Scheduling and staging mirror DepositMpu: cell-resident rides the GPMA bins
+// (pairs come from the same cell; bins below sparse_fallback_ppc take a
+// per-particle VPU path that reproduces DepositEsirkepovTile's arithmetic
+// bit-for-bit), pairwise walks slot order for the unsorted hybrid variants.
+// The kernel stages its own windows in the chunked layout (esirkepov.h), one
+// chunk at a time in deposit order — whole GPMA bins for cell-resident, the
+// next 64 live slots for pairwise; a chunk of windows is 9 KB at order 1 and
+// 15 KB at order 3, inside the 32 KB L1 — so each batch reads its side
+// streams and window blocks as contiguous vector loads from L1; the batches,
+// and so J, do not depend on the chunking. Values are
 // schedule- and core-count-invariant: kernel selection and iteration order
 // depend only on the configuration and the particle data.
 
@@ -71,15 +77,17 @@
 
 namespace mpic {
 
-// MPU combine stage: consumes the windows staged by StageEsirkepovTile and
-// accumulates into the tile-private TileCurrent (Phase::kCompute). Requires a
-// machine with an MPU; cell-resident scheduling additionally requires valid
-// GPMA bins. params.dt must be the step dt.
+// Stages and combines every live particle of the tile, accumulating into the
+// tile-private TileCurrent. Staging (the chunked StageChunk into `scratch`,
+// VPU profile when `vpu_staging`, scalar otherwise) is charged to
+// Phase::kPreproc, the combine to Phase::kCompute. Requires a machine with an
+// MPU; cell-resident scheduling additionally requires valid GPMA bins.
+// params.dt must be the step dt.
 template <int Order>
 void DepositEsirkepovMpuTile(HwContext& hw, const ParticleTile& tile,
                              const DepositParams& params,
                              MpuScheduling scheduling, int sparse_fallback_ppc,
-                             const EsirkepovScratch& scratch,
+                             bool vpu_staging, EsirkepovScratch& scratch,
                              TileCurrent& tile_j);
 
 }  // namespace mpic

@@ -1,6 +1,6 @@
 // Bit-exact checkpoint/restart of a full Simulation.
 //
-// Format (little-endian, version 2):
+// Format (little-endian, version 3):
 //
 //   [8B magic "MPICCKP\1"] [u32 version] [u32 section_count]
 //   section*: [u32 id] [u32 index] [u64 payload_bytes] [u64 payload_fnv]
@@ -14,13 +14,15 @@
 // because the slot layout feeding deposition and collision order depends on
 // the insertion history; then the complete re-sort policy state including the
 // adaptive throughput baselines, and the three per-tile cost-feedback
-// estimate vectors the kCostSteal scheduler plans from), an optional LEDGER
-// snapshot (per-phase modeled cycles + counters, including the steal
-// counters), and — when the machine models more than one rank — a RANKS
-// section with the cumulative per-rank communication totals.
+// estimate vectors and committed owner vectors the kCostSteal scheduler and
+// its sticky placement plan from), an optional LEDGER snapshot (per-phase
+// modeled cycles + counters, including the steal and NUMA counters), and —
+// when the machine models more than one rank — a RANKS section with the
+// cumulative per-rank communication totals.
 //
-// Version 1 images (which omitted the policy baselines, cost estimates, and
-// steal counters) are rejected, not silently half-restored.
+// Version 1 and 2 images (which omit state a bit-exact restart needs: the
+// policy baselines, cost estimates and steal counters in v1; the committed
+// owners and NUMA counters in v2) are rejected, not silently half-restored.
 //
 // Every payload carries its length and FNV-1a checksum; RestoreCheckpoint
 // verifies every checksum and validates META compatibility BEFORE mutating

@@ -75,25 +75,50 @@ void ExpectMatchesReference(TestWorld& world, const FieldSet& got) {
 // Staging
 // ---------------------------------------------------------------------------
 
+// Every live pid of the tile in slot order: the whole tile as one chunk.
+std::vector<int32_t> LivePids(const ParticleTile& tile) {
+  std::vector<int32_t> pids;
+  for (int32_t pid = 0; pid < tile.num_slots(); ++pid) {
+    if (tile.IsLive(pid)) {
+      pids.push_back(pid);
+    }
+  }
+  return pids;
+}
+
+// Stages `pids` with StageChunk into a scratch sized for them.
+template <int Order>
+DepositScratch StageAsChunk(HwContext& hw, const TestWorld& world, bool vpu_staging,
+                            const std::vector<int32_t>& pids) {
+  DepositScratch scratch;
+  scratch.Resize(pids.size(), Order);
+  StageChunk<Order>(hw, world.tile.soa(), world.params, vpu_staging, pids.data(),
+                    static_cast<int32_t>(pids.size()), scratch);
+  return scratch;
+}
+
 template <int Order>
 void ExpectStagingAgrees() {
   TestWorld world(3, 7, 1234);
   HwContext hw;
-  DepositScratch scalar_scratch, vpu_scratch;
+  DepositScratch scalar_scratch;
   StageTileScalar<Order>(hw, world.tile, world.params, scalar_scratch);
-  StageTileVpu<Order>(hw, world.tile, world.params, vpu_scratch);
-  for (size_t i = 0; i < world.tile.soa().size(); ++i) {
-    EXPECT_EQ(scalar_scratch.ix[i], vpu_scratch.ix[i]);
-    EXPECT_EQ(scalar_scratch.iy[i], vpu_scratch.iy[i]);
-    EXPECT_EQ(scalar_scratch.iz[i], vpu_scratch.iz[i]);
+  const std::vector<int32_t> pids = LivePids(world.tile);
+  const DepositScratch vpu_scratch =
+      StageAsChunk<Order>(hw, world, /*vpu_staging=*/true, pids);
+  for (size_t k = 0; k < pids.size(); ++k) {
+    const auto i = static_cast<size_t>(pids[k]);
+    EXPECT_EQ(scalar_scratch.ix[i], vpu_scratch.ix[k]);
+    EXPECT_EQ(scalar_scratch.iy[i], vpu_scratch.iy[k]);
+    EXPECT_EQ(scalar_scratch.iz[i], vpu_scratch.iz[k]);
     for (int t = 0; t <= Order; ++t) {
-      EXPECT_DOUBLE_EQ(scalar_scratch.sx[t][i], vpu_scratch.sx[t][i]);
-      EXPECT_DOUBLE_EQ(scalar_scratch.sy[t][i], vpu_scratch.sy[t][i]);
-      EXPECT_DOUBLE_EQ(scalar_scratch.sz_[t][i], vpu_scratch.sz_[t][i]);
+      EXPECT_DOUBLE_EQ(scalar_scratch.sx[t][i], vpu_scratch.sx[t][k]);
+      EXPECT_DOUBLE_EQ(scalar_scratch.sy[t][i], vpu_scratch.sy[t][k]);
+      EXPECT_DOUBLE_EQ(scalar_scratch.sz_[t][i], vpu_scratch.sz_[t][k]);
     }
-    EXPECT_DOUBLE_EQ(scalar_scratch.wqx[i], vpu_scratch.wqx[i]);
-    EXPECT_DOUBLE_EQ(scalar_scratch.wqy[i], vpu_scratch.wqy[i]);
-    EXPECT_DOUBLE_EQ(scalar_scratch.wqz[i], vpu_scratch.wqz[i]);
+    EXPECT_DOUBLE_EQ(scalar_scratch.wqx[i], vpu_scratch.wqx[k]);
+    EXPECT_DOUBLE_EQ(scalar_scratch.wqy[i], vpu_scratch.wqy[k]);
+    EXPECT_DOUBLE_EQ(scalar_scratch.wqz[i], vpu_scratch.wqz[k]);
   }
 }
 
@@ -104,14 +129,14 @@ TEST(Staging, ScalarAndVpuAgreeOrder3) { ExpectStagingAgrees<3>(); }
 TEST(Staging, ShapeWeightsSumToOne) {
   TestWorld world(3, 5, 77);
   HwContext hw;
-  DepositScratch scratch;
-  StageTileVpu<3>(hw, world.tile, world.params, scratch);
-  for (size_t i = 0; i < world.tile.soa().size(); ++i) {
+  const std::vector<int32_t> pids = LivePids(world.tile);
+  const DepositScratch scratch = StageAsChunk<3>(hw, world, true, pids);
+  for (size_t k = 0; k < pids.size(); ++k) {
     double sx = 0.0, sy = 0.0, sz = 0.0;
     for (int t = 0; t < 4; ++t) {
-      sx += scratch.sx[t][i];
-      sy += scratch.sy[t][i];
-      sz += scratch.sz_[t][i];
+      sx += scratch.sx[t][k];
+      sy += scratch.sy[t][k];
+      sz += scratch.sz_[t][k];
     }
     EXPECT_NEAR(sx, 1.0, 1e-12);
     EXPECT_NEAR(sy, 1.0, 1e-12);
@@ -122,10 +147,96 @@ TEST(Staging, ShapeWeightsSumToOne) {
 TEST(Staging, PhasesChargedToPreproc) {
   TestWorld world(3, 5, 78);
   HwContext hw;
-  DepositScratch scratch;
-  StageTileVpu<1>(hw, world.tile, world.params, scratch);
+  StageAsChunk<1>(hw, world, true, LivePids(world.tile));
   EXPECT_GT(hw.ledger().PhaseCycles(Phase::kPreproc), 0.0);
   EXPECT_DOUBLE_EQ(hw.ledger().PhaseCycles(Phase::kCompute), 0.0);
+}
+
+// StageChunk, per order and cost profile: a chunk of scattered pids stages the
+// values StageTileScalar stages for the same particles, bit for bit, and
+// every charge lands in Phase::kPreproc.
+class ChunkStager : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+template <int Order>
+void ExpectChunkMatchesTileScalar(bool vpu_staging) {
+  TestWorld world(3, 7, 4321);
+  HwContext tile_hw;
+  DepositScratch tile_scratch;
+  StageTileScalar<Order>(tile_hw, world.tile, world.params, tile_scratch);
+  // Every third pid, back to front: no two neighbours are consecutive.
+  std::vector<int32_t> pids;
+  for (int32_t pid = world.tile.num_slots() - 1; pid >= 0; pid -= 3) {
+    pids.push_back(pid);
+  }
+  HwContext hw;
+  const DepositScratch chunk = StageAsChunk<Order>(hw, world, vpu_staging, pids);
+  for (size_t k = 0; k < pids.size(); ++k) {
+    const auto i = static_cast<size_t>(pids[k]);
+    EXPECT_EQ(chunk.ix[k], tile_scratch.ix[i]);
+    EXPECT_EQ(chunk.iy[k], tile_scratch.iy[i]);
+    EXPECT_EQ(chunk.iz[k], tile_scratch.iz[i]);
+    for (int t = 0; t <= Order; ++t) {
+      EXPECT_EQ(chunk.sx[t][k], tile_scratch.sx[t][i]);
+      EXPECT_EQ(chunk.sy[t][k], tile_scratch.sy[t][i]);
+      EXPECT_EQ(chunk.sz_[t][k], tile_scratch.sz_[t][i]);
+    }
+    EXPECT_EQ(chunk.wqx[k], tile_scratch.wqx[i]);
+    EXPECT_EQ(chunk.wqy[k], tile_scratch.wqy[i]);
+    EXPECT_EQ(chunk.wqz[k], tile_scratch.wqz[i]);
+  }
+  const CostLedger& ledger = hw.ledger();
+  EXPECT_GT(ledger.PhaseCycles(Phase::kPreproc), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.TotalCycles(), ledger.PhaseCycles(Phase::kPreproc));
+  if (!vpu_staging) {
+    EXPECT_EQ(ledger.counters().gathers, 0u);
+    EXPECT_EQ(ledger.counters().vpu_mem, 0u);
+  }
+}
+
+TEST_P(ChunkStager, MatchesTileScalarAndChargesPreproc) {
+  const auto [order, vpu_staging] = GetParam();
+  if (order == 1) {
+    ExpectChunkMatchesTileScalar<1>(vpu_staging);
+  } else {
+    ExpectChunkMatchesTileScalar<3>(vpu_staging);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OrderProfile, ChunkStager,
+                         ::testing::Combine(::testing::Values(1, 3),
+                                            ::testing::Bool()));
+
+// The VPU profile loads each of the seven SoA streams of a batch by the
+// indexed-load rule: one vector load when the batch's pids are consecutive,
+// one gather otherwise. Its staged-stream stores are the same either way.
+template <int Order>
+void ExpectBatchLoadsFollowPidOrder() {
+  TestWorld world(3, 7, 99);
+  ASSERT_GE(world.tile.num_slots(), 2 * kVpuLanes);
+  std::vector<int32_t> consecutive;
+  std::vector<int32_t> scattered;
+  for (int32_t j = 0; j < kVpuLanes; ++j) {
+    consecutive.push_back(5 + j);
+    scattered.push_back(2 * j);
+  }
+  HwContext a;
+  StageAsChunk<Order>(a, world, true, consecutive);
+  HwContext b;
+  StageAsChunk<Order>(b, world, true, scattered);
+  const LedgerCounters& ca = a.ledger().counters();
+  const LedgerCounters& cb = b.ledger().counters();
+  EXPECT_EQ(ca.gathers, 0u);
+  EXPECT_EQ(cb.gathers, 7u);
+  EXPECT_EQ(ca.vpu_mem, cb.vpu_mem + 7u);
+  EXPECT_DOUBLE_EQ(a.ledger().TotalCycles(), a.ledger().PhaseCycles(Phase::kPreproc));
+  EXPECT_DOUBLE_EQ(b.ledger().TotalCycles(), b.ledger().PhaseCycles(Phase::kPreproc));
+}
+
+TEST(ChunkStager, BatchLoadsFollowPidOrderOrder1) {
+  ExpectBatchLoadsFollowPidOrder<1>();
+}
+TEST(ChunkStager, BatchLoadsFollowPidOrderOrder3) {
+  ExpectBatchLoadsFollowPidOrder<3>();
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +345,6 @@ void RunRhocellVariant(bool hand_tuned, bool sorted, int ppc, uint64_t seed) {
   DepositScratch scratch;
   RhocellBuffer rhocell(world.tile.num_cells(), Order);
   if (hand_tuned) {
-    StageTileVpu<Order>(hw, world.tile, world.params, scratch);
     DepositRhocellVpu<Order>(hw, world.tile, world.params, scratch, rhocell, sorted);
   } else {
     StageTileScalar<Order>(hw, world.tile, world.params, scratch);
@@ -260,7 +370,7 @@ TEST_P(RhocellEquivalence, MatchesScalarReference) {
 INSTANTIATE_TEST_SUITE_P(Sweep, RhocellEquivalence,
                          ::testing::Combine(::testing::Values(1, 3),
                                             ::testing::Bool(), ::testing::Bool(),
-                                            ::testing::Values(1, 4, 9)));
+                                            ::testing::Values(1, 4, 9, 80)));
 
 template <int Order>
 void RunMpuVariant(MpuScheduling scheduling, int ppc, uint64_t seed) {
@@ -268,8 +378,8 @@ void RunMpuVariant(MpuScheduling scheduling, int ppc, uint64_t seed) {
   HwContext hw;
   DepositScratch scratch;
   RhocellBuffer rhocell(world.tile.num_cells(), Order);
-  StageTileVpu<Order>(hw, world.tile, world.params, scratch);
-  DepositMpu<Order>(hw, world.tile, world.params, scratch, rhocell, scheduling);
+  DepositMpu<Order>(hw, world.tile, world.params, /*vpu_staging=*/true, scratch,
+                    rhocell, scheduling);
   ReduceRhocellToGrid<Order>(hw, world.tile, rhocell, world.fields);
   EXPECT_GT(hw.ledger().counters().mopas, 0u);
   ExpectMatchesReference<Order>(world, world.fields);
@@ -291,7 +401,7 @@ TEST_P(MpuEquivalence, MatchesScalarReference) {
 INSTANTIATE_TEST_SUITE_P(Sweep, MpuEquivalence,
                          ::testing::Combine(::testing::Values(1, 3),
                                             ::testing::Values(0, 1),
-                                            ::testing::Values(1, 2, 5, 16)));
+                                            ::testing::Values(1, 2, 5, 16, 80)));
 
 TEST(DepositMpu, CicTileUtilizationIs25Percent) {
   // 2 particles x 8 nodes = 16 useful FMAs out of the 64 an 8x8 MOPA performs.
@@ -299,8 +409,7 @@ TEST(DepositMpu, CicTileUtilizationIs25Percent) {
   HwContext hw;
   DepositScratch scratch;
   RhocellBuffer rhocell(world.tile.num_cells(), 1);
-  StageTileVpu<1>(hw, world.tile, world.params, scratch);
-  DepositMpu<1>(hw, world.tile, world.params, scratch, rhocell,
+  DepositMpu<1>(hw, world.tile, world.params, /*vpu_staging=*/true, scratch, rhocell,
                 MpuScheduling::kCellResident);
   const auto n = world.tile.num_live();
   const auto pairs = hw.ledger().counters().mopas / 3;  // 3 components
@@ -316,8 +425,7 @@ TEST(DepositMpu, QspTileUtilizationIs50Percent) {
   HwContext hw;
   DepositScratch scratch;
   RhocellBuffer rhocell(world.tile.num_cells(), 3);
-  StageTileVpu<3>(hw, world.tile, world.params, scratch);
-  DepositMpu<3>(hw, world.tile, world.params, scratch, rhocell,
+  DepositMpu<3>(hw, world.tile, world.params, /*vpu_staging=*/true, scratch, rhocell,
                 MpuScheduling::kCellResident);
   const auto n = world.tile.num_live();
   const auto mopas = hw.ledger().counters().mopas;
@@ -342,7 +450,6 @@ TEST(Rhocell, ReduceZeroesBuffer) {
   HwContext hw;
   DepositScratch scratch;
   RhocellBuffer rhocell(world.tile.num_cells(), 1);
-  StageTileVpu<1>(hw, world.tile, world.params, scratch);
   DepositRhocellVpu<1>(hw, world.tile, world.params, scratch, rhocell, true);
   ReduceRhocellToGrid<1>(hw, world.tile, rhocell, world.fields);
   for (double v : rhocell.jx()) {
@@ -400,13 +507,11 @@ TEST_P(SparseFallback, MatchesReferenceAndSkipsMpuOnSparseBins) {
     DepositScratch sc;
     RhocellBuffer rc(world.tile.num_cells(), order);
     if (order == 1) {
-      StageTileVpu<1>(local, world.tile, world.params, sc);
-      DepositMpu<1>(local, world.tile, world.params, sc, rc,
+      DepositMpu<1>(local, world.tile, world.params, /*vpu_staging=*/true, sc, rc,
                     MpuScheduling::kCellResident, thr);
       ReduceRhocellToGrid<1>(local, world.tile, rc, out);
     } else {
-      StageTileVpu<3>(local, world.tile, world.params, sc);
-      DepositMpu<3>(local, world.tile, world.params, sc, rc,
+      DepositMpu<3>(local, world.tile, world.params, /*vpu_staging=*/true, sc, rc,
                     MpuScheduling::kCellResident, thr);
       ReduceRhocellToGrid<3>(local, world.tile, rc, out);
     }

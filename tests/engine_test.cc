@@ -2,11 +2,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/core/deposition_engine.h"
+#include "src/core/simulation.h"
 #include "src/core/workloads.h"
 #include "src/particles/species.h"
 
@@ -15,8 +19,12 @@ namespace {
 
 // One serial deposition step of an electron species through the engine's
 // public stage API, in step-pipeline order. J must be zeroed by the caller.
+// `before_staging`, when set, runs between the post-scan sort and the first
+// StageAndDepositTile; without `finish_step` the pass ends after the reduce.
 EngineStepStats DepositSerial(HwContext& hw, DepositionEngine& engine,
-                              TileSet& tiles, FieldSet& fields) {
+                              TileSet& tiles, FieldSet& fields,
+                              const std::function<void()>& before_staging = {},
+                              bool finish_step = true) {
   EngineStepStats stats;
   const double cycles_before = hw.ledger().DepositionCycles();
   engine.BeginStep(tiles);
@@ -27,6 +35,9 @@ EngineStepStats DepositSerial(HwContext& hw, DepositionEngine& engine,
   engine.AccumulateScan(scan, &stats);
   engine.DeliverMovers(tiles, &stats);
   engine.PostScanGlobalSort(tiles, fields, &stats);
+  if (before_staging) {
+    before_staging();
+  }
   for (int t = 0; t < tiles.num_tiles(); ++t) {
     engine.StageAndDepositTile(hw, tiles, fields, kElectronCharge, t);
   }
@@ -34,6 +45,9 @@ EngineStepStats DepositSerial(HwContext& hw, DepositionEngine& engine,
     for (int t : color_class) {
       engine.ReduceTile(hw, tiles, fields, t);
     }
+  }
+  if (!finish_step) {
+    return stats;
   }
   DepositionEngine::FoldCurrentGuards(hw, fields);
   engine.FinishStep(tiles, fields,
@@ -303,6 +317,82 @@ TEST(Engine, MpuVariantsIssueMopasAndVpuVariantsDont) {
   mpu.Deposit();
   EXPECT_GT(mpu.hw.ledger().counters().mopas, 0u);
 }
+
+// ---- Chunked staging: staged operands stay out of DRAM ------------------------
+
+struct DepositPassCost {
+  double dram_lines_per_particle = 0.0;
+  double compute_cycles = 0.0;
+};
+
+// One serial scan, delivery, staging, deposit and reduce pass over every tile
+// (DepositSerial without its FinishStep). DRAM lines are counted from the
+// staging on: the scan's position reads belong to the sort.
+DepositPassCost MeasureDepositPass(Simulation& sim) {
+  HwContext& hw = sim.hw();
+  const double compute0 = hw.ledger().PhaseCycles(Phase::kCompute);
+  uint64_t misses0 = 0;
+  DepositSerial(
+      hw, sim.engine(), sim.tiles(), sim.fields(),
+      [&] { misses0 = hw.ledger().counters().l2_misses; }, /*finish_step=*/false);
+  DepositPassCost cost;
+  cost.dram_lines_per_particle =
+      static_cast<double>(hw.ledger().counters().l2_misses - misses0) /
+      static_cast<double>(sim.tiles().TotalLive());
+  cost.compute_cycles = hw.ledger().PhaseCycles(Phase::kCompute) - compute0;
+  return cost;
+}
+
+// The chunk-staged kernels stage each chunk of particles in deposit order and
+// consume it straight from L1: right after a global sort the pass moves few
+// DRAM lines per particle, and as the order decays between sorts only the
+// staging's SoA loads turn into gathers, so the kernel's compute phase holds.
+class ChunkedStaging
+    : public ::testing::TestWithParam<std::tuple<DepositVariant, int>> {};
+
+TEST_P(ChunkedStaging, StagedOperandsStayOutOfDram) {
+  const auto [variant, order] = GetParam();
+  HwContext hw(MachineConfig::Lx2());
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.tile = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 4;
+  p.order = order;
+  p.variant = variant;
+  ResortPolicyConfig never;
+  never.sort_interval = std::numeric_limits<int>::max();
+  never.trigger_rebuild_count = std::numeric_limits<int>::max();
+  never.trigger_empty_ratio = 0.0;
+  never.trigger_full_ratio = 1.0;
+  never.trigger_perf_enable = false;
+  p.policy = never;
+  auto sim = MakeUniformSimulation(hw, p);
+  ASSERT_EQ(sim->tiles().num_tiles(), 1);
+
+  const DepositPassCost sorted = MeasureDepositPass(*sim);
+  EXPECT_LE(sorted.dram_lines_per_particle, 2.0);
+
+  const int64_t sorts = sim->engine().total_global_sorts();
+  sim->Run(10);
+  ASSERT_EQ(sim->engine().total_global_sorts(), sorts) << "a re-sort fired";
+  const DepositPassCost decayed = MeasureDepositPass(*sim);
+  ASSERT_GT(sorted.compute_cycles, 0.0);
+  EXPECT_LE(decayed.compute_cycles, 1.5 * sorted.compute_cycles)
+      << "compute cycles: decayed " << decayed.compute_cycles << ", sorted "
+      << sorted.compute_cycles;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VariantOrder, ChunkedStaging,
+    ::testing::Combine(::testing::Values(DepositVariant::kFullOpt,
+                                         DepositVariant::kRhocellIncrSortVpu),
+                       ::testing::Values(1, 3)),
+    [](const ::testing::TestParamInfo<std::tuple<DepositVariant, int>>& info) {
+      return std::string(std::get<0>(info.param) == DepositVariant::kFullOpt
+                             ? "FullOpt"
+                             : "RhocellVpu") +
+             "_order_" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace mpic

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -20,6 +21,7 @@
 #include "src/core/diagnostics.h"
 #include "src/core/workloads.h"
 #include "src/deposit/esirkepov_mpu.h"
+#include "src/deposit/particle_iteration.h"
 #include "src/particles/species.h"
 
 namespace mpic {
@@ -76,7 +78,8 @@ struct MovedWorld {
   std::vector<double> x_old, y_old, z_old;
 };
 
-// Stage -> MPU combine -> reduce into a fresh FieldSet.
+// MPU combine (staging chunk by chunk inside) -> reduce into a fresh
+// FieldSet.
 template <int Order>
 void RunMpuPath(HwContext& hw, MovedWorld& world, const DepositParams& dp,
                 MpuScheduling scheduling, int sparse_fallback_ppc,
@@ -85,9 +88,9 @@ void RunMpuPath(HwContext& hw, MovedWorld& world, const DepositParams& dp,
   EsirkepovScratch scratch;
   TileCurrent tile_j;
   tile_j.Resize(world.tile, Order);
-  StageEsirkepovTile<Order>(hw, world.tile, dp, /*vpu=*/true, scratch);
   DepositEsirkepovMpuTile<Order>(hw, world.tile, dp, scheduling,
-                                 sparse_fallback_ppc, scratch, tile_j);
+                                 sparse_fallback_ppc, /*vpu_staging=*/true,
+                                 scratch, tile_j);
   ReduceEsirkepovToGrid(hw, tile_j, fields);
 }
 
@@ -95,8 +98,8 @@ void RunMpuPath(HwContext& hw, MovedWorld& world, const DepositParams& dp,
 // scale) so it matches the scalar reference to rounding, not bitwise.
 template <int Order>
 void ExpectMpuMatchesReference(MpuScheduling scheduling, double max_cell_step,
-                               uint64_t seed) {
-  MovedWorld world(10, 200, max_cell_step, seed);
+                               uint64_t seed, int n = 10, int count = 200) {
+  MovedWorld world(n, count, max_cell_step, seed);
   const double dt = 1.0e-15;
   const DepositParams dp = world.Params(dt);
   HwContext hw;
@@ -146,6 +149,29 @@ TEST_P(MpuVsReference, PairwiseOrder3) {
 
 INSTANTIATE_TEST_SUITE_P(StepSizes, MpuVsReference,
                          ::testing::Values(0.05, 0.9));
+
+int32_t MaxBinLen(const ParticleTile& tile) {
+  int32_t len = 0;
+  for (int cell = 0; cell < tile.gpma().num_cells(); ++cell) {
+    len = std::max(len, tile.gpma().BinLen(cell));
+  }
+  return len;
+}
+
+// Dense bins exercise the chunking of the cell-resident path: on a 7^3 grid
+// every bin holds at most half a chunk, so each chunk spans several whole
+// bins; on a 6^3 grid the densest bins outgrow a chunk and are staged on
+// their own.
+TEST(MpuVsReferenceDense, MultiBinChunks) {
+  ASSERT_LE(MaxBinLen(MovedWorld(7, 500, 0.5, 51).tile), kStageChunk / 2);
+  ExpectMpuMatchesReference<1>(MpuScheduling::kCellResident, 0.5, 51, 7, 500);
+  ExpectMpuMatchesReference<3>(MpuScheduling::kCellResident, 0.5, 51, 7, 500);
+}
+TEST(MpuVsReferenceDense, OversizedBins) {
+  ASSERT_GT(MaxBinLen(MovedWorld(6, 700, 0.5, 53).tile), kStageChunk);
+  ExpectMpuMatchesReference<1>(MpuScheduling::kCellResident, 0.5, 53, 6, 700);
+  ExpectMpuMatchesReference<3>(MpuScheduling::kCellResident, 0.5, 53, 6, 700);
+}
 
 // With the sparse threshold above every bin's population, the adaptive path
 // must take the VPU fallback everywhere: zero MOPAs issued and values bitwise
@@ -330,10 +356,10 @@ uint64_t DepositPassLookups(Simulation& sim) {
 }
 
 // Between global sorts the GPMA keeps every particle in its cell's bin, but a
-// bin's pids spread over the tile's slots, so one batch's pid span covers
-// hundreds of side-stream lines. The kernel gathers a side stream once its
-// span outgrows one gather, which keeps the decayed order's modeled traffic
-// near the freshly sorted order's.
+// bin's pids spread over the tile's slots. The kernel stages each chunk of
+// bins with indexed loads of the SoA streams (a gather per stream once a
+// batch's pids scatter) and reads the staged chunk back contiguously, which
+// keeps the decayed order's modeled traffic near the freshly sorted order's.
 TEST(EsirkepovMpuTraffic, DecayedOrderStaysNearSortedOrder) {
   HwContext hw(MachineConfig::Lx2());
   BunchedBeamParams p;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -218,6 +220,112 @@ TEST(EsirkepovStaged, ReduceZeroesTheScratch) {
       ASSERT_EQ(x, 0.0);
     }
   }
+}
+
+// The chunked StageChunk overload, per order and cost profile: a chunk of
+// scattered pids stages the values StageEsirkepovTile stages for the same
+// particles, bit for bit, and every charge lands in Phase::kPreproc.
+template <int Order>
+EsirkepovScratch StageEsirkepovAsChunk(HwContext& hw, MovedWorld& world,
+                                       bool vpu_staging,
+                                       const std::vector<int32_t>& pids) {
+  world.FillOldLanes();
+  EsirkepovScratch chunk;
+  chunk.Resize(pids.size(), Order);
+  StageChunk<Order>(hw, world.tile.soa(), world.Params(1e-15), vpu_staging,
+                    pids.data(), static_cast<int32_t>(pids.size()), chunk);
+  return chunk;
+}
+
+template <int Order>
+void ExpectEsirkepovChunkMatchesTile(bool vpu_staging) {
+  MovedWorld world(8, 120, 0.7, 4321 + Order);
+  world.FillOldLanes();
+  HwContext tile_hw;
+  EsirkepovScratch tile_scratch;
+  StageEsirkepovTile<Order>(tile_hw, world.tile, world.Params(1e-15),
+                            /*vpu_staging=*/false, tile_scratch);
+  // Every third pid, back to front: no two neighbours are consecutive.
+  std::vector<int32_t> pids;
+  for (int32_t pid = world.tile.num_slots() - 1; pid >= 0; pid -= 3) {
+    pids.push_back(pid);
+  }
+  HwContext hw;
+  const EsirkepovScratch chunk =
+      StageEsirkepovAsChunk<Order>(hw, world, vpu_staging, pids);
+  const auto stride = static_cast<size_t>(chunk.stride());
+  bool any_wide = false;
+  for (size_t k = 0; k < pids.size(); ++k) {
+    const auto i = static_cast<size_t>(pids[k]);
+    EXPECT_EQ(chunk.bx[k], tile_scratch.bx[i]);
+    EXPECT_EQ(chunk.by[k], tile_scratch.by[i]);
+    EXPECT_EQ(chunk.bz[k], tile_scratch.bz[i]);
+    EXPECT_EQ(std::memcmp(chunk.Win(k), tile_scratch.Win(i), sizeof(double) * stride),
+              0)
+        << "window block of chunk slot " << k;
+    EXPECT_EQ(chunk.qf[k], tile_scratch.qf[i]);
+    EXPECT_EQ(chunk.wide[k], tile_scratch.wide[i]);
+    any_wide = any_wide || chunk.wide[k] != 0;
+  }
+  EXPECT_TRUE(any_wide) << "no boundary crossing staged";
+  const CostLedger& ledger = hw.ledger();
+  EXPECT_GT(ledger.PhaseCycles(Phase::kPreproc), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.TotalCycles(), ledger.PhaseCycles(Phase::kPreproc));
+  if (!vpu_staging) {
+    EXPECT_EQ(ledger.counters().gathers, 0u);
+    EXPECT_EQ(ledger.counters().vpu_mem, 0u);
+  }
+}
+
+class EsirkepovChunkStager
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(EsirkepovChunkStager, MatchesTileStagingAndChargesPreproc) {
+  const auto [order, vpu_staging] = GetParam();
+  if (order == 1) {
+    ExpectEsirkepovChunkMatchesTile<1>(vpu_staging);
+  } else if (order == 2) {
+    ExpectEsirkepovChunkMatchesTile<2>(vpu_staging);
+  } else {
+    ExpectEsirkepovChunkMatchesTile<3>(vpu_staging);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OrderProfile, EsirkepovChunkStager,
+                         ::testing::Combine(::testing::Values(1, 2, 3),
+                                            ::testing::Bool()));
+
+// The VPU profile loads each of the seven consumed SoA streams of a batch by
+// the indexed-load rule: one vector load when the batch's pids are
+// consecutive, one gather otherwise. Its staged-stream stores are the same
+// either way.
+template <int Order>
+void ExpectEsirkepovBatchLoadsFollowPidOrder() {
+  MovedWorld world(8, 40, 0.5, 99);
+  std::vector<int32_t> consecutive;
+  std::vector<int32_t> scattered;
+  for (int32_t j = 0; j < kVpuLanes; ++j) {
+    consecutive.push_back(5 + j);
+    scattered.push_back(2 * j);
+  }
+  HwContext a;
+  StageEsirkepovAsChunk<Order>(a, world, true, consecutive);
+  HwContext b;
+  StageEsirkepovAsChunk<Order>(b, world, true, scattered);
+  const LedgerCounters& ca = a.ledger().counters();
+  const LedgerCounters& cb = b.ledger().counters();
+  EXPECT_EQ(ca.gathers, 0u);
+  EXPECT_EQ(cb.gathers, 7u);
+  EXPECT_EQ(ca.vpu_mem, cb.vpu_mem + 7u);
+  EXPECT_DOUBLE_EQ(a.ledger().TotalCycles(), a.ledger().PhaseCycles(Phase::kPreproc));
+  EXPECT_DOUBLE_EQ(b.ledger().TotalCycles(), b.ledger().PhaseCycles(Phase::kPreproc));
+}
+
+TEST(EsirkepovChunkStager, BatchLoadsFollowPidOrderOrder1) {
+  ExpectEsirkepovBatchLoadsFollowPidOrder<1>();
+}
+TEST(EsirkepovChunkStager, BatchLoadsFollowPidOrderOrder3) {
+  ExpectEsirkepovBatchLoadsFollowPidOrder<3>();
 }
 
 TEST(Esirkepov, StationaryParticleDepositsNothing) {

@@ -789,11 +789,11 @@ TEST(FmaKernels, MopaAndVFmaAreFused) {
 // pinned: its cycles depend on which cells the particles occupy, not on the
 // last bits of the host's libm. The single-core Esirkepov value needs the
 // serial path to register the SoA streams before staging reads them; without
-// that the reads missed the address map and the digest varied with ASLR. The
-// bunched_esirkepov values include the Esirkepov MPU kernel's side-stream
-// gathers (TouchGather once a batch's pid span outgrows one gather); they were
-// re-pinned for that rule, while the qsp, lwfa and collisions values, whose
-// gathers go through VGather, held.
+// that the reads missed the address map and the digest varied with ASLR. All
+// four workloads include chunked staging: the direct MPU and VPU rhocell
+// kernels (qsp, lwfa, collisions) and the Esirkepov MOPA combine
+// (bunched_esirkepov) stage one chunk of particles in deposit order and
+// consume it from L1.
 struct PinnedMachine {
   const char* name;
   MachineConfig cfg;
@@ -802,15 +802,15 @@ struct PinnedMachine {
 
 std::vector<PinnedMachine> PinnedMachines() {
   return {
-      {"Lx2", MachineConfig::Lx2(), 0x1b2d4705254ddb88ull, 0x6280974988f26af9ull,
-       0x86ced225de56453full, 0x02a0146d8fa35be8ull},
-      {"Lx2MultiCore4", MachineConfig::Lx2MultiCore(4), 0xb597a9ab6459fdcbull,
-       0x52845178abd01192ull, 0x6a8ed20af67baac3ull, 0x24781ac8acb633deull},
+      {"Lx2", MachineConfig::Lx2(), 0x15db5b5089958c03ull, 0x53ae8b874e6a1f57ull,
+       0xf1b60829c554c884ull, 0xa39ca388e1674ec5ull},
+      {"Lx2MultiCore4", MachineConfig::Lx2MultiCore(4), 0x3b31a77ab1fd5fdbull,
+       0xd4bd8171a26ff0eeull, 0xe3b0439b51570aecull, 0xc8884ec661f1802bull},
       {"Lx2MultiCoreNuma4x2", MachineConfig::Lx2MultiCoreNuma(4, 2),
-       0x793ddc6eb4d75e5cull, 0x736e55cac67c6d39ull, 0x7af7c13db856b1f2ull,
-       0xc5084b645e90f76cull},
-      {"Lx2Cluster2x2", MachineConfig::Lx2Cluster(2, 2), 0xbf578ec988fdc71eull,
-       0xe3f4decd7d36dee0ull, 0xc2aa26e3e630c335ull, 0xe099145b34c55a0eull},
+       0x1cbf534ba70c53d4ull, 0x52a9587b5121aaa0ull, 0x09fe6aa8f1b60508ull,
+       0x2e69124f193835e0ull},
+      {"Lx2Cluster2x2", MachineConfig::Lx2Cluster(2, 2), 0x19ed477996154f62ull,
+       0x47fae7325c55008full, 0x0420d457b7e2f582ull, 0x41856dbd9cdfb0c7ull},
   };
 }
 

@@ -12,7 +12,6 @@
 #include "src/core/diagnostics.h"
 #include "src/core/workloads.h"
 #include "src/deposit/esirkepov.h"
-#include "src/push/vay_pusher.h"
 
 namespace mpic {
 namespace {
@@ -174,74 +173,6 @@ TEST(GaussLaw, EsirkepovConservesMultiSpecies) {
   p.species_params = {electrons, protons};
   const double drift = GaussResidualChangeAfterRun(p, 4, 10);
   EXPECT_LT(drift, 1e-8);
-}
-
-// ---------------------------------------------------------------------------
-// Vay pusher
-// ---------------------------------------------------------------------------
-
-TEST(Vay, MatchesBorisInPureEField) {
-  double bux = 0.0, buy = 0.0, buz = 0.0;
-  double vux = 0.0, vuy = 0.0, vuz = 0.0;
-  const double qdt2m = kElectronCharge * 1e-12 / (2.0 * kElectronMass);
-  for (int i = 0; i < 50; ++i) {
-    BorisStep(1e4, 2e3, -3e3, 0, 0, 0, qdt2m, &bux, &buy, &buz);
-    VayStep(1e4, 2e3, -3e3, 0, 0, 0, qdt2m, &vux, &vuy, &vuz);
-  }
-  EXPECT_NEAR(bux, vux, std::fabs(bux) * 1e-9);
-  EXPECT_NEAR(buy, vuy, std::fabs(buy) * 1e-9);
-  EXPECT_NEAR(buz, vuz, std::fabs(buz) * 1e-9);
-}
-
-TEST(Vay, GyrationPreservesSpeed) {
-  const double b = 0.01;
-  const double u0 = 0.05 * kSpeedOfLight;
-  const double gamma = std::sqrt(1.0 + (u0 / kSpeedOfLight) * (u0 / kSpeedOfLight));
-  const double omega_c = std::fabs(kElectronCharge) * b / (gamma * kElectronMass);
-  const double dt = 0.02 / omega_c;
-  const double qdt2m = kElectronCharge * dt / (2.0 * kElectronMass);
-  double ux = u0, uy = 0.0, uz = 0.0;
-  for (int i = 0; i < 500; ++i) {
-    VayStep(0, 0, 0, 0, 0, b, qdt2m, &ux, &uy, &uz);
-    ASSERT_NEAR(std::sqrt(ux * ux + uy * uy + uz * uz), u0, u0 * 1e-9);
-  }
-}
-
-TEST(Vay, ExactExBDriftFirstStep) {
-  // Vay's defining property: a particle starting exactly at the E x B drift
-  // velocity stays there (Boris would wobble).
-  const double e = 1e5;
-  const double b = 0.05;
-  const double v_drift = e / b;  // E in y, B in z -> drift in +x
-  const double gamma =
-      1.0 / std::sqrt(1.0 - (v_drift / kSpeedOfLight) * (v_drift / kSpeedOfLight));
-  double ux = gamma * v_drift, uy = 0.0, uz = 0.0;
-  const double omega_c = std::fabs(kElectronCharge) * b / kElectronMass;
-  const double qdt2m = kElectronCharge * (0.1 / omega_c) / (2.0 * kElectronMass);
-  for (int i = 0; i < 100; ++i) {
-    VayStep(0.0, e, 0.0, 0.0, 0.0, b, qdt2m, &ux, &uy, &uz);
-  }
-  EXPECT_NEAR(ux, gamma * v_drift, gamma * v_drift * 1e-9);
-  EXPECT_NEAR(uy, 0.0, gamma * v_drift * 1e-9);
-}
-
-TEST(Vay, TilePushMovesParticles) {
-  ParticleTile tile(0, 0, 0, 4, 4, 4);
-  Particle p;
-  p.x = p.y = p.z = 2.0;
-  p.uy = 0.05 * kSpeedOfLight;
-  tile.AddParticle(p);
-  GatherScratch gathered;
-  gathered.Resize(1);
-  HwContext hw;
-  PushParams pp;
-  pp.dt = 1e-9;
-  pp.charge = kElectronCharge;
-  pp.mass = kElectronMass;
-  PushTileVay(hw, tile, gathered, pp);
-  const double gamma = std::sqrt(1.0 + 0.0025);
-  EXPECT_NEAR(tile.soa().y[0], 2.0 + 0.05 * kSpeedOfLight / gamma * 1e-9, 1e-12);
-  EXPECT_GT(hw.ledger().PhaseCycles(Phase::kPush), 0.0);
 }
 
 // ---------------------------------------------------------------------------
