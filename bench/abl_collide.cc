@@ -2,26 +2,22 @@
 // collisional-relaxation workload, with and without collisions, at 1 and 4
 // modeled cores (see src/collide/collision.h).
 //
-// Per (cores, collisions) it prints modeled cycles per step with the
-// collide-phase share and FNV digests of the fields and of the particle
-// state. Invariants enforced (non-zero exit on violation):
+// Per (cores, collisions) it prints modeled cycles per step over the steps
+// after Initialize, with the collide-phase share and FNV digests of the
+// fields and of the particle state. Invariants enforced (non-zero exit on
+// violation):
 //   1. digests are bit-identical across core/thread counts — the per-cell
 //      counter-based RNG streams make the collision stage
 //      schedule-independent;
 //   2. Phase::kCollide is charged when collisions run and is exactly zero
 //      when they are disabled (and collisions actually change the physics:
-//      the on/off particle digests differ);
-//   3. the per-phase breakdown sums exactly to the total in every run.
+//      the on/off particle digests differ).
+// MeasureWindow aborts if any phase's cycles are not finite.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -29,68 +25,34 @@
 namespace mpic {
 namespace {
 
-// Digest of every species' live particle state (positions + momenta +
-// weights, in slot order). Fields alone lag the final step's collisions —
-// those momenta only reach J on the next deposit.
-uint64_t ParticlesDigest(const Simulation& sim) {
-  uint64_t h = 1469598103934665603ull;
-  for (int sid = 0; sid < sim.num_species(); ++sid) {
-    const TileSet& tiles = sim.block(sid).tiles;
-    for (int t = 0; t < tiles.num_tiles(); ++t) {
-      const ParticleTile& tile = tiles.tile(t);
-      const ParticleSoA& soa = tile.soa();
-      for (int32_t pid = 0; pid < tile.num_slots(); ++pid) {
-        if (!tile.IsLive(pid)) {
-          continue;
-        }
-        const auto i = static_cast<size_t>(pid);
-        const double v[7] = {soa.x[i],  soa.y[i],  soa.z[i], soa.ux[i],
-                             soa.uy[i], soa.uz[i], soa.w[i]};
-        h = Fnv1a(v, sizeof(v), h);
-      }
-    }
-  }
-  return h;
-}
-
 struct CollidePoint {
-  double total = 0.0;
-  double collide = 0.0;
-  bool phases_sum = false;
+  WindowRecord window;
   uint64_t fields_digest = 0;
   uint64_t particles_digest = 0;
 };
 
 CollidePoint RunPoint(int cores, bool collisions, int steps) {
-#ifdef _OPENMP
-  omp_set_num_threads(cores);
-#endif
+  SetThreads(cores);
   CollisionalRelaxationParams p;
   p.coulomb_log = 300.0;
   p.collisions_enabled = collisions;
   HwContext hw(MachineConfig::Lx2MultiCore(cores));
   auto sim = MakeCollisionalRelaxationSimulation(hw, p);
-  sim->Run(steps);
   CollidePoint r;
-  r.total = hw.ledger().TotalCycles();
-  r.collide = hw.ledger().PhaseCycles(Phase::kCollide);
-  double phase_sum = 0.0;
-  for (int ph = 0; ph < kNumPhases; ++ph) {
-    phase_sum += hw.ledger().PhaseCycles(static_cast<Phase>(ph));
-  }
-  r.phases_sum = std::abs(phase_sum - r.total) <= 1e-6 * r.total;
+  r.window = MeasureWindow(*sim, /*warmup=*/0, steps);
   r.fields_digest = FieldsDigest(sim->fields());
-  r.particles_digest = ParticlesDigest(*sim);
+  // Every species' particle storage. Fields alone lag the final step's
+  // collisions: those momenta only reach J on the next deposit.
+  r.particles_digest = kFnvOffsetBasis;
+  for (int sid = 0; sid < sim->num_species(); ++sid) {
+    r.particles_digest =
+        Mix64(r.particles_digest ^ ParticlesDigest(sim->block(sid).tiles));
+  }
   return r;
 }
 
 bool Run(int steps) {
-#ifdef _OPENMP
-  std::printf("OpenMP enabled, %d host thread(s) available.\n",
-              omp_get_max_threads());
-#else
-  std::printf("Built without OpenMP: partitions run serially.\n");
-#endif
+  PrintThreadBanner();
 
   struct Row {
     int cores;
@@ -105,10 +67,12 @@ bool Run(int steps) {
     for (bool collisions : {true, false}) {
       const CollidePoint r = RunPoint(cores, collisions, steps);
       rows.push_back({cores, collisions, r});
-      ok = ok && r.phases_sum;
+      const double total = r.window.cycles;
+      const double collide =
+          r.window.phase_cycles[static_cast<size_t>(Phase::kCollide)];
       t.AddRow({std::to_string(cores), collisions ? "on" : "off",
-                FormatSci(r.total / steps, 3), FormatSci(r.collide / steps, 2),
-                FormatSci(100.0 * r.collide / r.total, 2),
+                FormatSci(total / steps, 3), FormatSci(collide / steps, 2),
+                FormatSci(100.0 * collide / total, 2),
                 DigestHex(r.fields_digest), DigestHex(r.particles_digest)});
     }
   }
@@ -135,11 +99,13 @@ bool Run(int steps) {
   }
   // Invariant 2: collide phase charged iff collisions run, and they matter.
   for (const Row& row : rows) {
-    if (row.collisions && row.pt.collide <= 0.0) {
+    const double collide =
+        row.pt.window.phase_cycles[static_cast<size_t>(Phase::kCollide)];
+    if (row.collisions && collide <= 0.0) {
       std::printf("NO COLLIDE CYCLES CHARGED (BUG!): cores=%d\n", row.cores);
       ok = false;
     }
-    if (!row.collisions && row.pt.collide != 0.0) {
+    if (!row.collisions && collide != 0.0) {
       std::printf("COLLIDE CYCLES WITHOUT COLLISIONS (BUG!): cores=%d\n",
                   row.cores);
       ok = false;
@@ -161,10 +127,7 @@ bool Run(int steps) {
 }  // namespace mpic
 
 int main(int argc, char** argv) {
-  int steps = argc > 1 ? std::atoi(argv[1]) : 6;
-  if (steps < 1) {
-    std::fprintf(stderr, "usage: %s [steps >= 1]; using default\n", argv[0]);
-    steps = 6;
-  }
-  return mpic::Run(steps) ? 0 : 1;
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv, {{"steps", 6, 1, mpic::kMaxBenchSteps}});
+  return mpic::Run(args[0]) ? 0 : 1;
 }

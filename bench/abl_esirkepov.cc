@@ -17,16 +17,10 @@
 //      conservation claim (the staged scalar kernel sat at 2.1-3.3x). A VPU
 //      variant is reported alongside, ungated, as the contrast row.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -41,18 +35,15 @@ constexpr double kDirectDriftFloor = 1e-6;
 constexpr double kMaxMpuEsirkepovRatio = 1.3;
 
 struct SchemePoint {
+  WindowRecord window;
   double cycles_per_step = 0.0;
   uint64_t digest = 0;
   double residual = 0.0;
-  uint64_t mopas = 0;
-  uint64_t mopa_valid_slots = 0;
 };
 
 SchemePoint RunPoint(int order, DepositVariant variant, CurrentScheme scheme,
                      int cores, int steps) {
-#ifdef _OPENMP
-  omp_set_num_threads(cores);
-#endif
+  SetThreads(cores);
   HwContext hw(MachineConfig::Lx2MultiCore(cores));
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 12;
@@ -68,32 +59,24 @@ SchemePoint RunPoint(int order, DepositVariant variant, CurrentScheme scheme,
   const FieldArray rho0 = DepositChargeDensity(*sim);
   FieldArray res0(g.nx, g.ny, g.nz, 2);
   GaussResidualField(sim->fields(), rho0, &res0);
-  const double total_before = hw.ledger().TotalCycles();
-  const uint64_t mopas0 = hw.ledger().counters().mopas;
-  const uint64_t valid0 = hw.ledger().counters().mopa_valid_slots;
 
-  sim->Run(steps);
+  // The window closes before the second charge deposit, which charges the
+  // ledger too.
+  SchemePoint r;
+  r.window = MeasureWindow(*sim, /*warmup=*/0, steps);
 
   const FieldArray rho1 = DepositChargeDensity(*sim);
   FieldArray res1(g.nx, g.ny, g.nz, 2);
   GaussResidualField(sim->fields(), rho1, &res1);
 
-  SchemePoint r;
-  r.cycles_per_step = (hw.ledger().TotalCycles() - total_before) / steps;
+  r.cycles_per_step = r.window.cycles / steps;
   r.digest = FieldsDigest(sim->fields());
   r.residual = MaxResidualChange(res1, res0, GaussResidualScale(rho0));
-  r.mopas = hw.ledger().counters().mopas - mopas0;
-  r.mopa_valid_slots = hw.ledger().counters().mopa_valid_slots - valid0;
   return r;
 }
 
 bool Run(int steps) {
-#ifdef _OPENMP
-  std::printf("OpenMP enabled, %d host thread(s) available.\n",
-              omp_get_max_threads());
-#else
-  std::printf("Built without OpenMP: partitions run serially.\n");
-#endif
+  PrintThreadBanner();
 
   ConsoleTable t({"Order", "Cores", "Scheme", "Cycles/step", "Esirk/direct",
                   "Gauss residual", "Digest"});
@@ -174,14 +157,13 @@ bool Run(int steps) {
                     "%.2f MPU gate (BUG!)\n",
                     VariantName(row.v), order, ratio, kMaxMpuEsirkepovRatio);
       }
-      const double occ = MpuOccupancy(esirk.mopas, esirk.mopa_valid_slots);
       mt.AddRow({VariantName(row.v), std::to_string(order),
                  FormatSci(direct.cycles_per_step, 3),
                  FormatSci(esirk.cycles_per_step, 3), FormatDouble(ratio, 3),
                  row.gated ? (within ? "<= 1.3 ok" : "EXCEEDED") : "(ungated)",
-                 esirk.mopas == 0
+                 esirk.window.counters.mopas == 0
                      ? std::string("-")
-                     : FormatDouble(100.0 * occ, 1) + "%"});
+                     : FormatDouble(100.0 * esirk.window.mpu_occupancy, 1) + "%"});
     }
   }
   mt.Print("Esirkepov cost across variants (1 core): the MOPA kernel "
@@ -193,10 +175,7 @@ bool Run(int steps) {
 }  // namespace mpic
 
 int main(int argc, char** argv) {
-  int steps = argc > 1 ? std::atoi(argv[1]) : 8;
-  if (steps < 1) {
-    std::fprintf(stderr, "usage: %s [steps >= 1]; using default\n", argv[0]);
-    steps = 8;
-  }
-  return mpic::Run(steps) ? 0 : 1;
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv, {{"steps", 8, 1, mpic::kMaxBenchSteps}});
+  return mpic::Run(args[0]) ? 0 : 1;
 }

@@ -40,16 +40,16 @@ void Run() {
     for (const Config& c : configs) {
       UniformWorkloadParams p = BaseParams(order);
       p.variant = c.v;
-      const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/2);
+      HwContext hw;
+      const WindowRecord r =
+          MeasureWindow(*MakeUniformSimulation(hw, p), /*warmup=*/1, /*steps=*/2);
       t.AddRow({std::to_string(order), c.scheduling, c.staging,
                 FormatDouble(r.report.deposition_seconds, 4),
                 FormatDouble(PhaseSec(r.report, Phase::kCompute) +
                                  PhaseSec(r.report, Phase::kReduce),
                              4),
                 FormatDouble(PhaseSec(r.report, Phase::kPreproc), 4),
-                FormatDouble(100.0 * MpuOccupancy(r.mopas, r.mopa_valid_slots),
-                             1) +
-                    "%"});
+                FormatDouble(100.0 * r.mpu_occupancy, 1) + "%"});
     }
   }
   t.Print("Ablation A2: MPU scheduling x staging (PPC=128)");
@@ -71,15 +71,15 @@ void Run() {
       UniformWorkloadParams p = BaseParams(order);
       p.variant = v;
       p.scheme = CurrentScheme::kEsirkepov;
-      const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/2);
+      HwContext hw;
+      const WindowRecord r =
+          MeasureWindow(*MakeUniformSimulation(hw, p), /*warmup=*/1, /*steps=*/2);
       et.AddRow({std::to_string(order),
                  v == DepositVariant::kFullOpt ? "cell-resident" : "pairwise",
-                 FormatDouble(static_cast<double>(r.mopas) /
+                 FormatDouble(static_cast<double>(r.counters.mopas) /
                                   static_cast<double>(r.particles),
                               3),
-                 FormatDouble(100.0 * MpuOccupancy(r.mopas, r.mopa_valid_slots),
-                              1) +
-                     "%"});
+                 FormatDouble(100.0 * r.mpu_occupancy, 1) + "%"});
     }
   }
   et.Print("Esirkepov MOPA utilization (PPC=128, thermal drift)");

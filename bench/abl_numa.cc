@@ -24,34 +24,16 @@
 // Prints the critical-path phase breakdown of the bunched sticky run and
 // emits machine-readable BENCH_numa.json next to the console tables.
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "bench/bench_util.h"
 #include "src/common/table.h"
-#include "src/hw/tile_scheduler.h"
 
 namespace mpic {
 namespace {
-
-struct NumaPoint {
-  double cycles = 0.0;  // modeled cycles over the measured window
-  uint64_t digest = 0;  // SimulationDigest after the full run
-  uint64_t stolen = 0, stolen_remote = 0;
-  double steal_cycles = 0.0;
-  uint64_t remote_lines = 0, l2_misses = 0;
-  double remote_cycles = 0.0;
-  std::array<double, kNumPhases> phase_cycles{};
-};
 
 struct PointConfig {
   int cores = 4;
@@ -61,61 +43,16 @@ struct PointConfig {
   bool sticky = true;
 };
 
-using MakeSim = std::function<std::unique_ptr<Simulation>(HwContext&)>;
-
-NumaPoint RunPoint(const PointConfig& pc, int warmup, int steps,
-                   const MakeSim& make_sim) {
-#ifdef _OPENMP
-  omp_set_num_threads(pc.threads);
-#endif
+WindowRecord RunPoint(const PointConfig& pc, int warmup, int steps,
+                      const BenchWorkload& workload) {
+  SetThreads(pc.threads);
   MachineConfig cfg = pc.policy == TileSchedulePolicy::kCostSteal
                           ? MachineConfig::Lx2MultiCoreNuma(pc.cores, pc.domains)
                           : MachineConfig::Lx2MultiCore(pc.cores);
   cfg.num_numa_domains = pc.domains;
   cfg.sticky_placement = pc.sticky;
   HwContext hw(cfg);
-  std::unique_ptr<Simulation> sim = make_sim(hw);
-  sim->Run(warmup);
-  const double cycles0 = hw.ledger().TotalCycles();
-  const LedgerCounters c0 = hw.ledger().counters();
-  std::array<double, kNumPhases> phase0{};
-  for (int p = 0; p < kNumPhases; ++p) {
-    phase0[static_cast<size_t>(p)] =
-        hw.ledger().PhaseCycles(static_cast<Phase>(p));
-  }
-  sim->Run(steps);
-  const LedgerCounters& c1 = hw.ledger().counters();
-  NumaPoint r;
-  r.cycles = hw.ledger().TotalCycles() - cycles0;
-  for (int p = 0; p < kNumPhases; ++p) {
-    r.phase_cycles[static_cast<size_t>(p)] =
-        hw.ledger().PhaseCycles(static_cast<Phase>(p)) -
-        phase0[static_cast<size_t>(p)];
-  }
-  r.stolen = c1.tasks_stolen - c0.tasks_stolen;
-  r.stolen_remote = c1.tasks_stolen_remote - c0.tasks_stolen_remote;
-  r.steal_cycles = c1.steal_cycles - c0.steal_cycles;
-  r.remote_lines = c1.remote_lines - c0.remote_lines;
-  r.l2_misses = c1.l2_misses - c0.l2_misses;
-  r.remote_cycles = c1.remote_cycles - c0.remote_cycles;
-  r.digest = SimulationDigest(*sim);
-  return r;
-}
-
-BunchedBeamParams BunchedParams() {
-  BunchedBeamParams p;
-  p.nx = p.ny = p.nz = 16;
-  p.tile = 4;
-  p.ppc_x = p.ppc_y = p.ppc_z = 4;
-  return p;
-}
-
-UniformWorkloadParams UniformParams() {
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 16;
-  p.tile = 4;
-  p.ppc_x = p.ppc_y = p.ppc_z = 3;
-  return p;
+  return MeasureWindow(*workload.make(hw), warmup, steps);
 }
 
 LwfaWorkloadParams LwfaParams() {
@@ -137,47 +74,32 @@ BunchedBeamParams SmallBunchedParams() {
   return p;
 }
 
-double RemoteShare(const NumaPoint& r) {
-  return r.l2_misses == 0
-             ? 0.0
-             : static_cast<double>(r.remote_lines) /
-                   static_cast<double>(r.l2_misses);
+double RemoteShare(const LedgerCounters& c) {
+  return c.l2_misses == 0 ? 0.0
+                          : static_cast<double>(c.remote_lines) /
+                                static_cast<double>(c.l2_misses);
 }
 
 bool Run(int warmup, int steps) {
-#ifdef _OPENMP
-  std::printf("OpenMP enabled, %d host thread(s) available.\n",
-              omp_get_max_threads());
-#else
-  std::printf("Built without OpenMP: partitions run serially.\n");
-#endif
+  PrintThreadBanner();
 
   JsonWriter json;
   json.Field("bench", "abl_numa");
   json.Field("warmup", warmup);
   json.Field("steps", steps);
 
-  struct Workload {
-    const char* name;
-    MakeSim make;
-  };
-  const std::vector<Workload> workloads = {
-      {"bunched",
-       [](HwContext& hw) { return MakeBunchedBeamSimulation(hw, BunchedParams()); }},
-      {"uniform",
-       [](HwContext& hw) { return MakeUniformSimulation(hw, UniformParams()); }},
-      {"lwfa",
-       [](HwContext& hw) { return MakeLwfaSimulation(hw, LwfaParams()); }},
-  };
+  std::vector<BenchWorkload> workloads = SchedulerWorkloads();
+  workloads.push_back(
+      {"lwfa", [](HwContext& hw) { return MakeLwfaSimulation(hw, LwfaParams()); }});
 
   // ---- Headline grid: 4 cores, domains {1,2}, naive vs sticky -------------
   bool digests_ok = true;
-  NumaPoint bunched_naive2, bunched_sticky2, uniform_naive2, uniform_sticky2;
+  WindowRecord bunched_naive2, bunched_sticky2, uniform_naive2, uniform_sticky2;
   json.BeginArray("runs");
   ConsoleTable t({"Workload", "Domains", "Placement", "Model cycles",
                   "vs naive", "Stolen (loc/rem)", "Remote lines", "Rem share",
                   "Digest"});
-  for (const Workload& w : workloads) {
+  for (const BenchWorkload& w : workloads) {
     uint64_t ref_digest = 0;
     bool have_ref = false;
     for (const int domains : {1, 2}) {
@@ -187,12 +109,13 @@ bool Run(int warmup, int steps) {
         pc.cores = 4;
         pc.domains = domains;
         pc.sticky = sticky;
-        const NumaPoint r = RunPoint(pc, warmup, steps, w.make);
+        const WindowRecord r = RunPoint(pc, warmup, steps, w);
+        const LedgerCounters& c = r.counters;
         if (!have_ref) {
-          ref_digest = r.digest;
+          ref_digest = r.sim_digest;
           have_ref = true;
         }
-        digests_ok = digests_ok && r.digest == ref_digest;
+        digests_ok = digests_ok && r.sim_digest == ref_digest;
         if (!sticky) {
           naive_cycles = r.cycles;
         }
@@ -211,21 +134,21 @@ bool Run(int warmup, int steps) {
         json.Field("placement", placement);
         json.Field("cycles", r.cycles);
         json.Field("vs_naive", ratio);
-        json.Field("tasks_stolen", r.stolen);
-        json.Field("tasks_stolen_remote", r.stolen_remote);
-        json.Field("steal_cycles", r.steal_cycles);
-        json.Field("remote_lines", r.remote_lines);
-        json.Field("remote_cycles", r.remote_cycles);
-        json.Field("remote_share", RemoteShare(r));
-        json.Field("digest", DigestHex(r.digest));
+        json.Field("tasks_stolen", c.tasks_stolen);
+        json.Field("tasks_stolen_remote", c.tasks_stolen_remote);
+        json.Field("steal_cycles", c.steal_cycles);
+        json.Field("remote_lines", c.remote_lines);
+        json.Field("remote_cycles", c.remote_cycles);
+        json.Field("remote_share", RemoteShare(c));
+        json.Field("digest", DigestHex(r.sim_digest));
         json.EndObject();
         char share[24];
-        std::snprintf(share, sizeof(share), "%.3f", RemoteShare(r));
+        std::snprintf(share, sizeof(share), "%.3f", RemoteShare(c));
         t.AddRow({w.name, std::to_string(domains), placement,
                   FormatSci(r.cycles, 4), FormatDouble(ratio, 3),
-                  std::to_string(r.stolen - r.stolen_remote) + "/" +
-                      std::to_string(r.stolen_remote),
-                  std::to_string(r.remote_lines), share, DigestHex(r.digest)});
+                  std::to_string(c.tasks_stolen - c.tasks_stolen_remote) + "/" +
+                      std::to_string(c.tasks_stolen_remote),
+                  std::to_string(c.remote_lines), share, DigestHex(r.sim_digest)});
       }
     }
   }
@@ -240,11 +163,12 @@ bool Run(int warmup, int steps) {
       std::printf("  %-8s %.3e\n", PhaseName(static_cast<Phase>(p)), c);
     }
   }
+  const LedgerCounters& sticky = bunched_sticky2.counters;
   std::printf("  steals: %llu local + %llu remote, %.3e cycles overhead\n",
-              static_cast<unsigned long long>(bunched_sticky2.stolen -
-                                              bunched_sticky2.stolen_remote),
-              static_cast<unsigned long long>(bunched_sticky2.stolen_remote),
-              bunched_sticky2.steal_cycles);
+              static_cast<unsigned long long>(sticky.tasks_stolen -
+                                              sticky.tasks_stolen_remote),
+              static_cast<unsigned long long>(sticky.tasks_stolen_remote),
+              sticky.steal_cycles);
 
   // ---- Determinism matrix on the reduced bunched beam ---------------------
   // Digests must match across everything; cycles and digests must match
@@ -253,9 +177,9 @@ bool Run(int warmup, int steps) {
   bool omp_identical = true;
   uint64_t matrix_ref = 0;
   bool have_matrix_ref = false;
-  const MakeSim make = [](HwContext& hw) {
+  const BenchWorkload small = {"bunched 8^3", [](HwContext& hw) {
     return MakeBunchedBeamSimulation(hw, SmallBunchedParams());
-  };
+  }};
   for (const TileSchedulePolicy policy :
        {TileSchedulePolicy::kStatic, TileSchedulePolicy::kCostSteal}) {
     for (const int domains : {1, 2, 4}) {
@@ -265,17 +189,17 @@ bool Run(int warmup, int steps) {
         pc.domains = domains;
         pc.policy = policy;
         pc.threads = 4;
-        const NumaPoint r4 = RunPoint(pc, /*warmup=*/1, /*steps=*/3, make);
+        const WindowRecord r4 = RunPoint(pc, /*warmup=*/1, /*steps=*/3, small);
         pc.threads = 1;
-        const NumaPoint r1 = RunPoint(pc, /*warmup=*/1, /*steps=*/3, make);
+        const WindowRecord r1 = RunPoint(pc, /*warmup=*/1, /*steps=*/3, small);
         if (!have_matrix_ref) {
-          matrix_ref = r4.digest;
+          matrix_ref = r4.sim_digest;
           have_matrix_ref = true;
         }
-        matrix_digests_ok = matrix_digests_ok && r4.digest == matrix_ref &&
-                            r1.digest == matrix_ref;
+        matrix_digests_ok = matrix_digests_ok && r4.sim_digest == matrix_ref &&
+                            r1.sim_digest == matrix_ref;
         omp_identical = omp_identical && r1.cycles == r4.cycles &&
-                        r1.digest == r4.digest;
+                        r1.sim_digest == r4.sim_digest;
       }
     }
   }
@@ -287,9 +211,9 @@ bool Run(int warmup, int steps) {
 
   // ---- Gates --------------------------------------------------------------
   const double remote_cut =
-      bunched_naive2.remote_lines > 0
-          ? 1.0 - static_cast<double>(bunched_sticky2.remote_lines) /
-                      static_cast<double>(bunched_naive2.remote_lines)
+      bunched_naive2.counters.remote_lines > 0
+          ? 1.0 - static_cast<double>(bunched_sticky2.counters.remote_lines) /
+                      static_cast<double>(bunched_naive2.counters.remote_lines)
           : 0.0;
   const double uniform_regression =
       uniform_naive2.cycles > 0.0
@@ -351,13 +275,9 @@ bool Run(int warmup, int steps) {
 }  // namespace mpic
 
 int main(int argc, char** argv) {
-  int warmup = argc > 1 ? std::atoi(argv[1]) : 2;
-  int steps = argc > 2 ? std::atoi(argv[2]) : 6;
-  if (warmup < 1 || steps < 1) {
-    std::fprintf(stderr, "usage: %s [warmup >= 1] [steps >= 1]; using defaults\n",
-                 argv[0]);
-    warmup = warmup < 1 ? 2 : warmup;
-    steps = steps < 1 ? 6 : steps;
-  }
-  return mpic::Run(warmup, steps) ? 0 : 1;
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv,
+      {{"warmup", 2, 1, mpic::kMaxBenchSteps},
+       {"steps", 6, 1, mpic::kMaxBenchSteps}});
+  return mpic::Run(args[0], args[1]) ? 0 : 1;
 }

@@ -10,17 +10,10 @@
 // A physics digest (FNV-1a over the raw J/E bytes) is printed per row and must
 // be identical down the column: tile-parallel execution is bit-deterministic.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -34,26 +27,14 @@ struct ScalingPoint {
   uint64_t digest = 0;
 };
 
-ScalingPoint RunPoint(DepositVariant variant, int cores, int warmup, int steps,
-                      int ppc1d) {
-#ifdef _OPENMP
-  omp_set_num_threads(cores);
-#endif
+ScalingPoint RunPoint(DepositVariant variant, int cores, int warmup, int steps) {
+  SetThreads(cores);
   HwContext hw(MachineConfig::Lx2MultiCore(cores));
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 16;
-  p.tile = 8;  // paper Table 4: particles.tile_size = 8x8x8
-  p.ppc_x = p.ppc_y = p.ppc_z = ppc1d;
-  p.variant = variant;
-  auto sim = MakeUniformSimulation(hw, p);
-  sim->Run(warmup);
-  const double cycles_before = hw.ledger().TotalCycles();
-  const auto t0 = std::chrono::steady_clock::now();
-  sim->Run(steps);
-  const auto t1 = std::chrono::steady_clock::now();
+  auto sim = MakeUniformSimulation(hw, PaperUniformParams({4, 4, 4}, variant));
+  const WindowRecord w = MeasureWindow(*sim, warmup, steps);
   ScalingPoint r;
-  r.host_wall = std::chrono::duration<double>(t1 - t0).count();
-  r.model_wall = hw.cfg().CyclesToSeconds(hw.ledger().TotalCycles() - cycles_before);
+  r.host_wall = w.host_seconds;
+  r.model_wall = hw.cfg().CyclesToSeconds(w.cycles);
   r.digest = FieldsDigest(sim->fields());
   return r;
 }
@@ -66,12 +47,7 @@ bool Run(int steps, int max_cores) {
     core_counts.push_back(c);
   }
 
-#ifdef _OPENMP
-  std::printf("OpenMP enabled, %d host thread(s) available.\n",
-              omp_get_max_threads());
-#else
-  std::printf("Built without OpenMP: partitions run serially.\n");
-#endif
+  PrintThreadBanner();
 
   ConsoleTable t({"Config", "Cores", "Host wall (s)", "Host speedup",
                   "Model wall (s)", "Model speedup", "Physics digest"});
@@ -80,19 +56,16 @@ bool Run(int steps, int max_cores) {
     double host1 = 0.0, model1 = 0.0;
     uint64_t digest1 = 0;
     for (int cores : core_counts) {
-      const ScalingPoint r = RunPoint(v, cores, /*warmup=*/1, steps, /*ppc1d=*/4);
+      const ScalingPoint r = RunPoint(v, cores, /*warmup=*/1, steps);
       if (cores == 1) {
         host1 = r.host_wall;
         model1 = r.model_wall;
         digest1 = r.digest;
       }
       all_identical = all_identical && r.digest == digest1;
-      char digest_hex[32];
-      std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                    static_cast<unsigned long long>(r.digest));
       t.AddRow({VariantName(v), std::to_string(cores), FormatDouble(r.host_wall, 3),
                 FormatDouble(host1 / r.host_wall, 2), FormatSci(r.model_wall, 3),
-                FormatDouble(model1 / r.model_wall, 2), digest_hex});
+                FormatDouble(model1 / r.model_wall, 2), DigestHex(r.digest)});
     }
   }
   t.Print("OpenMP scaling ablation: uniform plasma 16^3, PPC 64");
@@ -108,13 +81,9 @@ bool Run(int steps, int max_cores) {
 }  // namespace mpic
 
 int main(int argc, char** argv) {
-  int steps = argc > 1 ? std::atoi(argv[1]) : 5;
-  int max_cores = argc > 2 ? std::atoi(argv[2]) : 8;
-  if (steps < 1 || max_cores < 1) {
-    std::fprintf(stderr, "usage: %s [steps >= 1] [max_cores >= 1]; using defaults\n",
-                 argv[0]);
-    steps = steps < 1 ? 5 : steps;
-    max_cores = max_cores < 1 ? 8 : max_cores;
-  }
-  return mpic::Run(steps, max_cores) ? 0 : 1;
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv,
+      {{"steps", 5, 1, mpic::kMaxBenchSteps},
+       {"max_cores", 8, 1, mpic::kMaxBenchCores}});
+  return mpic::Run(args[0], args[1]) ? 0 : 1;
 }

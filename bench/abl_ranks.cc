@@ -13,24 +13,17 @@
 //   * Physics digests (full SimulationDigest) bit-identical across
 //     ranks {1, 2, 4, 8} x cores {1, 4} x static/steal.
 //   * Phase::kComm > 0 on every multi-rank run, and == 0 at one rank.
-//   * The per-phase breakdown sums to the ledger total on every run (the
-//     comm charges must land inside the accounting, not beside it).
 //   * Strong scaling: 8 ranks beat 1 rank in modeled cycles.
+// MeasureWindow aborts if any phase's cycles, kComm included, are not finite.
 //
 // Tables: strong scaling (fixed 8x8x32 grid), weak scaling (8x8x(8R) grid,
 // constant work per rank), each with comm cycles, comm share, and the
 // rank-link traffic from the per-rank RankCommStats.
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -39,13 +32,11 @@ namespace mpic {
 namespace {
 
 struct RankPoint {
-  double cycles = 0.0;       // modeled critical-path cycles over the window
-  double comm_cycles = 0.0;  // Phase::kComm share of the window
-  uint64_t digest = 0;
+  WindowRecord window;
+  double comm_cycles = 0.0;    // Phase::kComm share of the window
   uint64_t link_bytes = 0;     // summed over ranks
   uint64_t link_messages = 0;  // summed over ranks
   uint64_t migrated = 0;       // cross-rank movers, summed over ranks
-  bool phases_sum = true;      // per-phase breakdown sums to the total
   bool comm_ok = true;         // kComm > 0 iff ranks > 1
 };
 
@@ -64,26 +55,12 @@ UniformWorkloadParams BaseParams(int nz) {
 
 RankPoint RunPoint(const UniformWorkloadParams& p, int ranks, int cores,
                    bool steal, int warmup, int steps) {
-#ifdef _OPENMP
-  omp_set_num_threads(cores);
-#endif
+  SetThreads(cores);
   HwContext hw(MachineConfig::Lx2Cluster(ranks, cores, steal));
   auto sim = MakeUniformSimulation(hw, p);
-  sim->Run(warmup);
-  const double total0 = hw.ledger().TotalCycles();
-  const double comm0 = hw.ledger().PhaseCycles(Phase::kComm);
-  sim->Run(steps);
-
   RankPoint r;
-  r.cycles = hw.ledger().TotalCycles() - total0;
-  r.comm_cycles = hw.ledger().PhaseCycles(Phase::kComm) - comm0;
-  r.digest = SimulationDigest(*sim);
-  double phase_sum = 0.0;
-  for (int ph = 0; ph < kNumPhases; ++ph) {
-    phase_sum += hw.ledger().PhaseCycles(static_cast<Phase>(ph));
-  }
-  const double total = hw.ledger().TotalCycles();
-  r.phases_sum = std::abs(phase_sum - total) <= 1e-9 * std::abs(total);
+  r.window = MeasureWindow(*sim, warmup, steps);
+  r.comm_cycles = r.window.phase_cycles[static_cast<size_t>(Phase::kComm)];
   if (ranks > 1) {
     r.comm_ok = r.comm_cycles > 0.0 && sim->rank_comm() != nullptr;
     if (sim->rank_comm() != nullptr) {
@@ -99,19 +76,8 @@ RankPoint RunPoint(const UniformWorkloadParams& p, int ranks, int cores,
   return r;
 }
 
-std::string DigestHex(uint64_t d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(d));
-  return buf;
-}
-
 bool Run(int warmup, int steps) {
-#ifdef _OPENMP
-  std::printf("OpenMP enabled, %d host thread(s) available.\n",
-              omp_get_max_threads());
-#else
-  std::printf("Built without OpenMP: modeled cores run serially.\n");
-#endif
+  PrintThreadBanner();
 
   const std::vector<int> rank_counts = {1, 2, 4, 8};
   bool pass = true;
@@ -125,23 +91,20 @@ bool Run(int warmup, int steps) {
     const UniformWorkloadParams p = BaseParams(32);  // 8 tile planes
     for (int ranks : rank_counts) {
       const RankPoint r = RunPoint(p, ranks, 4, false, warmup, steps);
-      if (ranks == 1) base = r.cycles;
-      if (ranks == 8) best = r.cycles;
-      if (!r.phases_sum) {
-        std::printf("FAIL: phase breakdown does not sum to total at %d ranks "
-                    "(strong).\n", ranks);
-        pass = false;
-      }
+      if (ranks == 1) base = r.window.cycles;
+      if (ranks == 8) best = r.window.cycles;
       if (!r.comm_ok) {
         std::printf("FAIL: comm-phase accounting wrong at %d ranks (strong).\n",
                     ranks);
         pass = false;
       }
-      t.AddRow({std::to_string(ranks), FormatSci(r.cycles, 4),
-                FormatDouble(base > 0.0 ? base / r.cycles : 1.0, 2),
+      t.AddRow({std::to_string(ranks), FormatSci(r.window.cycles, 4),
+                FormatDouble(base > 0.0 ? base / r.window.cycles : 1.0, 2),
                 FormatSci(r.comm_cycles, 3),
-                FormatDouble(r.cycles > 0.0 ? 100.0 * r.comm_cycles / r.cycles
-                                            : 0.0, 1),
+                FormatDouble(r.window.cycles > 0.0
+                                 ? 100.0 * r.comm_cycles / r.window.cycles
+                                 : 0.0,
+                             1),
                 FormatDouble(static_cast<double>(r.link_bytes) / (1024.0 * 1024.0), 2),
                 std::to_string(r.link_messages), std::to_string(r.migrated)});
     }
@@ -160,12 +123,7 @@ bool Run(int warmup, int steps) {
     for (int ranks : rank_counts) {
       const UniformWorkloadParams p = BaseParams(8 * ranks);
       const RankPoint r = RunPoint(p, ranks, 4, false, warmup, steps);
-      if (ranks == 1) base = r.cycles;
-      if (!r.phases_sum) {
-        std::printf("FAIL: phase breakdown does not sum to total at %d ranks "
-                    "(weak).\n", ranks);
-        pass = false;
-      }
+      if (ranks == 1) base = r.window.cycles;
       if (!r.comm_ok) {
         std::printf("FAIL: comm-phase accounting wrong at %d ranks (weak).\n",
                     ranks);
@@ -173,11 +131,13 @@ bool Run(int warmup, int steps) {
       }
       t.AddRow({std::to_string(ranks),
                 "8x8x" + std::to_string(8 * ranks),
-                FormatSci(r.cycles, 4),
-                FormatDouble(base > 0.0 ? base / r.cycles : 1.0, 3),
+                FormatSci(r.window.cycles, 4),
+                FormatDouble(base > 0.0 ? base / r.window.cycles : 1.0, 3),
                 FormatSci(r.comm_cycles, 3),
-                FormatDouble(r.cycles > 0.0 ? 100.0 * r.comm_cycles / r.cycles
-                                            : 0.0, 1)});
+                FormatDouble(r.window.cycles > 0.0
+                                 ? 100.0 * r.comm_cycles / r.window.cycles
+                                 : 0.0,
+                             1)});
     }
     t.Print("Weak scaling, 8x8x8 slab per rank, 4 modeled cores/rank");
   }
@@ -194,16 +154,16 @@ bool Run(int warmup, int steps) {
         for (bool steal : {false, true}) {
           const RankPoint r = RunPoint(p, ranks, cores, steal, warmup, steps);
           if (!have_want) {
-            want = r.digest;
+            want = r.window.sim_digest;
             have_want = true;
           }
-          const bool same = r.digest == want;
+          const bool same = r.window.sim_digest == want;
           all_same = all_same && same;
-          if (!r.phases_sum || !r.comm_ok) {
+          if (!r.comm_ok) {
             pass = false;
           }
           t.AddRow({std::to_string(ranks), std::to_string(cores),
-                    steal ? "steal" : "static", DigestHex(r.digest),
+                    steal ? "steal" : "static", DigestHex(r.window.sim_digest),
                     same ? "yes" : "NO"});
         }
       }
@@ -225,13 +185,9 @@ bool Run(int warmup, int steps) {
 }  // namespace mpic
 
 int main(int argc, char** argv) {
-  int warmup = argc > 1 ? std::atoi(argv[1]) : 1;
-  int steps = argc > 2 ? std::atoi(argv[2]) : 4;
-  if (warmup < 1 || steps < 1) {
-    std::fprintf(stderr, "usage: %s [warmup >= 1] [steps >= 1]; using defaults\n",
-                 argv[0]);
-    warmup = warmup < 1 ? 1 : warmup;
-    steps = steps < 1 ? 4 : steps;
-  }
-  return mpic::Run(warmup, steps) ? 0 : 1;
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv,
+      {{"warmup", 1, 1, mpic::kMaxBenchSteps},
+       {"steps", 4, 1, mpic::kMaxBenchSteps}});
+  return mpic::Run(args[0], args[1]) ? 0 : 1;
 }

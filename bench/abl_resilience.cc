@@ -21,17 +21,10 @@
 //      never faulted. A final degraded row (interval 0) shows
 //      scrub-and-continue availability when no checkpoint exists.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -42,19 +35,6 @@
 
 namespace mpic {
 namespace {
-
-std::string DigestHex(uint64_t d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(d));
-  return buf;
-}
-
-void SetThreads(int cores) {
-#ifdef _OPENMP
-  omp_set_num_threads(cores);
-#endif
-}
 
 // ---------------------------------------------------------------------------
 // Section 1: sentinel + checkpoint overhead on the uniform kernel workload.
@@ -275,12 +255,8 @@ bool RunMttrTable(int steps) {
 }
 
 bool Run(int steps) {
-#ifdef _OPENMP
-  std::printf("OpenMP enabled, %d host thread(s) available.\n\n",
-              omp_get_max_threads());
-#else
-  std::printf("Built without OpenMP: partitions run serially.\n\n");
-#endif
+  PrintThreadBanner();
+  std::printf("\n");
   bool ok = RunOverheadGate();
   ok = RunRestoreMatrix() && ok;
   ok = RunMttrTable(2 * steps) && ok;
@@ -291,10 +267,7 @@ bool Run(int steps) {
 }  // namespace mpic
 
 int main(int argc, char** argv) {
-  int steps = argc > 1 ? std::atoi(argv[1]) : 12;
-  if (steps < 2) {
-    std::fprintf(stderr, "usage: %s [steps >= 2]; using default\n", argv[0]);
-    steps = 12;
-  }
-  return mpic::Run(steps) ? 0 : 1;
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv, {{"steps", 12, 2, mpic::kMaxBenchSteps}});
+  return mpic::Run(args[0]) ? 0 : 1;
 }

@@ -28,7 +28,9 @@ void PartA() {
       p.u_th = u_th;
       // 20 steps, twice the default min_sort_interval, so kFullOpt's
       // adaptive re-sort can fire inside the measured window.
-      const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/20);
+      HwContext hw;
+      const WindowRecord r = MeasureWindow(*MakeUniformSimulation(hw, p),
+                                           /*warmup=*/1, /*steps=*/20);
       t.AddRow({FormatDouble(u_th, 3), VariantName(v),
                 FormatDouble(r.report.deposition_seconds, 4),
                 FormatDouble(PhaseSec(r.report, Phase::kSort), 4),
@@ -61,15 +63,11 @@ void PartB() {
     sim.SeedUniformPlasma(plasma);
     ScrambleParticleOrder(sim.tiles(), 7);
     sim.Initialize();
-    sim.Run(1);
-    const PhaseCycles before = SnapshotCycles(hw.ledger());
-    const int64_t pushed_before = sim.particles_pushed();
-    sim.Run(8);
-    const RunReport r =
-        MakeRunReport(hw, before, sim.particles_pushed() - pushed_before, 1);
-    t.AddRow({std::to_string(interval), FormatDouble(r.deposition_seconds, 4),
-              FormatDouble(PhaseSec(r, Phase::kSort), 4),
-              std::to_string(sim.engine().total_global_sorts())});
+    const WindowRecord r = MeasureWindow(sim, /*warmup=*/1, /*steps=*/8);
+    t.AddRow({std::to_string(interval),
+              FormatDouble(r.report.deposition_seconds, 4),
+              FormatDouble(PhaseSec(r.report, Phase::kSort), 4),
+              std::to_string(r.global_sorts)});
   }
   t.Print("Ablation A1b: fixed re-sort interval sweep (FullOpt, u_th=0.04)");
 }

@@ -12,115 +12,51 @@
 //     moves tiles between modeled cores, never changes what they compute.
 //   * The bunched workload actually exhibits >= 4:1 per-tile imbalance.
 //
-// Also prints the modeled schedule for the final step (per-core tile counts
-// and finish times from the same BuildTileSchedule the region ran), steal
-// counters from the ledger, and the per-phase critical-path breakdown.
+// Also prints the pass-1 schedule the next step would run (per-core tile and
+// steal counts from PlanTileSchedule, the planner the region itself calls),
+// steal counters from the ledger, and the per-phase critical-path breakdown.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "bench/bench_util.h"
 #include "src/common/table.h"
-#include "src/hw/tile_scheduler.h"
+#include "src/hw/parallel_for.h"
 
 namespace mpic {
 namespace {
 
 struct StealPoint {
-  double cycles = 0.0;  // modeled cycles over the measured window
-  uint64_t digest = 0;  // SimulationDigest after the full run
-  uint64_t tasks_stolen = 0;
-  double steal_cycles = 0.0;
+  WindowRecord window;
   double imbalance = 1.0;
-  std::array<double, kNumPhases> phase_cycles{};
   // Final-step pass-1 schedule: tiles per modeled core (stolen included).
   std::vector<int> core_tiles;
   std::vector<int> core_steals;
 };
 
-BunchedBeamParams BunchedParams() {
-  BunchedBeamParams p;
-  p.nx = p.ny = p.nz = 16;
-  p.tile = 4;
-  p.ppc_x = p.ppc_y = p.ppc_z = 4;
-  return p;
-}
-
-UniformWorkloadParams UniformParams() {
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 16;
-  p.tile = 4;
-  p.ppc_x = p.ppc_y = p.ppc_z = 3;
-  return p;
-}
-
-template <typename MakeSim>
 StealPoint RunPoint(TileSchedulePolicy policy, int cores, int warmup, int steps,
-                    const MakeSim& make_sim) {
-#ifdef _OPENMP
-  omp_set_num_threads(cores);
-#endif
+                    const BenchWorkload& workload) {
+  SetThreads(cores);
   HwContext hw(policy == TileSchedulePolicy::kCostSteal
                    ? MachineConfig::Lx2MultiCoreStealing(cores)
                    : MachineConfig::Lx2MultiCore(cores));
-  std::unique_ptr<Simulation> sim = make_sim(hw);
+  std::unique_ptr<Simulation> sim = workload.make(hw);
   StealPoint r;
   r.imbalance = TileImbalance(*sim, 0);
-  sim->Run(warmup);
-  const double cycles_before = hw.ledger().TotalCycles();
-  std::array<double, kNumPhases> phase_before{};
-  for (int p = 0; p < kNumPhases; ++p) {
-    phase_before[static_cast<size_t>(p)] =
-        hw.ledger().PhaseCycles(static_cast<Phase>(p));
-  }
-  const uint64_t stolen_before = hw.ledger().counters().tasks_stolen;
-  const double steal_cyc_before = hw.ledger().counters().steal_cycles;
-  sim->Run(steps);
-  r.cycles = hw.ledger().TotalCycles() - cycles_before;
-  for (int p = 0; p < kNumPhases; ++p) {
-    r.phase_cycles[static_cast<size_t>(p)] =
-        hw.ledger().PhaseCycles(static_cast<Phase>(p)) -
-        phase_before[static_cast<size_t>(p)];
-  }
-  r.tasks_stolen = hw.ledger().counters().tasks_stolen - stolen_before;
-  r.steal_cycles = hw.ledger().counters().steal_cycles - steal_cyc_before;
-  r.digest = SimulationDigest(*sim);
+  r.window = MeasureWindow(*sim, warmup, steps);
 
-  // Reconstruct the final pass-1 schedule the model would build from the
-  // last committed estimates (exactly what the next step's region would run),
-  // including the placement inputs parallel_for now derives from the machine
-  // config and the committed owner feedback.
-  const SpeciesBlock& block = sim->block(0);
-  const std::vector<double>& est = block.pass1_costs.estimate;
-  const int n = block.tiles.num_tiles();
-  const double* est_ptr =
-      (policy == TileSchedulePolicy::kCostSteal &&
-       est.size() == static_cast<size_t>(n))
-          ? est.data()
-          : nullptr;
-  TileSchedulePlacement placement;
-  placement.num_domains = hw.cfg().num_numa_domains;
-  placement.remote_steal_factor = hw.cfg().remote_mem_latency_factor;
-  placement.remote_line_cost = hw.cfg().remote_line_transfer_cycles;
-  placement.sticky = hw.cfg().sticky_placement;
-  std::vector<int> prev_local;
-  const std::vector<int32_t>& own = block.pass1_costs.owner;
-  if (own.size() == static_cast<size_t>(n)) {
-    prev_local.resize(own.size());
-    for (size_t i = 0; i < own.size(); ++i) {
-      prev_local[i] = (own[i] >= 0 && own[i] < cores) ? own[i] : -1;
-    }
-    placement.prev_owner = prev_local.data();
-  }
-  const TileScheduleResult sched = BuildTileSchedule(
-      n, cores, est_ptr, hw.cfg().steal_cost_cycles, placement);
+  // The pass-1 schedule the next step's region would run, planned from the
+  // committed estimates and owners (a static run records no estimates, so
+  // it plans the block split it runs).
+  const StageCostFeedback& costs = sim->block(0).pass1_costs;
+  const auto n = static_cast<size_t>(sim->block(0).tiles.num_tiles());
+  const TileScheduleResult sched = PlanTileSchedule(
+      hw, static_cast<int>(n),
+      costs.estimate.size() == n ? costs.estimate.data() : nullptr,
+      costs.owner.size() == n ? costs.owner.data() : nullptr);
   for (const std::vector<TileTask>& tasks : sched.worker_tasks) {
     int steals = 0;
     for (const TileTask& t : tasks) {
@@ -146,36 +82,17 @@ std::string JoinInts(const std::vector<int>& v) {
 }
 
 bool Run(int warmup, int steps) {
-#ifdef _OPENMP
-  std::printf("OpenMP enabled, %d host thread(s) available.\n",
-              omp_get_max_threads());
-#else
-  std::printf("Built without OpenMP: partitions run serially.\n");
-#endif
+  PrintThreadBanner();
 
   const std::vector<int> core_counts = {1, 2, 4};
   const std::vector<TileSchedulePolicy> policies = {
       TileSchedulePolicy::kStatic, TileSchedulePolicy::kCostSteal};
-
-  const auto make_bunched = [](HwContext& hw) {
-    return MakeBunchedBeamSimulation(hw, BunchedParams());
-  };
-  const auto make_uniform = [](HwContext& hw) {
-    return MakeUniformSimulation(hw, UniformParams());
-  };
 
   bool ok = true;
   double bunched_static4 = 0.0, bunched_steal4 = 0.0;
   double uniform_static4 = 0.0, uniform_steal4 = 0.0;
   StealPoint bunched_steal4_point;
   double bunched_imbalance = 0.0;
-
-  struct Workload {
-    const char* name;
-    std::function<std::unique_ptr<Simulation>(HwContext&)> make;
-  };
-  const std::vector<Workload> workloads = {{"bunched", make_bunched},
-                                           {"uniform", make_uniform}};
 
   JsonWriter json;
   json.Field("bench", "abl_stealing");
@@ -185,58 +102,59 @@ bool Run(int warmup, int steps) {
 
   ConsoleTable t({"Workload", "Schedule", "Cores", "Model cycles", "vs static",
                   "Stolen", "Tiles/core", "Steals/core", "Digest"});
-  for (const Workload& w : workloads) {
+  for (const BenchWorkload& w : SchedulerWorkloads()) {
     uint64_t ref_digest = 0;
     bool have_ref = false;
     std::vector<double> static_cycles(core_counts.size(), 0.0);
     for (TileSchedulePolicy policy : policies) {
       for (size_t ci = 0; ci < core_counts.size(); ++ci) {
         const int cores = core_counts[ci];
-        const StealPoint r = RunPoint(policy, cores, warmup, steps, w.make);
+        const StealPoint r = RunPoint(policy, cores, warmup, steps, w);
+        const WindowRecord& win = r.window;
         if (!have_ref) {
-          ref_digest = r.digest;
+          ref_digest = win.sim_digest;
           have_ref = true;
         }
-        if (r.digest != ref_digest) {
+        if (win.sim_digest != ref_digest) {
           ok = false;
         }
         if (policy == TileSchedulePolicy::kStatic) {
-          static_cycles[ci] = r.cycles;
+          static_cycles[ci] = win.cycles;
         }
         const double ratio =
-            static_cycles[ci] > 0.0 ? r.cycles / static_cycles[ci] : 1.0;
+            static_cycles[ci] > 0.0 ? win.cycles / static_cycles[ci] : 1.0;
         if (w.name == std::string("bunched")) {
           bunched_imbalance = r.imbalance;
           if (cores == 4) {
             if (policy == TileSchedulePolicy::kStatic) {
-              bunched_static4 = r.cycles;
+              bunched_static4 = win.cycles;
             } else {
-              bunched_steal4 = r.cycles;
+              bunched_steal4 = win.cycles;
               bunched_steal4_point = r;
             }
           }
         } else if (cores == 4) {
           if (policy == TileSchedulePolicy::kStatic) {
-            uniform_static4 = r.cycles;
+            uniform_static4 = win.cycles;
           } else {
-            uniform_steal4 = r.cycles;
+            uniform_steal4 = win.cycles;
           }
         }
-        const std::string digest_hex = DigestHex(r.digest);
+        const std::string digest_hex = DigestHex(win.sim_digest);
         json.BeginObject();
         json.Field("workload", w.name);
         json.Field("schedule", PolicyName(policy));
         json.Field("cores", cores);
-        json.Field("cycles", r.cycles);
+        json.Field("cycles", win.cycles);
         json.Field("vs_static", ratio);
-        json.Field("tasks_stolen", r.tasks_stolen);
-        json.Field("steal_cycles", r.steal_cycles);
+        json.Field("tasks_stolen", win.counters.tasks_stolen);
+        json.Field("steal_cycles", win.counters.steal_cycles);
         json.Field("digest", digest_hex);
         json.EndObject();
         t.AddRow({w.name, PolicyName(policy), std::to_string(cores),
-                  FormatSci(r.cycles, 4), FormatDouble(ratio, 3),
-                  std::to_string(r.tasks_stolen), JoinInts(r.core_tiles),
-                  JoinInts(r.core_steals), digest_hex});
+                  FormatSci(win.cycles, 4), FormatDouble(ratio, 3),
+                  std::to_string(win.counters.tasks_stolen),
+                  JoinInts(r.core_tiles), JoinInts(r.core_steals), digest_hex});
       }
     }
   }
@@ -244,15 +162,16 @@ bool Run(int warmup, int steps) {
 
   // Critical-path breakdown of the 4-core stealing bunched run.
   std::printf("\nBunched 4-core stealing critical path (modeled cycles):\n");
+  const WindowRecord& steal4 = bunched_steal4_point.window;
   for (int p = 0; p < kNumPhases; ++p) {
-    const double c = bunched_steal4_point.phase_cycles[static_cast<size_t>(p)];
+    const double c = steal4.phase_cycles[static_cast<size_t>(p)];
     if (c > 0.0) {
       std::printf("  %-8s %.3e\n", PhaseName(static_cast<Phase>(p)), c);
     }
   }
   std::printf("  steal overhead: %.3e cycles over %llu steals\n",
-              bunched_steal4_point.steal_cycles,
-              static_cast<unsigned long long>(bunched_steal4_point.tasks_stolen));
+              steal4.counters.steal_cycles,
+              static_cast<unsigned long long>(steal4.counters.tasks_stolen));
 
   const double improvement =
       bunched_static4 > 0.0 ? 1.0 - bunched_steal4 / bunched_static4 : 0.0;
@@ -300,13 +219,9 @@ bool Run(int warmup, int steps) {
 }  // namespace mpic
 
 int main(int argc, char** argv) {
-  int warmup = argc > 1 ? std::atoi(argv[1]) : 2;
-  int steps = argc > 2 ? std::atoi(argv[2]) : 6;
-  if (warmup < 1 || steps < 1) {
-    std::fprintf(stderr, "usage: %s [warmup >= 1] [steps >= 1]; using defaults\n",
-                 argv[0]);
-    warmup = warmup < 1 ? 2 : warmup;
-    steps = steps < 1 ? 6 : steps;
-  }
-  return mpic::Run(warmup, steps) ? 0 : 1;
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv,
+      {{"warmup", 2, 1, mpic::kMaxBenchSteps},
+       {"steps", 6, 1, mpic::kMaxBenchSteps}});
+  return mpic::Run(args[0], args[1]) ? 0 : 1;
 }

@@ -1,20 +1,32 @@
-// Shared helpers for the paper-reproduction bench binaries.
+// What the paper and ablation bench mains share, so each main holds only its
+// workloads, tables and gates.
 //
-// Each bench binary reproduces one table or figure: it runs the relevant
-// workloads under a fresh modeled machine, reads the per-phase cycle ledger,
-// and prints rows in the paper's layout. Absolute values are modeled seconds
-// on the 1.3 GHz LX2 model at simulator scale — the claims under test are the
-// *relative* numbers (speedups, crossovers, efficiency ranking).
+// Each main builds its HwContext and simulation, measures one warm-up-then-
+// measure window per configuration through MeasureWindow
+// (src/core/diagnostics.h), and prints rows from the returned WindowRecord.
+// Absolute values are modeled seconds on the 1.3 GHz LX2 model at simulator
+// scale; the claims under test are the relative numbers (speedups,
+// crossovers, efficiency ranking, gate ratios). This header adds the
+// argument parser, the OpenMP thread setting and banner, the workloads
+// several mains share, and the JSON sidecar writer and digest format, which
+// perfbench also uses.
 
 #ifndef MPIC_BENCH_BENCH_UTIL_H_
 #define MPIC_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 // Fnv1a and the FieldsDigest/ParticlesDigest/SimulationDigest family the
 // benches gate bit-identity with live in the library; benches and tests must
@@ -26,64 +38,122 @@
 
 namespace mpic {
 
-struct BenchResult {
-  RunReport report;
-  int64_t particles = 0;
-  int64_t global_sorts = 0;
-  // MOPA issues and their useful slots over the measured window; the quotient
-  // mopa_valid_slots / (64 * mopas) is the mean MPU occupancy.
-  uint64_t mopas = 0;
-  uint64_t mopa_valid_slots = 0;
+// Upper bounds of the bench arguments.
+inline constexpr int kMaxBenchCores = 64;
+inline constexpr int kMaxBenchSteps = 100000;
+
+// Parses all of `s` as a base-10 integer in [lo, hi]. Returns false and
+// leaves *out alone on anything else: no digits, trailing characters, or a
+// value out of range.
+inline bool ParseBenchInt(const char* s, int lo, int hi, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+// One positional integer argument of a bench main.
+struct BenchArg {
+  const char* name;
+  int fallback;  // taken when the argument is absent or bad
+  int lo, hi;
 };
 
-// Mean fraction of MPU tile slots carrying useful work per MOPA issue.
-inline double MpuOccupancy(uint64_t mopas, uint64_t valid_slots) {
-  return mopas == 0 ? 0.0
-                    : static_cast<double>(valid_slots) /
-                          (64.0 * static_cast<double>(mopas));
+// Parses argv[1..] against `args`, in order, and returns one value per arg.
+// An absent argument takes its fallback. A bad one takes it too, and the
+// usage line goes to stderr once. Extra arguments are ignored.
+inline std::vector<int> ParseBenchArgs(int argc, char** argv,
+                                       const std::vector<BenchArg>& args) {
+  std::vector<int> values;
+  bool bad = false;
+  for (size_t i = 0; i < args.size(); ++i) {
+    int v = args[i].fallback;
+    if (static_cast<int>(i) + 1 < argc) {
+      bad = !ParseBenchInt(argv[i + 1], args[i].lo, args[i].hi, &v) || bad;
+    }
+    values.push_back(v);
+  }
+  if (bad) {
+    std::string usage = std::string("usage: ") + argv[0];
+    for (const BenchArg& a : args) {
+      usage += std::string(" [") + a.name + " >= " + std::to_string(a.lo) + "]";
+    }
+    std::fprintf(stderr, "%s; using default%s\n", usage.c_str(),
+                 args.size() > 1 ? "s" : "");
+  }
+  return values;
 }
 
-// Runs a uniform-plasma workload: `warmup` steps outside the measured window,
-// then `steps` measured steps.
-inline BenchResult RunUniform(const UniformWorkloadParams& params, int warmup,
-                              int steps) {
-  HwContext hw;
-  auto sim = MakeUniformSimulation(hw, params);
-  sim->Run(warmup);
-  const PhaseCycles before = SnapshotCycles(hw.ledger());
-  const uint64_t mopas0 = hw.ledger().counters().mopas;
-  const uint64_t valid0 = hw.ledger().counters().mopa_valid_slots;
-  const int64_t pushed_before = sim->particles_pushed();
-  sim->Run(steps);
-  BenchResult r;
-  r.particles = sim->particles_pushed() - pushed_before;
-  r.report = MakeRunReport(hw, before, r.particles, params.order);
-  r.global_sorts = sim->engine().total_global_sorts();
-  r.mopas = hw.ledger().counters().mopas - mopas0;
-  r.mopa_valid_slots = hw.ledger().counters().mopa_valid_slots - valid0;
-  return r;
+// Sets the OpenMP team size of the next fan-outs; a no-op without OpenMP.
+inline void SetThreads(int threads) {
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#else
+  (void)threads;
+#endif
 }
 
-inline BenchResult RunLwfa(const LwfaWorkloadParams& params, int warmup, int steps) {
-  HwContext hw;
-  auto sim = MakeLwfaSimulation(hw, params);
-  sim->Run(warmup);
-  const PhaseCycles before = SnapshotCycles(hw.ledger());
-  const uint64_t mopas0 = hw.ledger().counters().mopas;
-  const uint64_t valid0 = hw.ledger().counters().mopa_valid_slots;
-  const int64_t pushed_before = sim->particles_pushed();
-  sim->Run(steps);
-  BenchResult r;
-  r.particles = sim->particles_pushed() - pushed_before;
-  r.report = MakeRunReport(hw, before, r.particles, 1);
-  r.global_sorts = sim->engine().total_global_sorts();
-  r.mopas = hw.ledger().counters().mopas - mopas0;
-  r.mopa_valid_slots = hw.ledger().counters().mopa_valid_slots - valid0;
-  return r;
+// The line each ablation opens with: the host threads OpenMP offers.
+inline void PrintThreadBanner() {
+#ifdef _OPENMP
+  std::printf("OpenMP enabled, %d host thread(s) available.\n",
+              omp_get_max_threads());
+#else
+  std::printf("Built without OpenMP: partitions run serially.\n");
+#endif
 }
 
 inline double PhaseSec(const RunReport& r, Phase p) {
   return r.phase_seconds[static_cast<size_t>(p)];
+}
+
+// The paper's density sweep (Figs. 8-10): particles per cell per axis, for
+// PPC 1, 8, 64 and 128.
+struct PpcPoint {
+  int px, py, pz;
+};
+inline constexpr PpcPoint kPaperPpcSweep[] = {
+    {1, 1, 1}, {2, 2, 2}, {4, 4, 4}, {8, 4, 4}};
+
+// The uniform plasma of Figs. 8 and 10 at one sweep point: 16^3 cells in
+// 8^3 tiles (paper Table 4: particles.tile_size = 8x8x8).
+inline UniformWorkloadParams PaperUniformParams(const PpcPoint& ppc,
+                                                DepositVariant v) {
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.tile = 8;
+  p.ppc_x = ppc.px;
+  p.ppc_y = ppc.py;
+  p.ppc_z = ppc.pz;
+  p.variant = v;
+  return p;
+}
+
+// A named workload, built on whatever machine the bench hands it.
+struct BenchWorkload {
+  const char* name;
+  std::function<std::unique_ptr<Simulation>(HwContext&)> make;
+};
+
+// The workloads of both scheduler ablations (abl_stealing, abl_numa): a
+// bunched beam far above 4:1 per-tile imbalance, and its uniform control.
+inline std::vector<BenchWorkload> SchedulerWorkloads() {
+  BunchedBeamParams bunched;
+  bunched.nx = bunched.ny = bunched.nz = 16;
+  bunched.tile = 4;
+  bunched.ppc_x = bunched.ppc_y = bunched.ppc_z = 4;
+  UniformWorkloadParams uniform;
+  uniform.nx = uniform.ny = uniform.nz = 16;
+  uniform.tile = 4;
+  uniform.ppc_x = uniform.ppc_y = uniform.ppc_z = 3;
+  return {{"bunched",
+           [bunched](HwContext& hw) { return MakeBunchedBeamSimulation(hw, bunched); }},
+          {"uniform",
+           [uniform](HwContext& hw) { return MakeUniformSimulation(hw, uniform); }}};
 }
 
 // Tiny append-only JSON emitter for the BENCH_*.json sidecars the ablation

@@ -17,7 +17,9 @@ void Run() {
   p.ppc_x = 8;
   p.ppc_y = p.ppc_z = 4;  // PPC 128, the paper's high-density point
   p.variant = DepositVariant::kBaseline;
-  const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/3);
+  HwContext hw;
+  const WindowRecord r =
+      MeasureWindow(*MakeUniformSimulation(hw, p), /*warmup=*/1, /*steps=*/3);
 
   const double total = r.report.wall_seconds;
   const double deposit = r.report.deposition_seconds;

@@ -7,7 +7,6 @@
 // (overheads not amortized).
 
 #include <cstdio>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -15,27 +14,16 @@
 namespace mpic {
 namespace {
 
-struct PpcPoint {
-  int px, py, pz;
-};
-
 void Run() {
-  // Paper sweep: [1,1,1], [2,2,2], [4,4,4], [8,4,4] -> PPC 1, 8, 64, 128.
-  const std::vector<PpcPoint> sweep = {{1, 1, 1}, {2, 2, 2}, {4, 4, 4}, {8, 4, 4}};
-
   ConsoleTable t({"PPC", "Config", "Wall (s)", "Deposit (s)", "Particles/s",
                   "Kernel %", "Overhead %", "Wall speedup"});
-  for (const PpcPoint& ppc : sweep) {
+  for (const PpcPoint& ppc : kPaperPpcSweep) {
     double baseline_wall = 0.0;
     for (DepositVariant v : {DepositVariant::kBaseline, DepositVariant::kFullOpt}) {
-      UniformWorkloadParams p;
-      p.nx = p.ny = p.nz = 16;
-      p.tile = 8;  // paper Table 4: particles.tile_size = 8x8x8
-      p.ppc_x = ppc.px;
-      p.ppc_y = ppc.py;
-      p.ppc_z = ppc.pz;
-      p.variant = v;
-      const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/3);
+      HwContext hw;
+      const WindowRecord r =
+          MeasureWindow(*MakeUniformSimulation(hw, PaperUniformParams(ppc, v)),
+                        /*warmup=*/1, /*steps=*/3);
       const double wall = r.report.wall_seconds;
       const double dep = r.report.deposition_seconds;
       const double kernel = PhaseSec(r.report, Phase::kCompute) +

@@ -5,7 +5,6 @@
 // under the baseline (sparse regions do not amortize the framework).
 
 #include <cstdio>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -13,16 +12,10 @@
 namespace mpic {
 namespace {
 
-struct PpcPoint {
-  int px, py, pz;
-};
-
 void Run() {
-  const std::vector<PpcPoint> sweep = {{1, 1, 1}, {2, 2, 2}, {4, 4, 4}, {8, 4, 4}};
-
   ConsoleTable t({"PPC", "Config", "Wall (s)", "Deposit (s)", "Sort (s)",
                   "Global sorts", "Wall speedup"});
-  for (const PpcPoint& ppc : sweep) {
+  for (const PpcPoint& ppc : kPaperPpcSweep) {
     double baseline_wall = 0.0;
     for (DepositVariant v : {DepositVariant::kBaseline, DepositVariant::kFullOpt}) {
       LwfaWorkloadParams p;
@@ -35,7 +28,9 @@ void Run() {
       p.ppc_z = ppc.pz;
       p.variant = v;
       // Paper runs 20 steps for LWFA (Table 4).
-      const BenchResult r = RunLwfa(p, /*warmup=*/2, /*steps=*/18);
+      HwContext hw;
+      const WindowRecord r =
+          MeasureWindow(*MakeLwfaSimulation(hw, p), /*warmup=*/2, /*steps=*/18);
       const double wall = r.report.wall_seconds;
       if (v == DepositVariant::kBaseline) {
         baseline_wall = wall;

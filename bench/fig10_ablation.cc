@@ -15,12 +15,7 @@
 namespace mpic {
 namespace {
 
-struct PpcPoint {
-  int px, py, pz;
-};
-
 void Run() {
-  const std::vector<PpcPoint> sweep = {{1, 1, 1}, {2, 2, 2}, {4, 4, 4}, {8, 4, 4}};
   const std::vector<DepositVariant> configs = {
       DepositVariant::kBaseline,       DepositVariant::kMatrixOnly,
       DepositVariant::kHybridNoSort,   DepositVariant::kHybridGlobalSort,
@@ -29,17 +24,13 @@ void Run() {
 
   ConsoleTable t({"PPC", "Config", "Wall (s)", "Deposit (s)", "Particles/s",
                   "Wall speedup"});
-  for (const PpcPoint& ppc : sweep) {
+  for (const PpcPoint& ppc : kPaperPpcSweep) {
     double baseline_wall = 0.0;
     for (DepositVariant v : configs) {
-      UniformWorkloadParams p;
-      p.nx = p.ny = p.nz = 16;
-      p.tile = 8;  // paper Table 4: particles.tile_size = 8x8x8
-      p.ppc_x = ppc.px;
-      p.ppc_y = ppc.py;
-      p.ppc_z = ppc.pz;
-      p.variant = v;
-      const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/3);
+      HwContext hw;
+      const WindowRecord r =
+          MeasureWindow(*MakeUniformSimulation(hw, PaperUniformParams(ppc, v)),
+                        /*warmup=*/1, /*steps=*/3);
       const double wall = r.report.wall_seconds;
       if (v == DepositVariant::kBaseline) {
         baseline_wall = wall;

@@ -35,7 +35,9 @@ void Run() {
     p.ppc_y = p.ppc_z = 4;  // PPC 128
     p.order = 1;
     p.variant = v;
-    const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/3);
+    HwContext hw;
+    const WindowRecord r =
+        MeasureWindow(*MakeUniformSimulation(hw, p), /*warmup=*/1, /*steps=*/3);
     const double total = r.report.deposition_seconds;
     const double pre = PhaseSec(r.report, Phase::kPreproc);
     const double compute =

@@ -37,7 +37,9 @@ void Run() {
     p.ppc_y = p.ppc_z = 4;  // PPC 128
     p.order = 3;
     p.variant = v;
-    const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/2);
+    HwContext hw;
+    const WindowRecord r =
+        MeasureWindow(*MakeUniformSimulation(hw, p), /*warmup=*/1, /*steps=*/2);
     const double total = r.report.deposition_seconds;
     const double pre = PhaseSec(r.report, Phase::kPreproc);
     const double compute =

@@ -26,8 +26,9 @@ double LxEfficiency(DepositVariant v) {
   p.ppc_x = p.ppc_y = p.ppc_z = 8;  // PPC 512, the paper's saturation density
   p.order = 3;
   p.variant = v;
-  const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/2);
-  return r.report.peak_efficiency;
+  HwContext hw;
+  return MeasureWindow(*MakeUniformSimulation(hw, p), /*warmup=*/1, /*steps=*/2)
+      .report.peak_efficiency;
 }
 
 void Run() {

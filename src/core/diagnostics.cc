@@ -1,11 +1,14 @@
 #include "src/core/diagnostics.h"
 
+#include <chrono>
 #include <cmath>
 #include <sstream>
 
+#include "src/common/check.h"
 #include "src/deposit/deposit_scalar.h"
 #include "src/deposit/esirkepov.h"
 #include "src/particles/species.h"
+#include "src/runtime/digest.h"
 
 namespace mpic {
 
@@ -230,6 +233,42 @@ RunReport MakeRunReport(const HwContext& hw, const PhaseCycles& before,
         CanonicalFlopsPerParticle(order) * static_cast<double>(particle_steps);
     r.peak_efficiency = useful_flops / (dep_cycles * hw.cfg().PeakFlopsPerCycle());
   }
+  return r;
+}
+
+WindowRecord MeasureWindow(Simulation& sim, int warmup, int steps) {
+  const CostLedger& ledger = sim.hw().ledger();
+  sim.Run(warmup);
+  const PhaseCycles before = SnapshotCycles(ledger);
+  const double total_before = ledger.TotalCycles();
+  const LedgerCounters counters_before = ledger.counters();
+  const int64_t pushed_before = sim.particles_pushed();
+  const auto start = std::chrono::steady_clock::now();
+  sim.Run(steps);
+  const auto end = std::chrono::steady_clock::now();
+
+  WindowRecord r;
+  r.host_seconds = std::chrono::duration<double>(end - start).count();
+  const PhaseCycles after = SnapshotCycles(ledger);
+  for (size_t p = 0; p < after.size(); ++p) {
+    r.phase_cycles[p] = after[p] - before[p];
+    MPIC_CHECK_MSG(std::isfinite(r.phase_cycles[p]),
+                   "a phase charged non-finite cycles in the measured window");
+  }
+  r.cycles = ledger.TotalCycles() - total_before;
+  r.counters = ledger.counters() - counters_before;
+  r.particles = sim.particles_pushed() - pushed_before;
+  r.report = MakeRunReport(sim.hw(), before, r.particles,
+                           sim.block(0).engine.config().order);
+  for (int sid = 0; sid < sim.num_species(); ++sid) {
+    r.global_sorts += sim.block(sid).engine.total_global_sorts();
+  }
+  if (r.counters.mopas != 0) {
+    r.mpu_occupancy = static_cast<double>(r.counters.mopa_valid_slots) /
+                      (64.0 * static_cast<double>(r.counters.mopas));
+  }
+  r.sim_digest = SimulationDigest(sim);
+  r.ledger_digest = LedgerDigest(ledger);
   return r;
 }
 

@@ -82,6 +82,34 @@ struct RunReport {
 RunReport MakeRunReport(const HwContext& hw, const PhaseCycles& before,
                         int64_t particle_steps, int order);
 
+// What one measured window of a run charged and produced. Everything but
+// `global_sorts` and the digests covers the measured steps only.
+struct WindowRecord {
+  // MakeRunReport over the window, at block 0's shape order.
+  RunReport report;
+  // Modeled cycles per phase, and the window's total: the ledger's
+  // TotalCycles() at the end minus at the start.
+  PhaseCycles phase_cycles{};
+  double cycles = 0.0;
+  LedgerCounters counters;
+  int64_t particles = 0;  // particle pushes
+  // Lifetime global sorts, summed over species.
+  int64_t global_sorts = 0;
+  // Mean fraction of the 64 MPU tile slots carrying useful work per MOPA
+  // issue; 0 when the window issued none.
+  double mpu_occupancy = 0.0;
+  // SimulationDigest and LedgerDigest at the end of the window.
+  uint64_t sim_digest = 0;
+  uint64_t ledger_digest = 0;
+  // Host wall time of the measured steps.
+  double host_seconds = 0.0;
+};
+
+// Runs `warmup` unmeasured steps, then `steps` measured ones, and returns the
+// measured window's record. Aborts if any phase's cycles over the window are
+// not finite.
+WindowRecord MeasureWindow(Simulation& sim, int warmup, int steps);
+
 }  // namespace mpic
 
 #endif  // MPIC_SRC_CORE_DIAGNOSTICS_H_

@@ -4,6 +4,33 @@
 
 namespace mpic {
 
+LedgerCounters operator-(const LedgerCounters& a, const LedgerCounters& b) {
+  // A new LedgerCounters field must be subtracted below, which this assert
+  // forces.
+  static_assert(sizeof(LedgerCounters) == 18 * 8,
+                "LedgerCounters changed: update operator-");
+  LedgerCounters d;
+  d.scalar_ops = a.scalar_ops - b.scalar_ops;
+  d.scalar_mem = a.scalar_mem - b.scalar_mem;
+  d.vpu_ops = a.vpu_ops - b.vpu_ops;
+  d.vpu_mem = a.vpu_mem - b.vpu_mem;
+  d.gathers = a.gathers - b.gathers;
+  d.scatters = a.scatters - b.scatters;
+  d.mopas = a.mopas - b.mopas;
+  d.mopa_valid_slots = a.mopa_valid_slots - b.mopa_valid_slots;
+  d.atomics = a.atomics - b.atomics;
+  d.tasks_stolen = a.tasks_stolen - b.tasks_stolen;
+  d.tasks_stolen_remote = a.tasks_stolen_remote - b.tasks_stolen_remote;
+  d.steal_cycles = a.steal_cycles - b.steal_cycles;
+  d.l1_hits = a.l1_hits - b.l1_hits;
+  d.l1_misses = a.l1_misses - b.l1_misses;
+  d.l2_hits = a.l2_hits - b.l2_hits;
+  d.l2_misses = a.l2_misses - b.l2_misses;
+  d.remote_lines = a.remote_lines - b.remote_lines;
+  d.remote_cycles = a.remote_cycles - b.remote_cycles;
+  return d;
+}
+
 const char* PhaseName(Phase p) {
   switch (p) {
     case Phase::kPreproc:

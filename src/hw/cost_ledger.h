@@ -47,6 +47,8 @@ struct LedgerCounters {
   // MPU occupancy — the measured form of the per-kernel utilization figures
   // (25% CIC / 50% QSP direct; window-width dependent for Esirkepov).
   uint64_t mopa_valid_slots = 0;
+  // No modeled operation charges atomics; the field stays 0, kept while
+  // perfbench's CounterFields pins the struct's size.
   uint64_t atomics = 0;
   // Work-stealing events (TileSchedulePolicy::kCostSteal): number of tile
   // tasks a core pulled from another core's queue, and the modeled cycles
@@ -69,6 +71,10 @@ struct LedgerCounters {
   uint64_t remote_lines = 0;
   double remote_cycles = 0.0;
 };
+
+// Field-by-field a - b: the counters charged between snapshot b and a later
+// snapshot a of one ledger.
+LedgerCounters operator-(const LedgerCounters& a, const LedgerCounters& b);
 
 class CostLedger {
  public:

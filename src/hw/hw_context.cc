@@ -1,7 +1,5 @@
 #include "src/hw/hw_context.h"
 
-#include <cmath>
-
 #include "src/common/check.h"
 #include "src/hw/fma.h"
 
@@ -79,12 +77,6 @@ void HwContext::AccumScalar(double* p, double v) {
   *p += v;
 }
 
-void HwContext::AtomicAccumScalar(double* p, double v) {
-  ++ledger_.counters().atomics;
-  ledger_.AddCycles(cfg_.atomic_extra_cycles);
-  AccumScalar(p, v);
-}
-
 // ---- VPU stream ------------------------------------------------------------
 
 Vec8 HwContext::VLoad(const double* p) {
@@ -102,16 +94,6 @@ void HwContext::VStore(double* p, const Vec8& v) {
             /*write=*/true, 1);
   for (int i = 0; i < kVpuLanes; ++i) {
     p[i] = v[i];
-  }
-}
-
-void HwContext::VStoreMasked(double* p, const Vec8& v, const Mask8& m) {
-  ChargeMem(p, sizeof(double) * kVpuLanes, cfg_.vector_mem_issue_cycles,
-            /*write=*/true, 1);
-  for (int i = 0; i < kVpuLanes; ++i) {
-    if (m.lane[static_cast<size_t>(i)]) {
-      p[i] = v[i];
-    }
   }
 }
 
@@ -166,20 +148,6 @@ Vec8 HwContext::VGatherAuto(const double* base, const int64_t* idx, const Mask8&
   return r;
 }
 
-void HwContext::VScatter(double* base, const int64_t* idx, const Vec8& v,
-                         const Mask8& m) {
-  ++ledger_.counters().scatters;
-  ledger_.AddCycles(cfg_.gather_issue_cycles);
-  for (int i = 0; i < kVpuLanes; ++i) {
-    if (!m.lane[static_cast<size_t>(i)]) {
-      continue;
-    }
-    double* p = base + idx[i];
-    ledger_.AddCycles(MemPenalty(p, sizeof(double)));
-    *p = v[i];
-  }
-}
-
 void HwContext::VScatterAccum(double* base, const int64_t* idx, const Vec8& v,
                               const Mask8& m) {
   ++ledger_.counters().scatters;
@@ -194,122 +162,12 @@ void HwContext::VScatterAccum(double* base, const int64_t* idx, const Vec8& v,
   }
 }
 
-void HwContext::VScatterAccumConflict(double* base, const int64_t* idx,
-                                      const Vec8& v, const Mask8& m) {
-  // Count lanes whose target duplicates an earlier active lane: each duplicate
-  // forces a serialized retry (Fig. 2 of the paper).
-  int conflicts = 0;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    if (!m.lane[static_cast<size_t>(i)]) {
-      continue;
-    }
-    for (int j = 0; j < i; ++j) {
-      if (m.lane[static_cast<size_t>(j)] && idx[j] == idx[i]) {
-        ++conflicts;
-        break;
-      }
-    }
-  }
-  if (conflicts > 0) {
-    ledger_.counters().atomics += static_cast<uint64_t>(conflicts);
-    ledger_.AddCycles(cfg_.atomic_extra_cycles * conflicts);
-  }
-  VScatterAccum(base, idx, v, m);
-}
-
-Vec8 HwContext::VAdd(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] + b[i];
-  }
-  return r;
-}
-
-Vec8 HwContext::VSub(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] - b[i];
-  }
-  return r;
-}
-
-Vec8 HwContext::VMul(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] * b[i];
-  }
-  return r;
-}
-
 Vec8 HwContext::VFma(const Vec8& a, const Vec8& b, const Vec8& c) {
   ++ledger_.counters().vpu_ops;
   ledger_.AddCycles(vpu_op_cycles_);
   Vec8 r;
   HostFmaKernels().lanes(r, a, b, c);
   return r;
-}
-
-Vec8 HwContext::VFloor(const Vec8& a) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = std::floor(a[i]);
-  }
-  return r;
-}
-
-Vec8 HwContext::VMin(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] < b[i] ? a[i] : b[i];
-  }
-  return r;
-}
-
-Vec8 HwContext::VMax(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] > b[i] ? a[i] : b[i];
-  }
-  return r;
-}
-
-Vec8 HwContext::VBroadcast(double v) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  return Vec8::Splat(v);
-}
-
-Vec8 HwContext::VPermute(const Vec8& a, const int* perm) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[perm[i]];
-  }
-  return r;
-}
-
-double HwContext::VReduceSum(const Vec8& a) {
-  // log2(8) = 3 shuffle+add steps.
-  ledger_.counters().vpu_ops += 3;
-  ledger_.AddCycles(3.0 * vpu_op_cycles_);
-  double s = 0.0;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    s += a[i];
-  }
-  return s;
 }
 
 // ---- MPU stream ------------------------------------------------------------

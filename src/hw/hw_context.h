@@ -82,8 +82,6 @@ class HwContext {
   }
   // Scalar read-modify-write: *p += v (the canonical deposition update).
   void AccumScalar(double* p, double v);
-  // Same, through an atomic (charges cfg.atomic_extra_cycles).
-  void AtomicAccumScalar(double* p, double v);
   // Models a scalar-width access to non-double data (indices, flags).
   void TouchRead(const void* p, size_t bytes) {
     ChargeMem(p, bytes, cfg_.scalar_mem_issue_cycles, /*write=*/false, 0);
@@ -97,7 +95,6 @@ class HwContext {
   // Contiguous vector load/store of kVpuLanes doubles.
   Vec8 VLoad(const double* p);
   void VStore(double* p, const Vec8& v);
-  void VStoreMasked(double* p, const Vec8& v, const Mask8& m);
 
   // Gather/scatter with 64-bit lane indices relative to `base` (elements).
   Vec8 VGather(const double* base, const int64_t* idx, const Mask8& m);
@@ -112,30 +109,15 @@ class HwContext {
   // gather cost. Sorted kernels use this; the paper's point that "unordered
   // particle access leads to weaker compute" falls out of it.
   Vec8 VGatherAuto(const double* base, const int64_t* idx, const Mask8& m);
-  void VScatter(double* base, const int64_t* idx, const Vec8& v, const Mask8& m);
-  // Scatter-accumulate: base[idx[i]] += v[i]. When two active lanes target the
-  // same element, the accumulation is serialized and charged extra — this is
-  // the Fig. 2 intra-vector conflict pathology.
-  void VScatterAccumConflict(double* base, const int64_t* idx, const Vec8& v,
-                             const Mask8& m);
-  // Conflict-free variant used by kernels that guarantee disjoint lanes
-  // (e.g. rhocell updates): no conflict detection cost, plain scatter cost.
+  // Scatter-accumulate base[idx[i]] += v[i] for kernels that guarantee
+  // disjoint lanes (e.g. rhocell updates): no conflict detection cost, plain
+  // scatter cost.
   void VScatterAccum(double* base, const int64_t* idx, const Vec8& v,
                      const Mask8& m);
 
-  // Register-to-register arithmetic (one VPU instruction each).
-  Vec8 VAdd(const Vec8& a, const Vec8& b);
-  Vec8 VSub(const Vec8& a, const Vec8& b);
-  Vec8 VMul(const Vec8& a, const Vec8& b);
-  Vec8 VFma(const Vec8& a, const Vec8& b, const Vec8& c);  // a*b + c
-  Vec8 VFloor(const Vec8& a);
-  Vec8 VMin(const Vec8& a, const Vec8& b);
-  Vec8 VMax(const Vec8& a, const Vec8& b);
-  Vec8 VBroadcast(double v);
-  // Lane permute/pack used for MPU operand assembly (charged like one op).
-  Vec8 VPermute(const Vec8& a, const int* perm);
-  // In-register horizontal sum (log2(lanes) ops charged).
-  double VReduceSum(const Vec8& a);
+  // One VPU FMA instruction, a*b + c. Kernels charge their other register
+  // work as op counts instead.
+  Vec8 VFma(const Vec8& a, const Vec8& b, const Vec8& c);
 
   // ---- MPU stream ----------------------------------------------------------
 

@@ -1,7 +1,6 @@
 #include "src/hw/parallel_for.h"
 
 #include "src/common/check.h"
-#include "src/hw/tile_scheduler.h"
 
 namespace mpic {
 namespace {
@@ -60,26 +59,9 @@ void RunRegionOnNode(HwContext& node, int begin, int end, int worker_base,
     // Cost-guided schedule: the task lists (and the steal sequence) are
     // computed serially from the estimates before the fan-out, so they are
     // identical for every OpenMP thread count; real threads just execute the
-    // lists the model assigned. Previous-owner ids arrive as global worker
-    // ids; the scheduler wants node-local ones (a position that last ran on
-    // another rank has no local affinity).
-    TileSchedulePlacement placement;
-    placement.num_domains = node.cfg().num_numa_domains;
-    placement.remote_steal_factor = node.cfg().remote_mem_latency_factor;
-    placement.remote_line_cost = node.cfg().remote_line_transfer_cycles;
-    placement.sticky = node.cfg().sticky_placement;
-    std::vector<int> prev_local;
-    if (prev_owner != nullptr) {
-      prev_local.resize(static_cast<size_t>(n_local));
-      for (int i = 0; i < n_local; ++i) {
-        const int local = static_cast<int>(prev_owner[i]) - worker_base;
-        prev_local[static_cast<size_t>(i)] =
-            (local >= 0 && local < num_workers) ? local : -1;
-      }
-      placement.prev_owner = prev_local.data();
-    }
-    const TileScheduleResult sched = BuildTileSchedule(
-        n_local, num_workers, est, node.cfg().steal_cost_cycles, placement);
+    // lists the model assigned.
+    const TileScheduleResult sched =
+        PlanTileSchedule(node, n_local, est, prev_owner, worker_base);
     if (owners != nullptr) {
       // Record placements serially from the schedule (not from the execution
       // loop) so the feedback is complete even if a worker list is empty.
@@ -221,6 +203,30 @@ void RunRegion(HwContext& hw, int n, const TileBody& body, RegionMerge merge,
 }
 
 }  // namespace
+
+TileScheduleResult PlanTileSchedule(const HwContext& node, int n,
+                                    const double* est,
+                                    const int32_t* prev_owner,
+                                    int worker_base) {
+  const int num_workers = node.num_cores();
+  TileSchedulePlacement placement;
+  placement.num_domains = node.cfg().num_numa_domains;
+  placement.remote_steal_factor = node.cfg().remote_mem_latency_factor;
+  placement.remote_line_cost = node.cfg().remote_line_transfer_cycles;
+  placement.sticky = node.cfg().sticky_placement;
+  std::vector<int> prev_local;
+  if (prev_owner != nullptr) {
+    prev_local.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const int local = static_cast<int>(prev_owner[i]) - worker_base;
+      prev_local[static_cast<size_t>(i)] =
+          (local >= 0 && local < num_workers) ? local : -1;
+    }
+    placement.prev_owner = prev_local.data();
+  }
+  return BuildTileSchedule(n, num_workers, est, node.cfg().steal_cost_cycles,
+                           placement);
+}
 
 TileRange WorkerTileRange(int n, int num_workers, int worker) {
   MPIC_CHECK(num_workers > 0 && worker >= 0 && worker < num_workers);

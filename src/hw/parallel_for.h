@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/hw/hw_context.h"
+#include "src/hw/tile_scheduler.h"
 
 namespace mpic {
 
@@ -112,6 +113,19 @@ void ParallelForTileList(HwContext& hw, const std::vector<int>& tiles,
                          const TileBody& body,
                          RegionMerge merge = RegionMerge::kPhaseMax,
                          const RegionCosts& costs = RegionCosts{});
+
+// The TileSchedulePolicy::kCostSteal schedule a fan-out of `n` positions runs
+// on `node`'s cores: BuildTileSchedule with the node's steal cost and NUMA
+// placement. `est` and `prev_owner` (either may be null) are the node's slice
+// of the region's cost estimates and previous owners. Owners are global
+// worker ids; they become node-local by subtracting `worker_base` (rank r's
+// first core), and an owner outside the node counts as unknown. Fed the costs
+// and owners one region measured, it returns the task lists the next region
+// with those inputs runs.
+TileScheduleResult PlanTileSchedule(const HwContext& node, int n,
+                                    const double* est,
+                                    const int32_t* prev_owner,
+                                    int worker_base = 0);
 
 // Per-worker accumulator slot padded to a cache line: callers index one slot
 // per worker, and the padding keeps concurrent per-particle increments from

@@ -18,6 +18,7 @@
 
 #include "src/core/simulation.h"
 #include "src/core/workloads.h"
+#include "src/hw/parallel_for.h"
 #include "src/hw/tile_scheduler.h"
 #include "src/runtime/digest.h"
 
@@ -381,6 +382,44 @@ TEST(SchedulerNuma, PlacementKeepsPhysicsBitIdenticalAndCyclesDeterministic) {
   const auto sticky_again = run(MachineConfig::Lx2MultiCoreNuma(4, 2));
   EXPECT_EQ(numa_sticky.first, sticky_again.first);
   EXPECT_EQ(numa_sticky.second, sticky_again.second);
+}
+
+// PlanTileSchedule is the planner the region runs: fed one region's measured
+// costs and owners, it returns the task lists the next region executes.
+TEST(SchedulerNuma, PlannerPredictsTheNextRegion) {
+  UseManyThreads();
+  HwContext hw(MachineConfig::Lx2MultiCoreNuma(4, 2));
+  const int n = 24;
+  // Skewed per-position work, so the schedule is LPT with steals and sticky
+  // owners rather than the near-uniform block split.
+  const TileBody body = [](HwContext& ctx, int, int t) {
+    ctx.ChargeCycles(t % 7 == 0 ? 9000.0 : 1000.0 + 170.0 * (t % 5));
+  };
+  std::vector<double> measured;
+  std::vector<int32_t> owners;
+  RegionCosts first;
+  first.measured = &measured;
+  first.owners = &owners;
+  ParallelForTiles(hw, n, body, RegionMerge::kPhaseMax, first);
+
+  const TileScheduleResult plan =
+      PlanTileSchedule(hw, n, measured.data(), owners.data());
+  std::vector<int32_t> planned(static_cast<size_t>(n), -1);
+  for (int w = 0; w < 4; ++w) {
+    for (const TileTask& task : plan.worker_tasks[static_cast<size_t>(w)]) {
+      planned[static_cast<size_t>(task.pos)] = w;
+    }
+  }
+  EXPECT_GT(plan.total_steals, 0);
+
+  std::vector<int32_t> next_owners;
+  RegionCosts second;
+  second.estimates = &measured;
+  second.prev_owners = &owners;
+  second.owners = &next_owners;
+  ParallelForTiles(hw, n, body, RegionMerge::kPhaseMax, second);
+  EXPECT_EQ(planned, next_owners);
+  EXPECT_NE(planned, owners);  // the first region ran the block split
 }
 
 // ---- Physics bit-identity: static vs stealing -------------------------------

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/common/stats.h"
 #include "src/core/diagnostics.h"
 #include "src/core/simulation.h"
 #include "src/core/workloads.h"
 #include "src/gpu/gpu_model.h"
+#include "src/runtime/digest.h"
 
 namespace mpic {
 namespace {
@@ -61,6 +63,57 @@ TEST(Simulation, AllPhasesAccrueCycles) {
   EXPECT_GT(r.particles_per_second, 0.0);
   EXPECT_GT(r.peak_efficiency, 0.0);
   EXPECT_LT(r.peak_efficiency, 1.0);
+}
+
+// The record of a window equals the ledger deltas around the same steps of a
+// twin run: the warm-up is not billed, and nothing after the last step is.
+TEST(MeasureWindow, RecordsTheMeasuredStepsOnly) {
+  const UniformWorkloadParams p = SmallUniform(DepositVariant::kFullOpt);
+  HwContext hw;
+  auto sim = MakeUniformSimulation(hw, p);
+  const WindowRecord r = MeasureWindow(*sim, /*warmup=*/2, /*steps=*/3);
+
+  HwContext twin_hw;
+  auto twin = MakeUniformSimulation(twin_hw, p);
+  twin->Run(2);
+  const CostLedger before = twin_hw.ledger();
+  const int64_t pushed_before = twin->particles_pushed();
+  twin->Run(3);
+  const CostLedger& after = twin_hw.ledger();
+
+  for (int ph = 0; ph < kNumPhases; ++ph) {
+    const auto phase = static_cast<Phase>(ph);
+    EXPECT_EQ(r.phase_cycles[static_cast<size_t>(ph)],
+              after.PhaseCycles(phase) - before.PhaseCycles(phase));
+  }
+  EXPECT_EQ(r.cycles, after.TotalCycles() - before.TotalCycles());
+  EXPECT_EQ(r.counters.mopas, after.counters().mopas - before.counters().mopas);
+  EXPECT_EQ(r.counters.l1_hits,
+            after.counters().l1_hits - before.counters().l1_hits);
+  EXPECT_EQ(r.particles, twin->particles_pushed() - pushed_before);
+  EXPECT_EQ(r.particles, 3 * twin->tiles().TotalLive());
+  EXPECT_EQ(r.global_sorts, twin->engine().total_global_sorts());
+  EXPECT_EQ(r.sim_digest, SimulationDigest(*twin));
+  EXPECT_EQ(r.ledger_digest, LedgerDigest(after));
+  EXPECT_NEAR(r.report.wall_seconds, hw.cfg().CyclesToSeconds(r.cycles),
+              1e-12 * r.report.wall_seconds);
+  // FullOpt CIC packs its MOPAs a quarter full.
+  EXPECT_DOUBLE_EQ(r.mpu_occupancy, 0.25);
+  EXPECT_GE(r.host_seconds, 0.0);
+}
+
+TEST(MeasureWindowDeathTest, NonFiniteWindowAborts) {
+  // An infinite MOPA cost makes the first measured deposit charge inf cycles.
+  MachineConfig cfg = MachineConfig::Lx2();
+  cfg.mopa_issue_cycles = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(
+      {
+        HwContext hw(cfg);
+        auto sim =
+            MakeUniformSimulation(hw, SmallUniform(DepositVariant::kFullOpt));
+        MeasureWindow(*sim, /*warmup=*/0, /*steps=*/1);
+      },
+      "non-finite cycles in the measured window");
 }
 
 TEST(Simulation, VariantsProduceSamePhysics) {
