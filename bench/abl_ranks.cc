@@ -3,9 +3,11 @@
 // Phase::kComm ledger bucket makes visible.
 //
 // The ranks are a cost-model construct layered over one global simulation:
-// each rank's cores sweep the rank's own tile slab, serial stages scale by
-// 1/R, and the guard-plane halo exchange plus cross-rank particle migration
-// are charged to Phase::kComm through the modeled inter-rank link. The
+// each rank's cores sweep the rank's own tile slab (the field solve, window
+// shift and global sorts included), the stages that stay serial (guard folds,
+// mover delivery, the shared-J scatter deposit) scale by 1/R, and the
+// guard-plane halo exchange plus cross-rank particle migration are charged
+// to Phase::kComm through the modeled inter-rank link. The
 // physics is computed once, identically, whatever the rank count — which is
 // exactly what the digest matrix gates.
 //

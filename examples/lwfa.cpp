@@ -10,15 +10,16 @@
 //   ./lwfa [steps] [variant] [ions]
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "bench/bench_util.h"
 #include "src/core/diagnostics.h"
 #include "src/core/workloads.h"
 #include "src/runtime/health.h"
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 20;
+  const int steps = mpic::ParseBenchArgs(
+      argc, argv, {{"steps", 20, 1, mpic::kMaxBenchSteps}})[0];
   mpic::LwfaWorkloadParams params;
   params.variant = (argc > 2 && std::strcmp(argv[2], "baseline") == 0)
                        ? mpic::DepositVariant::kBaseline

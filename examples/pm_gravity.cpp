@@ -11,10 +11,11 @@
 //
 //   ./pm_gravity [n_cells_1d] [ppc1d]
 
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
+#include <cstdio>
+#include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/deposit/deposit_baseline.h"
@@ -26,8 +27,10 @@
 #include "src/particles/species.h"
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 12;
-  const int ppc1d = argc > 2 ? std::atoi(argv[2]) : 4;
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv, {{"n_cells_1d", 12, 2, 32}, {"ppc1d", 4, 1, 8}});
+  const int n = args[0];
+  const int ppc1d = args[1];
 
   // A "cosmological" box: Mpc-scale cells, solar-mass particles clustered into
   // a few halos (clustering is what stresses deposition locality).

@@ -7,13 +7,14 @@
 //   ./quickstart [steps]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench/bench_util.h"
 #include "src/core/diagnostics.h"
 #include "src/core/workloads.h"
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int steps = mpic::ParseBenchArgs(
+      argc, argv, {{"steps", 10, 1, mpic::kMaxBenchSteps}})[0];
 
   // 1. Describe the workload: a 12^3 periodic box with 27 particles per cell.
   mpic::UniformWorkloadParams params;

@@ -14,11 +14,13 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "bench/bench_util.h"
 #include "src/core/diagnostics.h"
 #include "src/core/workloads.h"
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 150;
+  const int steps = mpic::ParseBenchArgs(
+      argc, argv, {{"steps", 150, 1, mpic::kMaxBenchSteps}})[0];
   mpic::CollisionalRelaxationParams params;
   params.coulomb_log = argc > 2 ? std::atof(argv[2]) : 300.0;
   if (params.coulomb_log <= 0.0) {

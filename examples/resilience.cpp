@@ -18,8 +18,9 @@
 //   ./resilience [steps] [fault_step]
 
 #include <cstdio>
-#include <cstdlib>
+#include <vector>
 
+#include "bench/bench_util.h"
 #include "src/core/workloads.h"
 #include "src/runtime/digest.h"
 #include "src/runtime/fault_injection.h"
@@ -27,8 +28,13 @@
 #include "src/runtime/recovery.h"
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 16;
-  const int fault_step = argc > 2 ? std::atoi(argv[2]) : steps / 2 + 1;
+  // fault_step 0 (the fallback) means halfway through the run.
+  const std::vector<int> args = mpic::ParseBenchArgs(
+      argc, argv,
+      {{"steps", 16, 1, mpic::kMaxBenchSteps},
+       {"fault_step", 0, 1, mpic::kMaxBenchSteps}});
+  const int steps = args[0];
+  const int fault_step = args[1] > 0 ? args[1] : steps / 2 + 1;
 
   mpic::LwfaWorkloadParams params;
   params.nx = params.ny = 8;

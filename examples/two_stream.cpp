@@ -13,12 +13,14 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "bench/bench_util.h"
 #include "src/core/diagnostics.h"
 #include "src/core/workloads.h"
 #include "src/runtime/health.h"
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 120;
+  const int steps = mpic::ParseBenchArgs(
+      argc, argv, {{"steps", 120, 1, mpic::kMaxBenchSteps}})[0];
   mpic::TwoStreamParams params;
   params.u_drift = argc > 2 ? std::atof(argv[2]) : 0.2;
   if (params.u_drift <= 0.0) {

@@ -9,14 +9,15 @@
 //
 //   variant: baseline | baseline-sort | rhocell | rhocell-sort | vpu |
 //            matrix-only | hybrid-nosort | hybrid-globalsort | fullopt
-//   order:   1 (CIC) | 2 (TSC; baseline only) | 3 (QSP)
-//   ppc1d:   particles per cell per dimension (total PPC = ppc1d^3)
+//   order:   1 (CIC) | 2 (TSC; not on the rhocell/MPU variants) | 3 (QSP)
+//   ppc1d:   particles per cell per dimension, 1..8 (total PPC = ppc1d^3)
+//   steps:   1..100000
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/core/diagnostics.h"
 #include "src/core/workloads.h"
 
@@ -47,15 +48,40 @@ mpic::DepositVariant ParseVariant(const char* name) {
   return DepositVariant::kFullOpt;
 }
 
+// The rhocell and MPU kernels deposit CIC (1) and QSP (3) only; the other
+// variants also take TSC (2).
+bool OrderSupported(mpic::DepositVariant v, int order) {
+  const mpic::VariantTraits traits = mpic::TraitsOf(v);
+  return order != 2 || !(traits.uses_rhocell || traits.uses_mpu);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   mpic::UniformWorkloadParams params;
   params.variant =
       argc > 1 ? ParseVariant(argv[1]) : mpic::DepositVariant::kFullOpt;
-  params.order = argc > 2 ? std::atoi(argv[2]) : 1;
-  const int ppc1d = argc > 3 ? std::atoi(argv[3]) : 4;
-  const int steps = argc > 4 ? std::atoi(argv[4]) : 8;
+  // Integer arguments: a bad one takes its default, with one usage line.
+  int order = 1;
+  int ppc1d = 4;
+  int steps = 8;
+  bool bad = false;
+  if (argc > 2 && (!mpic::ParseBenchInt(argv[2], 1, 3, &order) ||
+                   !OrderSupported(params.variant, order))) {
+    order = 1;
+    bad = true;
+  }
+  bad = (argc > 3 && !mpic::ParseBenchInt(argv[3], 1, 8, &ppc1d)) || bad;
+  bad = (argc > 4 && !mpic::ParseBenchInt(argv[4], 1, mpic::kMaxBenchSteps,
+                                          &steps)) ||
+        bad;
+  if (bad) {
+    std::fprintf(stderr,
+                 "usage: %s [variant] [order 1|3, or 2 on baseline variants] "
+                 "[ppc1d 1..8] [steps 1..%d]; using defaults\n",
+                 argv[0], mpic::kMaxBenchSteps);
+  }
+  params.order = order;
   params.nx = params.ny = params.nz = 12;
   params.tile = 12;
   params.ppc_x = params.ppc_y = params.ppc_z = ppc1d;

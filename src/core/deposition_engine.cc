@@ -9,6 +9,7 @@
 #include "src/deposit/esirkepov_mpu.h"
 #include "src/deposit/deposit_scalar.h"
 #include "src/deposit/deposit_staging.h"
+#include "src/hw/parallel_for.h"
 #include "src/hw/rank_topology.h"
 
 namespace mpic {
@@ -112,21 +113,46 @@ void DepositionEngine::Initialize(TileSet& tiles, FieldSet& fields) {
   RegisterRegions(tiles, fields);
 }
 
-void DepositionEngine::GlobalSort(TileSet& tiles) {
-  // Per-tile counting sorts are rank-local work: ranks sort their own
-  // domains concurrently, so the serial charge scales down by the rank count.
-  ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
-  PhaseScope phase(hw_.ledger(), Phase::kSort);
-  int64_t moved = 0;
-  for (int t = 0; t < tiles.num_tiles(); ++t) {
-    moved += tiles.tile(t).GlobalSortTile(tiles.geom(), config_.gpma);
-  }
+void DepositionEngine::SortTiles(TileSet& tiles) {
   // Counting sort: streaming writes of the ten SoA components (positions,
   // momenta, weight, and the old-position lanes all permute together) plus
   // two index passes, and — the expensive part — the permutation gather,
   // whose reads are random per particle.
-  hw_.ChargeBulk(0.0, static_cast<double>(moved) * (10.0 * 8.0 * 2.0 + 4.0 * 2.0));
-  hw_.ChargeCycles(static_cast<double>(moved) * 8.0);
+  constexpr double kBytesPerParticle = 10.0 * 8.0 * 2.0 + 4.0 * 2.0;
+  constexpr double kGatherCyclesPerParticle = 8.0;
+  // A tile sorts exactly its live particles, so its bill is known up front
+  // and is its cost-steal estimate: dense tiles spread over the cores.
+  const double cycles_per_particle =
+      kBytesPerParticle / hw_.cfg().stream_bytes_per_cycle +
+      kGatherCyclesPerParticle;
+  std::vector<double> bills(static_cast<size_t>(tiles.num_tiles()));
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    bills[static_cast<size_t>(t)] =
+        static_cast<double>(tiles.tile(t).num_live()) * cycles_per_particle;
+  }
+  RegionCosts costs;
+  costs.estimates = &bills;
+  ParallelForTiles(
+      hw_, tiles.num_tiles(),
+      [&](HwContext& hw, int, int t) {
+        PhaseScope phase(hw.ledger(), Phase::kSort);
+        const auto moved = static_cast<double>(
+            tiles.tile(t).GlobalSortTile(tiles.geom(), config_.gpma));
+        hw.ChargeBulk(0.0, moved * kBytesPerParticle);
+        hw.ChargeCycles(moved * kGatherCyclesPerParticle);
+      },
+      RegionMerge::kPhaseMax, costs);
+  // Each sorted lane then gets storage of exactly its size, so the keyed
+  // registrations re-map it and the tile's next append reallocates: both
+  // shape the modeled address layout. The copies run here, on the calling
+  // thread, so lane storage does not accumulate in the workers' heaps.
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    tiles.tile(t).soa().MoveToExactStorage();
+  }
+}
+
+void DepositionEngine::GlobalSort(TileSet& tiles) {
+  SortTiles(tiles);
   ++total_global_sorts_;
   rank_stats_.steps_since_sort = 0;
   rank_stats_.local_rebuilds = 0;
@@ -387,15 +413,7 @@ void DepositionEngine::PostScanGlobalSort(TileSet& tiles, FieldSet& fields,
   if (traits_.sort_mode != SortMode::kGlobalEachStep) {
     return;
   }
-  // Tiles sort independently; ranks run their domains concurrently.
-  ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
-  PhaseScope phase(hw_.ledger(), Phase::kSort);
-  int64_t moved = 0;
-  for (int t = 0; t < tiles.num_tiles(); ++t) {
-    moved += tiles.tile(t).GlobalSortTile(tiles.geom(), config_.gpma);
-  }
-  hw_.ChargeBulk(0.0, static_cast<double>(moved) * (10.0 * 8.0 * 2.0 + 4.0 * 2.0));
-  hw_.ChargeCycles(static_cast<double>(moved) * 8.0);
+  SortTiles(tiles);
   RegisterRegions(tiles, fields);
   stats->global_sorted = true;
 }

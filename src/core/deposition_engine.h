@@ -8,7 +8,8 @@
 //                         GPMA when insertion pressure demands;
 //   [barrier] DeliverMovers / PostScanGlobalSort — serial, order-preserving
 //                         cross-tile delivery (and, for the global-sort-each-
-//                         step variant, the per-tile counting sort);
+//                         step variant, the per-tile counting sort, one
+//                         tile-parallel region);
 //   StageAndDepositTile — staging + the configured deposition kernel (or, in
 //                         CurrentScheme::kEsirkepov, the staged
 //                         charge-conserving kernel into the per-tile
@@ -126,9 +127,9 @@ class DepositionEngine {
   // destination slot assignment never depends on the parallel schedule.
   void DeliverMovers(TileSet& tiles, EngineStepStats* stats);
 
-  // Serial barrier for SortMode::kGlobalEachStep: the full per-tile counting
-  // sort (tile ownership is already current after DeliverMovers). No-op for
-  // the other sort modes.
+  // Barrier for SortMode::kGlobalEachStep: the full per-tile counting sort
+  // (tile ownership is already current after DeliverMovers), one tile-parallel
+  // region as in GlobalSort. No-op for the other sort modes.
   void PostScanGlobalSort(TileSet& tiles, FieldSet& fields, EngineStepStats* stats);
 
   // Serial pre-pass before a tile-parallel deposit region: (re)registers the
@@ -193,7 +194,9 @@ class DepositionEngine {
   void RemoveParticle(TileSet& tiles, int tile_index, int32_t pid);
   void RemoveParticle(HwContext& hw, TileSet& tiles, int tile_index, int32_t pid);
 
-  // Forces GlobalSortParticlesByCell on every tile now.
+  // Forces GlobalSortParticlesByCell on every tile now. Tiles sort in one
+  // tile-parallel region; the SoA regions are not re-registered here (callers
+  // register them serially on the main context afterwards).
   void GlobalSort(TileSet& tiles);
 
   const EngineConfig& config() const { return config_; }
@@ -262,6 +265,9 @@ class DepositionEngine {
   void ScanTileRedistribute(HwContext& hw, TileSet& tiles, int t,
                             TileScanPartial* partial);
   void RegisterRegions(TileSet& tiles, FieldSet& fields);
+  // GlobalSortTile on every tile in one region, each tile billing its own
+  // live particles under Phase::kSort.
+  void SortTiles(TileSet& tiles);
   void UpdateRankStats(TileSet& tiles, const EngineStepStats& stats,
                        double step_cycles, int64_t live);
   // Bumps cross_rank_movers_ for a mover whose tiles live on different ranks.

@@ -182,12 +182,9 @@ void Simulation::AdvanceWindow() {
   }
   const int shifts = window_->StepsToShift(dt_);
   for (int s = 0; s < shifts; ++s) {
-    {
-      // Each rank shifts its own slab of the field arrays concurrently (the
-      // slab handoff planes ride the regular halo exchange).
-      ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
-      ShiftWindowZ(hw_, fields_);
-    }
+    // Fans out over every modeled core and rank (the slab handoff planes ride
+    // the regular halo exchange).
+    ShiftWindowZ(hw_, fields_);
     GridGeometry g = config_.geom;
     g.z0 = fields_.geom.z0;
     config_.geom = g;
@@ -294,16 +291,12 @@ void Simulation::Step() {
     last_sim_stats_.species[i].live = blocks_[i]->tiles.TotalLive();
   }
 
-  {
-    // The field solve is a serial sweep on one rank; on a multi-rank machine
-    // each rank sweeps its own z-slab concurrently, so the modeled charge
-    // scales by the rank count. The boundary planes each slab needs from its
-    // neighbors are settled by the halo exchange below.
-    ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
-    solver_.UpdateB(hw_, fields_, 0.5 * dt_);
-    solver_.UpdateE(hw_, fields_, dt_, staggered_j_);
-    solver_.UpdateB(hw_, fields_, 0.5 * dt_);
-  }
+  // Each update fans out as one k-slab per worker: ranks take contiguous
+  // z-slabs and their cores split those. The boundary planes each rank's slab
+  // needs from its neighbors are settled by the halo exchange below.
+  solver_.UpdateB(hw_, fields_, 0.5 * dt_);
+  solver_.UpdateE(hw_, fields_, dt_, staggered_j_);
+  solver_.UpdateB(hw_, fields_, 0.5 * dt_);
   if (rank_comm_.has_value()) {
     rank_comm_->ExchangeFieldHalos(fields_);
   }

@@ -79,27 +79,18 @@ std::vector<int> TileHomeDomains(const HwContext& hw,
 // ---- Shared per-tile stages -------------------------------------------------
 
 void StepPipeline::ZeroCurrentsStage(FieldSet& fields) {
-  const double bytes = static_cast<double>(fields.jx.size()) * 8.0 * 3.0;
-  if (!ParallelEnabled(hw_)) {
-    PhaseScope phase(hw_.ledger(), Phase::kOther);
-    fields.ZeroCurrents();
-    hw_.ChargeBulk(0.0, bytes);
-    return;
-  }
-  // Dedicated fan-out: each worker (core, or rank x core) zeroes a contiguous
-  // chunk of jx/jy/jz (disjoint writes), so the charge overlaps across cores
-  // like every other tile-parallel stage instead of serializing at the top of
-  // the step.
-  const int n = static_cast<int>(fields.jx.size());
-  const int chunks = WorkerSlotCount(hw_);
-  ParallelForTiles(hw_, chunks, [&](HwContext& hw, int, int c) {
-    PhaseScope phase(hw.ledger(), Phase::kOther);
-    const TileRange r = WorkerTileRange(n, chunks, c);
-    for (FieldArray* f : {&fields.jx, &fields.jy, &fields.jz}) {
-      std::fill(f->vec().begin() + r.begin, f->vec().begin() + r.end, 0.0);
-    }
-    hw.ChargeBulk(0.0, static_cast<double>(r.end - r.begin) * 8.0 * 3.0);
-  });
+  // Each worker (core, or rank x core) zeroes a contiguous chunk of jx/jy/jz
+  // (disjoint writes), so the charge overlaps across cores like every other
+  // tile-parallel stage instead of serializing at the top of the step.
+  PhaseScope phase(hw_.ledger(), Phase::kOther);
+  ParallelForChunks(
+      hw_, static_cast<int>(fields.jx.size()),
+      [&](HwContext& hw, int, int begin, int end) {
+        for (FieldArray* f : {&fields.jx, &fields.jy, &fields.jz}) {
+          std::fill(f->vec().begin() + begin, f->vec().begin() + end, 0.0);
+        }
+        hw.ChargeBulk(0.0, static_cast<double>(end - begin) * 8.0 * 3.0);
+      });
 }
 
 void StepPipeline::PrepareTileRegions(SpeciesBlock& block) {

@@ -151,6 +151,15 @@ class PhaseScope {
 // work still happens, on some rank). A no-op for ranks <= 1, so call sites can
 // wrap unconditionally. Must NOT enclose a parallel region (ParallelForTiles
 // already merges rank-concurrent charges) — that would scale twice.
+//
+// Three call sites keep it, all of them stages that stay serial on the main
+// context: DepositionEngine::FoldCurrentGuards and DeliverMovers, which bill
+// inside the deposition cycles the re-sort policy's throughput trigger reads
+// (a fan-out would move those cycles, and with them sort decisions and the
+// physics), and the shared-J scatter deposit of the non-rhocell kernels,
+// whose tiles write overlapping J nodes. Whole-grid sweeps (solve, window
+// shift) and the global sort fan out through ParallelForChunks and
+// ParallelForTiles instead.
 class ScopedRankScale {
  public:
   ScopedRankScale(CostLedger& ledger, int ranks)

@@ -243,6 +243,16 @@ void ParallelForTiles(HwContext& hw, int n, const TileBody& body,
   RunRegion(hw, n, body, merge, costs, [](int i) { return i; });
 }
 
+void ParallelForChunks(HwContext& hw, int n, const ChunkBody& body) {
+  const int chunks = WorkerSlotCount(hw);
+  const Phase phase = hw.ledger().phase();
+  ParallelForTiles(hw, chunks, [&](HwContext& ctx, int worker, int c) {
+    PhaseScope scope(ctx.ledger(), phase);
+    const TileRange r = WorkerTileRange(n, chunks, c);
+    body(ctx, worker, r.begin, r.end);
+  });
+}
+
 void ParallelForTileList(HwContext& hw, const std::vector<int>& tiles,
                          const TileBody& body, RegionMerge merge,
                          const RegionCosts& costs) {

@@ -114,6 +114,17 @@ void ParallelForTileList(HwContext& hw, const std::vector<int>& tiles,
                          RegionMerge merge = RegionMerge::kPhaseMax,
                          const RegionCosts& costs = RegionCosts{});
 
+using ChunkBody =
+    std::function<void(HwContext& ctx, int worker, int begin, int end)>;
+
+// Splits [0, n) into WorkerSlotCount(hw) contiguous chunks (WorkerTileRange)
+// and runs body(ctx, worker, begin, end) once per chunk in one region, so
+// each worker (rank x core) sweeps one chunk of a whole-grid array. Bodies
+// run under the caller's current phase. With one core and one rank this is a
+// single inline call over [0, n), billing exactly what the serial sweep
+// billed.
+void ParallelForChunks(HwContext& hw, int n, const ChunkBody& body);
+
 // The TileSchedulePolicy::kCostSteal schedule a fan-out of `n` positions runs
 // on `node`'s cores: BuildTileSchedule with the node's steal cost and NUMA
 // placement. `est` and `prev_owner` (either may be null) are the node's slice

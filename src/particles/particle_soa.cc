@@ -40,30 +40,10 @@ Particle ParticleSoA::Get(int32_t i) const {
                   w[idx],  xo[idx], yo[idx], zo[idx]};
 }
 
-void ParticleSoA::Reserve(size_t n) {
-  x.reserve(n);
-  y.reserve(n);
-  z.reserve(n);
-  ux.reserve(n);
-  uy.reserve(n);
-  uz.reserve(n);
-  w.reserve(n);
-  xo.reserve(n);
-  yo.reserve(n);
-  zo.reserve(n);
-}
-
-void ParticleSoA::Clear() {
-  x.clear();
-  y.clear();
-  z.clear();
-  ux.clear();
-  uy.clear();
-  uz.clear();
-  w.clear();
-  xo.clear();
-  yo.clear();
-  zo.clear();
+void ParticleSoA::MoveToExactStorage() {
+  for (std::vector<double>* lane : Lanes()) {
+    std::vector<double>(*lane).swap(*lane);
+  }
 }
 
 }  // namespace mpic

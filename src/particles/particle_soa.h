@@ -9,6 +9,7 @@
 #ifndef MPIC_SRC_PARTICLES_PARTICLE_SOA_H_
 #define MPIC_SRC_PARTICLES_PARTICLE_SOA_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -38,8 +39,12 @@ class ParticleSoA {
   void Set(int32_t i, const Particle& p);
   Particle Get(int32_t i) const;
 
-  void Reserve(size_t n);
-  void Clear();
+  // The ten lanes, in declaration order.
+  std::array<std::vector<double>*, 10> Lanes() {
+    return {&x, &y, &z, &ux, &uy, &uz, &w, &xo, &yo, &zo};
+  }
+  // Moves every lane to fresh storage of exactly size() elements.
+  void MoveToExactStorage();
 
   std::vector<double> x, y, z;
   std::vector<double> ux, uy, uz;

@@ -78,36 +78,40 @@ void ParticleTile::BuildGpma(const GridGeometry& geom, const GpmaConfig& config)
 int64_t ParticleTile::GlobalSortTile(const GridGeometry& geom,
                                      const GpmaConfig& config) {
   // Compact live particles in cell order, dropping free slots entirely.
-  const size_t n_slots = soa_.size();
-  std::vector<int32_t> live_pids;
-  std::vector<int32_t> live_cells;
-  live_pids.reserve(static_cast<size_t>(num_live_));
-  live_cells.reserve(static_cast<size_t>(num_live_));
-  for (size_t pid = 0; pid < n_slots; ++pid) {
-    if (live_[pid] != 0) {
-      live_pids.push_back(static_cast<int32_t>(pid));
-      live_cells.push_back(
-          static_cast<int32_t>(CellOfParticle(geom, static_cast<int32_t>(pid))));
+  // Cells are recomputed rather than stored, so the only per-particle index
+  // array is `src`: tiles sort concurrently, and their temporaries add up.
+  const int n_cells = std::max(1, num_cells());
+  std::vector<int64_t> offsets;
+  size_t n = 0;
+  {
+    // src[i]: the slot the i-th sorted particle comes from.
+    const std::vector<int32_t> src = CountingSortByCell(
+        static_cast<int32_t>(soa_.size()), n_cells,
+        [&](int32_t pid) { return IsLive(pid) ? CellOfParticle(geom, pid) : -1; },
+        &offsets);
+    n = src.size();
+    // One lane at a time through one buffer, back into the lane's own
+    // storage: the extra memory is one lane, not a second SoA.
+    std::vector<double> buffer(n);
+    for (std::vector<double>* lane : soa_.Lanes()) {
+      for (size_t i = 0; i < n; ++i) {
+        buffer[i] = (*lane)[static_cast<size_t>(src[i])];
+      }
+      std::copy(buffer.begin(), buffer.end(), lane->begin());
+      lane->resize(n);
     }
   }
-  const std::vector<int32_t> perm =
-      CountingSortPermutation(live_cells, std::max(1, num_cells()));
-
-  ParticleSoA sorted;
-  sorted.Reserve(live_pids.size());
-  std::vector<int32_t> sorted_cells(live_pids.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    const int32_t src = live_pids[static_cast<size_t>(perm[i])];
-    sorted.Append(soa_.Get(src));
-    sorted_cells[i] = live_cells[static_cast<size_t>(perm[i])];
+  std::vector<int32_t> sorted_cells(n);
+  for (int c = 0; c < n_cells; ++c) {
+    std::fill(sorted_cells.begin() + offsets[static_cast<size_t>(c)],
+              sorted_cells.begin() + offsets[static_cast<size_t>(c) + 1], c);
   }
-  soa_ = std::move(sorted);
-  live_.assign(soa_.size(), 1);
+  live_.assign(n, 1);
   free_slots_.clear();
-  num_live_ = static_cast<int32_t>(soa_.size());
-  gpma_.Build(sorted_cells, std::max(1, num_cells()), config);
+  num_live_ = static_cast<int32_t>(n);
+  gpma_.Build(sorted_cells, n_cells, config);
   was_rebuilt_this_step = false;
-  return static_cast<int64_t>(soa_.size());
+  return static_cast<int64_t>(n);
 }
 
 }  // namespace mpic

@@ -69,6 +69,8 @@ class ParticleTile {
 
   // Compacts the SoA in cell-sorted order and rebuilds the GPMA — the per-tile
   // piece of GlobalSortParticlesByCell. Returns the number of particles moved.
+  // The lanes are compacted in their own storage (capacity unchanged);
+  // DepositionEngine's global sort then moves them to exact-size storage.
   int64_t GlobalSortTile(const GridGeometry& geom, const GpmaConfig& config);
 
   // Computes the tile-local cell of a live particle from its position.

@@ -6,6 +6,7 @@
 
 #include "src/core/diagnostics.h"
 #include "src/core/simulation.h"
+#include "src/hw/parallel_for.h"
 #include "src/particles/species.h"
 
 namespace mpic {
@@ -220,10 +221,16 @@ bool HealthMonitor::GuardTilePositions(HwContext& hw, const ParticleTile& tile,
 double HealthMonitor::CurrentTotalEnergy(Simulation& sim,
                                          double kinetic_from_guards,
                                          bool use_guard_kinetic) const {
+  // FieldEnergy is a pure function; bill its read of the six E/B arrays here,
+  // one chunk per worker. The sum itself stays one serial pass, so the
+  // energy keeps its summation order at every core count.
   const double field = FieldEnergy(sim.fields());
-  // FieldEnergy is a pure function; bill its interior read here.
-  const double field_elems = static_cast<double>(sim.fields().ex.size()) * 6.0;
-  sim.hw().ChargeBulk(2.0 * field_elems, 8.0 * field_elems);
+  ParallelForChunks(sim.hw(), static_cast<int>(sim.fields().ex.size()),
+                    [](HwContext& ctx, int, int begin, int end) {
+                      const double elems =
+                          static_cast<double>(end - begin) * 6.0;
+                      ctx.ChargeBulk(2.0 * elems, 8.0 * elems);
+                    });
   double kinetic = kinetic_from_guards;
   if (!use_guard_kinetic) {
     kinetic = TotalKineticEnergy(sim);
@@ -253,20 +260,37 @@ void HealthMonitor::FinishStep(Simulation& sim, SimStepStats* stats) {
     const FieldSet& f = sim.fields();
     const FieldArray* arrays[] = {&f.ex, &f.ey, &f.ez, &f.bx, &f.by,
                                   &f.bz, &f.jx, &f.jy, &f.jz};
+    // Each worker scans one chunk of every array. A count and a maximum do
+    // not depend on the order they are taken in.
+    struct FieldScan {
+      int64_t bad = 0;
+      double max_abs = 0.0;
+    };
+    std::vector<PaddedSlot<FieldScan>> scans(
+        static_cast<size_t>(WorkerSlotCount(hw)));
+    ParallelForChunks(
+        hw, static_cast<int>(f.ex.size()),
+        [&](HwContext& ctx, int worker, int begin, int end) {
+          FieldScan& scan = scans[static_cast<size_t>(worker)].value;
+          for (const FieldArray* a : arrays) {
+            for (int i = begin; i < end; ++i) {
+              const double v = a->vec()[static_cast<size_t>(i)];
+              if (!std::isfinite(v)) {
+                ++scan.bad;
+              } else {
+                scan.max_abs = std::max(scan.max_abs, std::abs(v));
+              }
+            }
+          }
+          const double elems = static_cast<double>(end - begin) * 9.0;
+          ctx.ChargeBulk(2.0 * elems, 8.0 * elems);
+        });
     int64_t bad = 0;
     double max_abs = 0.0;
-    double elems = 0.0;
-    for (const FieldArray* a : arrays) {
-      for (const double v : a->vec()) {
-        if (!std::isfinite(v)) {
-          ++bad;
-        } else {
-          max_abs = std::max(max_abs, std::abs(v));
-        }
-      }
-      elems += static_cast<double>(a->size());
+    for (const PaddedSlot<FieldScan>& slot : scans) {
+      bad += slot.value.bad;
+      max_abs = std::max(max_abs, slot.value.max_abs);
     }
-    hw.ChargeBulk(2.0 * elems, 8.0 * elems);
     rep.fields.count = bad;
     rep.fields.value = max_abs;
     rep.fields.status = (bad > 0 || max_abs > cfg_.max_field_magnitude)

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/hw/parallel_for.h"
 #include "src/particles/species.h"
 
 namespace mpic {
@@ -13,6 +14,13 @@ namespace {
 constexpr double kCkcAlpha = 7.0 / 12.0;
 constexpr double kCkcBeta = 1.0 / 12.0;
 constexpr double kCkcGamma = 1.0 / 48.0;
+
+// Cells of the k-slab [k_begin, k_end): the whole grid's NumCells() for the
+// single slab of a one-core machine.
+double SlabCells(const GridGeometry& g, int k_begin, int k_end) {
+  return static_cast<double>(static_cast<int64_t>(g.nx) * g.ny *
+                             (k_end - k_begin));
+}
 
 }  // namespace
 
@@ -77,24 +85,27 @@ void MaxwellSolver::UpdateB(HwContext& hw, FieldSet& fields, double dt_half) con
     return acc;
   };
 
-  for (int k = 0; k < geom_.nz; ++k) {
-    for (int j = 0; j < geom_.ny; ++j) {
-      for (int i = 0; i < geom_.nx; ++i) {
-        fields.bx.At(i, j, k) -=
-            cy * diff(ez, 1, i, j, k) - cz * diff(ey, 2, i, j, k);
-        fields.by.At(i, j, k) -=
-            cz * diff(ex, 2, i, j, k) - cx * diff(ez, 0, i, j, k);
-        fields.bz.At(i, j, k) -=
-            cx * diff(ey, 0, i, j, k) - cy * diff(ex, 1, i, j, k);
+  const double flops_per_cell = ckc ? 108.0 : 18.0;
+  // B(i,j,k) reads only E, so the k-slabs are independent.
+  ParallelForChunks(hw, geom_.nz, [&](HwContext& ctx, int, int k_begin, int k_end) {
+    for (int k = k_begin; k < k_end; ++k) {
+      for (int j = 0; j < geom_.ny; ++j) {
+        for (int i = 0; i < geom_.nx; ++i) {
+          fields.bx.At(i, j, k) -=
+              cy * diff(ez, 1, i, j, k) - cz * diff(ey, 2, i, j, k);
+          fields.by.At(i, j, k) -=
+              cz * diff(ex, 2, i, j, k) - cx * diff(ez, 0, i, j, k);
+          fields.bz.At(i, j, k) -=
+              cx * diff(ey, 0, i, j, k) - cy * diff(ex, 1, i, j, k);
+        }
       }
     }
-  }
+    const double cells = SlabCells(geom_, k_begin, k_end);
+    ctx.ChargeBulk(cells * flops_per_cell, cells * 8.0 * (ckc ? 55.0 : 15.0));
+  });
   fields.bx.FillGuardsPeriodic();
   fields.by.FillGuardsPeriodic();
   fields.bz.FillGuardsPeriodic();
-  const double cells = static_cast<double>(geom_.NumCells());
-  const double flops_per_cell = ckc ? 108.0 : 18.0;
-  hw.ChargeBulk(cells * flops_per_cell, cells * 8.0 * (ckc ? 55.0 : 15.0));
 }
 
 void MaxwellSolver::UpdateE(HwContext& hw, FieldSet& fields, double dt,
@@ -119,38 +130,41 @@ void MaxwellSolver::UpdateE(HwContext& hw, FieldSet& fields, double dt,
   const FieldArray& jx = fields.jx;
   const FieldArray& jy = fields.jy;
   const FieldArray& jz = fields.jz;
-  for (int k = 0; k < geom_.nz; ++k) {
-    for (int j = 0; j < geom_.ny; ++j) {
-      for (int i = 0; i < geom_.nx; ++i) {
-        // Direct deposition: node-centered J averaged to the staggered E
-        // locations. Esirkepov: entry (i,j,k) of jx already holds
-        // Jx(i+1/2, j, k), exactly where Ex lives.
-        const double jx_s =
-            staggered_j ? jx.At(i, j, k)
-                        : 0.5 * (jx.At(i, j, k) + jx.At(i + 1, j, k));
-        const double jy_s =
-            staggered_j ? jy.At(i, j, k)
-                        : 0.5 * (jy.At(i, j, k) + jy.At(i, j + 1, k));
-        const double jz_s =
-            staggered_j ? jz.At(i, j, k)
-                        : 0.5 * (jz.At(i, j, k) + jz.At(i, j, k + 1));
-        fields.ex.At(i, j, k) +=
-            cdy * (bz.At(i, j, k) - bz.At(i, j - 1, k)) -
-            cdz * (by.At(i, j, k) - by.At(i, j, k - 1)) - jfac * jx_s;
-        fields.ey.At(i, j, k) +=
-            cdz * (bx.At(i, j, k) - bx.At(i, j, k - 1)) -
-            cdx * (bz.At(i, j, k) - bz.At(i - 1, j, k)) - jfac * jy_s;
-        fields.ez.At(i, j, k) +=
-            cdx * (by.At(i, j, k) - by.At(i - 1, j, k)) -
-            cdy * (bx.At(i, j, k) - bx.At(i, j - 1, k)) - jfac * jz_s;
+  // E(i,j,k) reads only B and J, so the k-slabs are independent.
+  ParallelForChunks(hw, geom_.nz, [&](HwContext& ctx, int, int k_begin, int k_end) {
+    for (int k = k_begin; k < k_end; ++k) {
+      for (int j = 0; j < geom_.ny; ++j) {
+        for (int i = 0; i < geom_.nx; ++i) {
+          // Direct deposition: node-centered J averaged to the staggered E
+          // locations. Esirkepov: entry (i,j,k) of jx already holds
+          // Jx(i+1/2, j, k), exactly where Ex lives.
+          const double jx_s =
+              staggered_j ? jx.At(i, j, k)
+                          : 0.5 * (jx.At(i, j, k) + jx.At(i + 1, j, k));
+          const double jy_s =
+              staggered_j ? jy.At(i, j, k)
+                          : 0.5 * (jy.At(i, j, k) + jy.At(i, j + 1, k));
+          const double jz_s =
+              staggered_j ? jz.At(i, j, k)
+                          : 0.5 * (jz.At(i, j, k) + jz.At(i, j, k + 1));
+          fields.ex.At(i, j, k) +=
+              cdy * (bz.At(i, j, k) - bz.At(i, j - 1, k)) -
+              cdz * (by.At(i, j, k) - by.At(i, j, k - 1)) - jfac * jx_s;
+          fields.ey.At(i, j, k) +=
+              cdz * (bx.At(i, j, k) - bx.At(i, j, k - 1)) -
+              cdx * (bz.At(i, j, k) - bz.At(i - 1, j, k)) - jfac * jy_s;
+          fields.ez.At(i, j, k) +=
+              cdx * (by.At(i, j, k) - by.At(i - 1, j, k)) -
+              cdy * (bx.At(i, j, k) - bx.At(i, j - 1, k)) - jfac * jz_s;
+        }
       }
     }
-  }
+    const double cells = SlabCells(geom_, k_begin, k_end);
+    ctx.ChargeBulk(cells * 30.0, cells * 8.0 * 20.0);
+  });
   fields.ex.FillGuardsPeriodic();
   fields.ey.FillGuardsPeriodic();
   fields.ez.FillGuardsPeriodic();
-  const double cells = static_cast<double>(geom_.NumCells());
-  hw.ChargeBulk(cells * 30.0, cells * 8.0 * 20.0);
 }
 
 }  // namespace mpic

@@ -44,7 +44,9 @@ class MaxwellSolver {
 
   // Advances B by dt_half using the (CKC-smoothed) curl of E (call twice per
   // step around the E update, leapfrog style). Fills periodic guards
-  // internally.
+  // internally. Both updates are pointwise, so the interior sweep fans out
+  // as one contiguous k-slab per worker (ParallelForChunks), each billing its
+  // own cells; the guard fills stay serial between the regions.
   void UpdateB(HwContext& hw, FieldSet& fields, double dt_half) const;
 
   // Advances E by dt using the plain Yee curl of B and the current density J.

@@ -1,23 +1,24 @@
 #include "src/solver/moving_window.h"
 
+#include <algorithm>
+
+#include "src/hw/parallel_for.h"
+
 namespace mpic {
 namespace {
 
-void ShiftArrayZ(FieldArray& f) {
-  const int ng = f.ng();
-  for (int k = -ng; k <= f.nz() + ng - 1; ++k) {
-    for (int j = -ng; j <= f.ny() + ng; ++j) {
-      for (int i = -ng; i <= f.nx() + ng; ++i) {
-        f.At(i, j, k) = f.At(i, j, k + 1);
-      }
-    }
+// Shifts the (i, j) columns [begin, end) of `f` one node towards -z through
+// every k, zeroing the fresh head node. Column c is node c of each z-plane
+// (i fastest), so a column block touches disjoint memory at every k.
+void ShiftColumnsZ(FieldArray& f, int begin, int end) {
+  const int64_t plane = static_cast<int64_t>(f.sx()) * f.sy();
+  double* const data = f.data();
+  for (int k = 0; k + 1 < f.sz(); ++k) {
+    double* dst = data + k * plane;
+    std::copy(dst + plane + begin, dst + plane + end, dst + begin);
   }
-  // Fresh head plane(s).
-  for (int j = -ng; j <= f.ny() + ng; ++j) {
-    for (int i = -ng; i <= f.nx() + ng; ++i) {
-      f.At(i, j, f.nz() + ng) = 0.0;
-    }
-  }
+  double* head = data + (f.sz() - 1) * plane;
+  std::fill(head + begin, head + end, 0.0);
 }
 
 }  // namespace
@@ -27,14 +28,19 @@ void ShiftWindowZ(HwContext& hw, FieldSet& fields) {
   FieldArray* arrays[] = {&fields.ex, &fields.ey, &fields.ez, &fields.bx,
                           &fields.by, &fields.bz, &fields.jx, &fields.jy,
                           &fields.jz, &fields.rho};
-  for (FieldArray* f : arrays) {
-    ShiftArrayZ(*f);
-  }
+  // Workers shift disjoint column blocks through all k. A split along k would
+  // race: plane k reads plane k + 1 in place.
+  const int plane = fields.ex.sx() * fields.ex.sy();
+  ParallelForChunks(hw, plane, [&](HwContext& ctx, int, int begin, int end) {
+    for (FieldArray* f : arrays) {
+      ShiftColumnsZ(*f, begin, end);
+    }
+    // Streaming copy of ten arrays.
+    const double nodes =
+        static_cast<double>(static_cast<size_t>(end - begin) * fields.ex.sz());
+    ctx.ChargeBulk(0.0, nodes * sizeof(double) * 2.0 * 10.0);
+  });
   fields.geom.z0 += fields.geom.dz;
-  // Streaming copy of ten arrays.
-  const double bytes =
-      static_cast<double>(fields.ex.size()) * sizeof(double) * 2.0 * 10.0;
-  hw.ChargeBulk(0.0, bytes);
 }
 
 }  // namespace mpic

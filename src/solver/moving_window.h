@@ -16,7 +16,8 @@
 namespace mpic {
 
 // Shifts all field components one cell towards -z in index space (window moves
-// +z) and advances fields.geom.z0 by dz. Charged to Phase::kSolver.
+// +z) and advances fields.geom.z0 by dz. Charged to Phase::kSolver, one
+// (i, j) column block per worker (ParallelForChunks).
 void ShiftWindowZ(HwContext& hw, FieldSet& fields);
 
 // Tracks when the window should advance given the window velocity (usually c).

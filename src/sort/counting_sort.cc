@@ -6,23 +6,15 @@ namespace mpic {
 
 std::vector<int32_t> CountingSortPermutation(const std::vector<int32_t>& cell_of_particle,
                                              int num_cells) {
-  MPIC_CHECK(num_cells > 0);
-  std::vector<int64_t> offsets(static_cast<size_t>(num_cells) + 1, 0);
-  for (int32_t c : cell_of_particle) {
-    MPIC_DCHECK(c >= 0 && c < num_cells);
-    ++offsets[static_cast<size_t>(c) + 1];
-  }
-  for (size_t c = 1; c <= static_cast<size_t>(num_cells); ++c) {
-    offsets[c] += offsets[c - 1];
-  }
-  std::vector<int32_t> perm(cell_of_particle.size());
-  std::vector<int64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (size_t i = 0; i < cell_of_particle.size(); ++i) {
-    const int32_t c = cell_of_particle[i];
-    perm[static_cast<size_t>(cursor[static_cast<size_t>(c)]++)] =
-        static_cast<int32_t>(i);
-  }
-  return perm;
+  std::vector<int64_t> offsets;
+  return CountingSortByCell(
+      static_cast<int32_t>(cell_of_particle.size()), num_cells,
+      [&](int32_t i) {
+        const int32_t c = cell_of_particle[static_cast<size_t>(i)];
+        MPIC_DCHECK(c >= 0);
+        return c;
+      },
+      &offsets);
 }
 
 namespace {

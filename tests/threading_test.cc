@@ -287,5 +287,151 @@ TEST_P(ThreadCounts, BaselineVariantBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Cores, ThreadCounts, ::testing::Values(1, 2, 4));
 
+// ---- Whole-grid sweeps and the global sort fan out --------------------------
+
+// Phase::kSolver cycles of step 4 (the solve plus any window shift) of a small
+// LWFA run.
+double LwfaSolverCyclesOfOneStep(const MachineConfig& cfg) {
+  HwContext hw(cfg);
+  LwfaWorkloadParams p;
+  p.nx = p.ny = 8;
+  p.nz = 32;
+  p.tile = 4;
+  p.tile_z = 8;
+  auto sim = MakeLwfaSimulation(hw, p);
+  sim->Run(3);
+  const double before = hw.ledger().PhaseCycles(Phase::kSolver);
+  sim->Step();
+  return hw.ledger().PhaseCycles(Phase::kSolver) - before;
+}
+
+TEST(SerialSweepSplit, SolveAndShiftSplitOverEveryCoreAndRank) {
+  UseManyThreads();
+  const double serial = LwfaSolverCyclesOfOneStep(MachineConfig::Lx2());
+  ASSERT_GT(serial, 0.0);
+  // Four k-slabs (and column blocks) bill about a quarter each.
+  EXPECT_LE(LwfaSolverCyclesOfOneStep(MachineConfig::Lx2MultiCore(4)),
+            0.30 * serial);
+  EXPECT_LE(LwfaSolverCyclesOfOneStep(MachineConfig::Lx2Cluster(2, 2)),
+            0.30 * serial);
+}
+
+struct ForcedSort {
+  std::unique_ptr<HwContext> hw;
+  std::unique_ptr<Simulation> sim;
+  double sort_cycles = 0.0;
+};
+
+// Runs `steps` steps so the particle order decays, then forces a global sort
+// and records the Phase::kSort cycles it billed.
+template <typename Params, typename Make>
+ForcedSort RunForcedSort(const MachineConfig& cfg, const Params& p,
+                         const Make& make, int steps) {
+  ForcedSort r;
+  r.hw = std::make_unique<HwContext>(cfg);
+  r.sim = make(*r.hw, p);
+  r.sim->Run(steps);
+  const double before = r.hw->ledger().PhaseCycles(Phase::kSort);
+  r.sim->engine().GlobalSort(r.sim->tiles());
+  r.sort_cycles = r.hw->ledger().PhaseCycles(Phase::kSort) - before;
+  return r;
+}
+
+UniformWorkloadParams SortUniformParams() {
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 2;
+  p.tile = 4;
+  p.u_th = 0.05;
+  p.variant = DepositVariant::kFullOpt;
+  return p;
+}
+
+BunchedBeamParams SortBunchedParams() {
+  BunchedBeamParams p;
+  p.ppc_x = p.ppc_y = p.ppc_z = 4;
+  return p;
+}
+
+TEST(SerialSweepSplit, GlobalSortSplitsTilesOverCores) {
+  UseManyThreads();
+  const auto make = [](HwContext& hw, const UniformWorkloadParams& p) {
+    return MakeUniformSimulation(hw, p);
+  };
+  const UniformWorkloadParams p = SortUniformParams();
+  const ForcedSort serial = RunForcedSort(MachineConfig::Lx2(), p, make, 3);
+  const ForcedSort four = RunForcedSort(MachineConfig::Lx2MultiCore(4), p, make, 3);
+  ASSERT_GT(serial.sort_cycles, 0.0);
+  EXPECT_LE(four.sort_cycles, 0.30 * serial.sort_cycles);
+}
+
+TEST(SerialSweepSplit, GlobalSortStealsTheBunchedBeamsDenseTiles) {
+  UseManyThreads();
+  const auto make = [](HwContext& hw, const BunchedBeamParams& p) {
+    return MakeBunchedBeamSimulation(hw, p);
+  };
+  const BunchedBeamParams p = SortBunchedParams();
+  const ForcedSort serial = RunForcedSort(MachineConfig::Lx2(), p, make, 2);
+  const ForcedSort stealing =
+      RunForcedSort(MachineConfig::Lx2MultiCoreStealing(4), p, make, 2);
+  const ForcedSort fixed =
+      RunForcedSort(MachineConfig::Lx2MultiCore(4), p, make, 2);
+  ASSERT_GT(serial.sort_cycles, 0.0);
+  // Each tile's bill is its estimate, so the dense tiles spread out; a static
+  // split leaves the bunch's contiguous tiles on one core.
+  EXPECT_LE(stealing.sort_cycles, 0.35 * serial.sort_cycles);
+  EXPECT_GT(fixed.sort_cycles, 0.5 * serial.sort_cycles);
+}
+
+void ExpectSortedTilesBitEqual(const TileSet& a, const TileSet& b) {
+  ASSERT_EQ(a.num_tiles(), b.num_tiles());
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+  };
+  for (int t = 0; t < a.num_tiles(); ++t) {
+    SCOPED_TRACE(t);
+    const ParticleTile& ta = a.tile(t);
+    const ParticleTile& tb = b.tile(t);
+    const ParticleSoA& sa = ta.soa();
+    const ParticleSoA& sb = tb.soa();
+    EXPECT_TRUE(same(sa.x, sb.x) && same(sa.y, sb.y) && same(sa.z, sb.z));
+    EXPECT_TRUE(same(sa.ux, sb.ux) && same(sa.uy, sb.uy) && same(sa.uz, sb.uz));
+    EXPECT_TRUE(same(sa.w, sb.w));
+    EXPECT_TRUE(same(sa.xo, sb.xo) && same(sa.yo, sb.yo) && same(sa.zo, sb.zo));
+    EXPECT_EQ(ta.live_bits(), tb.live_bits());
+    EXPECT_EQ(ta.free_slots(), tb.free_slots());
+    const Gpma::State ga = ta.gpma().ExportState();
+    const Gpma::State gb = tb.gpma().ExportState();
+    EXPECT_EQ(ga.local_index, gb.local_index);
+    EXPECT_EQ(ga.bin_offsets, gb.bin_offsets);
+    EXPECT_EQ(ga.bin_lengths, gb.bin_lengths);
+    EXPECT_EQ(ga.slot_of_pid, gb.slot_of_pid);
+    EXPECT_EQ(ga.cell_of_pid, gb.cell_of_pid);
+  }
+}
+
+TEST(SerialSweepSplit, ParallelGlobalSortMatchesSerialSort) {
+  UseManyThreads();
+  const auto make_uniform = [](HwContext& hw, const UniformWorkloadParams& p) {
+    return MakeUniformSimulation(hw, p);
+  };
+  const auto make_bunched = [](HwContext& hw, const BunchedBeamParams& p) {
+    return MakeBunchedBeamSimulation(hw, p);
+  };
+  const UniformWorkloadParams up = SortUniformParams();
+  const ForcedSort u1 = RunForcedSort(MachineConfig::Lx2(), up, make_uniform, 3);
+  const ForcedSort u4 =
+      RunForcedSort(MachineConfig::Lx2MultiCore(4), up, make_uniform, 3);
+  ExpectSortedTilesBitEqual(u1.sim->tiles(), u4.sim->tiles());
+  const BunchedBeamParams bp = SortBunchedParams();
+  const ForcedSort b1 = RunForcedSort(MachineConfig::Lx2(), bp, make_bunched, 2);
+  const ForcedSort b4 = RunForcedSort(MachineConfig::Lx2MultiCoreStealing(4),
+                                      bp, make_bunched, 2);
+  ExpectSortedTilesBitEqual(b1.sim->tiles(), b4.sim->tiles());
+}
+
 }  // namespace
 }  // namespace mpic
