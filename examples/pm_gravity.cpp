@@ -82,10 +82,38 @@ int main(int argc, char** argv) {
   params.geom = geom;
   params.charge = 1.0 / u_small;  // q*ux ~= 1 (gamma correction ~5e-7)
 
+  // Each context maps what its kernels touch into the model's logical
+  // address space, the way DepositionEngine::RegisterRegions does: the
+  // tile's SoA lanes and staging scratch (sized first, as the kernel would
+  // size it), the rhocell blocks and the current arrays. Unregistered
+  // arrays would be modeled at their host addresses, and the printed
+  // kcycles would follow ASLR and the allocator.
+  const uint64_t key = mpic::MemRegionKey(mpic::NextMemOwnerId(), 0, 0);
+  auto register_regions = [&](mpic::HwContext& ctx,
+                              const mpic::DepositScratch& staging,
+                              mpic::RhocellBuffer* blocks,
+                              const mpic::FieldSet& fields) {
+    mpic::RegisterStagingRegions(ctx, key, tile, staging);
+    auto reg = [&ctx](const std::vector<double>& v) {
+      ctx.RegisterRegion(v.data(), v.size() * sizeof(double));
+    };
+    if (blocks != nullptr) {
+      reg(blocks->jx());
+      reg(blocks->jy());
+      reg(blocks->jz());
+    }
+    for (const mpic::FieldArray* f : {&fields.jx, &fields.jy, &fields.jz}) {
+      reg(f->vec());
+    }
+  };
+
   mpic::HwContext hw;
   mpic::FieldSet mpu_fields(geom, 2);
   mpic::DepositScratch scratch;
+  scratch.Resize(
+      static_cast<size_t>(mpic::DepositChunkSlots(tile, /*sorted=*/true)), 1);
   mpic::RhocellBuffer rhocell(tile.num_cells(), 1);
+  register_regions(hw, scratch, &rhocell, mpu_fields);
   mpic::DepositMpu<1>(hw, tile, params, /*vpu_staging=*/true, scratch, rhocell,
                       mpic::MpuScheduling::kCellResident);
   mpic::ReduceRhocellToGrid<1>(hw, tile, rhocell, mpu_fields);
@@ -96,11 +124,14 @@ int main(int argc, char** argv) {
   // staging + direct scatter) for the speed comparison.
   mpic::HwContext hw_ref;
   mpic::FieldSet ref_fields(geom, 2);
+  register_regions(hw_ref, mpic::DepositScratch{}, nullptr, ref_fields);
   mpic::DepositScalarTile<1>(hw_ref, tile, params, ref_fields);
   ref_fields.jx.FoldGuardsPeriodic();
   mpic::HwContext hw_base;
   mpic::FieldSet base_fields(geom, 2);
   mpic::DepositScratch base_scratch;
+  base_scratch.Resize(tile.soa().size(), 1);
+  register_regions(hw_base, base_scratch, nullptr, base_fields);
   mpic::StageTileScalar<1>(hw_base, tile, params, base_scratch);
   mpic::DepositBaselineTile<1>(hw_base, tile, params, base_scratch, base_fields,
                                /*sorted=*/false);

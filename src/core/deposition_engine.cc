@@ -582,13 +582,14 @@ void DepositionEngine::StageAndDepositTileImpl(HwContext& hw, uint64_t tile_key,
 }
 
 void DepositionEngine::ReduceTile(HwContext& hw, TileSet& tiles, FieldSet& fields,
-                                  int t) {
+                                  int t, ZPlanes planes) {
   ParticleTile& tile = tiles.tile(t);
   if (tile.num_live() == 0) {
     return;
   }
   if (esirkepov()) {
-    ReduceEsirkepovToGrid(hw, tile_currents_[static_cast<size_t>(t)], fields);
+    ReduceEsirkepovToGrid(hw, tile_currents_[static_cast<size_t>(t)], fields,
+                          planes);
     return;
   }
   if (!traits_.uses_rhocell) {
@@ -597,14 +598,56 @@ void DepositionEngine::ReduceTile(HwContext& hw, TileSet& tiles, FieldSet& field
   RhocellBuffer& rhocell = rhocells_[static_cast<size_t>(t)];
   switch (config_.order) {
     case 1:
-      ReduceRhocellToGrid<1>(hw, tile, rhocell, fields);
+      ReduceRhocellToGrid<1>(hw, tile, rhocell, fields, planes);
       break;
     case 3:
-      ReduceRhocellToGrid<3>(hw, tile, rhocell, fields);
+      ReduceRhocellToGrid<3>(hw, tile, rhocell, fields, planes);
       break;
     default:
       MPIC_CHECK_MSG(false, "rhocell reduction requires order 1 or 3");
   }
+}
+
+std::vector<ZPlanes> DepositionEngine::ReduceChunks(const TileSet& tiles, int t,
+                                                    int parts) const {
+  MPIC_CHECK(parts >= 1);
+  // Planes [lo, lo + rows.size()), each weighted by the rows it receives.
+  int lo = 0;
+  std::vector<int64_t> rows;
+  if (esirkepov()) {
+    const TileCurrent& tile_j = tile_currents_[static_cast<size_t>(t)];
+    lo = tile_j.oz();
+    rows.assign(static_cast<size_t>(tile_j.nz()), 1);
+  } else {
+    // Cell layer z of the tile covers planes z - halo .. z - halo + order.
+    const ParticleTile& tile = tiles.tile(t);
+    const int support = config_.order + 1;
+    lo = tile.lo_z() - RhocellHaloNodes(config_.order);
+    rows.assign(static_cast<size_t>(tile.nz() + support - 1), 0);
+    for (int layer = 0; layer < tile.nz(); ++layer) {
+      for (int c = 0; c < support; ++c) {
+        ++rows[static_cast<size_t>(layer + c)];
+      }
+    }
+  }
+  int64_t total = 0;
+  for (int64_t r : rows) {
+    total += r;
+  }
+  // Chunk j ends at the first plane whose preceding rows reach (j + 1) / parts
+  // of the total.
+  std::vector<ZPlanes> chunks(static_cast<size_t>(parts));
+  const int n = static_cast<int>(rows.size());
+  int p = 0;
+  int64_t before = 0;
+  for (int j = 0; j < parts; ++j) {
+    chunks[static_cast<size_t>(j)].begin = lo + p;
+    while (p < n && before * parts < (j + 1) * total) {
+      before += rows[static_cast<size_t>(p++)];
+    }
+    chunks[static_cast<size_t>(j)].end = j + 1 == parts ? lo + n : lo + p;
+  }
+  return chunks;
 }
 
 // ---- Step finalization -----------------------------------------------------

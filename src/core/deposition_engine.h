@@ -16,7 +16,9 @@
 //                         TileCurrent scratch);
 //   ReduceTile          — rhocell / Esirkepov-scratch reduction onto the
 //                         global J arrays, run color class by color class
-//                         (reduce_coloring());
+//                         (reduce_coloring()); a rank that owns fewer of a
+//                         class's tiles than it has cores splits each into
+//                         z-plane chunks (ReduceChunks);
 // and FinishStep evaluates the adaptive global re-sorting policy (Sec. 4.4),
 // performing GlobalSortParticlesByCell when a trigger fires.
 //
@@ -105,9 +107,10 @@ class DepositionEngine {
   // run concurrently — all mutations are tile-private); DeliverMovers then
   // PostScanGlobalSort as serial barriers; StageAndDepositTile for every tile
   // (concurrently only for rhocell-backed variants — see
-  // deposit_is_tile_parallel); ReduceTile for every tile, color class by
-  // color class; FinishStep once. J must be zeroed by the caller before the
-  // first StageAndDepositTile of a step (Simulation does).
+  // deposit_is_tile_parallel); ReduceTile for every tile (whole, or in its
+  // ReduceChunks ranges), color class by color class; FinishStep once. J
+  // must be zeroed by the caller before the first StageAndDepositTile of a
+  // step (Simulation does).
 
   // Sizes the per-tile mover staging for this step and records the step dt
   // (consumed by the Esirkepov scheme; callers running kDirect may omit it).
@@ -166,7 +169,21 @@ class DepositionEngine {
   // of one reduce_coloring() class have disjoint node footprints and may run
   // concurrently; classes must run as sequential barriers, in class order,
   // for the accumulation order onto shared nodes to be schedule-independent.
-  void ReduceTile(HwContext& hw, TileSet& tiles, FieldSet& fields, int t);
+  // `planes` restricts the call to the J nodes on those z planes; the
+  // ReduceChunks ranges of one tile write disjoint nodes, may run
+  // concurrently, and together charge and add what the full call does, up
+  // to the CIC block rows a cut splits (each side bills its own lanes).
+  void ReduceTile(HwContext& hw, TileSet& tiles, FieldSet& fields, int t,
+                  ZPlanes planes = {});
+
+  // Cuts the z planes tile t's reduction writes into `parts` contiguous
+  // ranges of about equal row counts, in plane order, covering exactly those
+  // planes (some may be empty when the tile has fewer planes than parts). A
+  // rhocell reduction writes its cells' shape support: QSP edge planes
+  // receive 1-3 cell layers and interior planes 4, CIC planes 1 or 2. The
+  // Esirkepov reduction writes the whole TileCurrent box, every plane alike.
+  std::vector<ZPlanes> ReduceChunks(const TileSet& tiles, int t,
+                                    int parts) const;
 
   // Updates rank statistics from this step's deposition cycles and evaluates
   // the global re-sorting policy, sorting now if a trigger fires.

@@ -353,10 +353,25 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
   // Rhocell -> J reduction on the halo-disjoint colored schedule: tiles of
   // one class write disjoint node sets and fan out; the classes run as
   // sequential barriers in a fixed order, so shared halo nodes accumulate
-  // identically on any core count. The cost feedback is tile-indexed across
-  // all classes: each class gathers its tiles' estimates into a positional
-  // list for the scheduler and scatters the positional measurements back by
-  // tile id.
+  // identically on any core count. Each rank reduces the class tiles it owns
+  // on its own cores, and when those are fewer than its cores (one-tile
+  // classes used to run inline on the main context) it splits each tile's
+  // reduction into k = cores / tiles z-plane chunks
+  // (DepositionEngine::ReduceChunks); the class runs every rank's chunks in
+  // one region. Each node belongs to one chunk, which visits its tile's
+  // cells in serial order, so J stays bit-identical too. The cost feedback
+  // is tile-indexed across all classes: each class gathers its tiles'
+  // estimates (split evenly over a tile's chunks) and owners (the first
+  // chunk's) into a positional list for the scheduler, and scatters the
+  // positional measurements back by tile id, a split tile's summed over its
+  // chunks.
+  const bool fan_out =
+      ParallelEnabled(hw_) && engine.deposit_is_tile_parallel();
+  const RankSet* ranks =
+      in.rank_comm != nullptr ? &in.rank_comm->ranks() : nullptr;
+  const auto owner_rank = [&](int t) {
+    return ranks != nullptr ? ranks->RankOfTile(t) : 0;
+  };
   const bool have_reduce_est =
       cost_sched && block.reduce_costs.estimate.size() ==
                         static_cast<size_t>(tiles.num_tiles());
@@ -369,60 +384,87 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
     block.reduce_costs.owner_measured.assign(
         static_cast<size_t>(tiles.num_tiles()), -1);
   }
-  std::vector<double> class_est;
-  std::vector<double> class_meas;
-  std::vector<int32_t> class_own_est;
-  std::vector<int32_t> class_own;
+  struct ReduceChunk {
+    int tile;
+    ZPlanes planes;
+    int part;   // index among its tile's chunks
+    int parts;  // chunks of its tile
+  };
+  std::vector<ReduceChunk> chunks;
+  std::vector<int> rank_ends;
+  std::vector<double> chunk_est;
+  std::vector<double> chunk_meas;
+  std::vector<int32_t> chunk_own_est;
+  std::vector<int32_t> chunk_own;
   for (const std::vector<int>& color_class : engine.reduce_coloring()) {
-    // A singleton class (common under the thin-tile per-coordinate fallback)
-    // has nothing to overlap with — run it inline rather than paying a
-    // fork/join for a one-tile region.
-    if (ParallelEnabled(hw_) && engine.deposit_is_tile_parallel() &&
-        color_class.size() > 1) {
-      RegionCosts costs;
-      if (cost_sched) {
-        if (have_reduce_est) {
-          class_est.clear();
-          for (int t : color_class) {
-            class_est.push_back(
-                block.reduce_costs.estimate[static_cast<size_t>(t)]);
-          }
-          costs.estimates = &class_est;
-        }
-        if (have_reduce_own) {
-          class_own_est.clear();
-          for (int t : color_class) {
-            class_own_est.push_back(
-                block.reduce_costs.owner[static_cast<size_t>(t)]);
-          }
-          costs.prev_owners = &class_own_est;
-        }
-        costs.measured = &class_meas;
-        costs.owners = &class_own;
-      }
-      ParallelForTileList(
-          hw_, color_class,
-          [&](HwContext& hw, int, int t) {
-            if (skip(t)) {
-              return;
-            }
-            engine.ReduceTile(hw, tiles, fields, t);
-          },
-          RegionMerge::kPhaseMax, costs);
-      if (cost_sched) {
-        for (size_t i = 0; i < color_class.size(); ++i) {
-          block.reduce_costs.measured[static_cast<size_t>(color_class[i])] =
-              class_meas[i];
-          block.reduce_costs.owner_measured[static_cast<size_t>(
-              color_class[i])] = class_own[i];
-        }
-      }
-    } else {
+    if (!fan_out) {
       for (int t : color_class) {
         if (skip(t)) {
           continue;
         }
         engine.ReduceTile(hw_, tiles, fields, t);
+      }
+      continue;
+    }
+    chunks.clear();
+    rank_ends.clear();
+    for (int r = 0; r < hw_.num_ranks(); ++r) {
+      int owned = 0;
+      for (int t : color_class) {
+        owned += owner_rank(t) == r ? 1 : 0;
+      }
+      const int k = owned > 0 ? std::max(1, hw_.num_cores() / owned) : 1;
+      for (int t : color_class) {
+        if (owner_rank(t) != r) {
+          continue;
+        }
+        const std::vector<ZPlanes> planes = engine.ReduceChunks(tiles, t, k);
+        for (int j = 0; j < k; ++j) {
+          chunks.push_back({t, planes[static_cast<size_t>(j)], j, k});
+        }
+      }
+      rank_ends.push_back(static_cast<int>(chunks.size()));
+    }
+    RegionCosts costs;
+    if (cost_sched) {
+      if (have_reduce_est) {
+        chunk_est.clear();
+        for (const ReduceChunk& c : chunks) {
+          chunk_est.push_back(
+              block.reduce_costs.estimate[static_cast<size_t>(c.tile)] /
+              c.parts);
+        }
+        costs.estimates = &chunk_est;
+      }
+      if (have_reduce_own) {
+        chunk_own_est.clear();
+        for (const ReduceChunk& c : chunks) {
+          chunk_own_est.push_back(
+              c.part == 0 ? block.reduce_costs.owner[static_cast<size_t>(c.tile)]
+                          : -1);
+        }
+        costs.prev_owners = &chunk_own_est;
+      }
+      costs.measured = &chunk_meas;
+      costs.owners = &chunk_own;
+    }
+    ParallelForTiles(
+        hw_, static_cast<int>(chunks.size()),
+        [&](HwContext& hw, int, int i) {
+          const ReduceChunk& c = chunks[static_cast<size_t>(i)];
+          if (skip(c.tile)) {
+            return;
+          }
+          engine.ReduceTile(hw, tiles, fields, c.tile, c.planes);
+        },
+        RegionMerge::kPhaseMax, costs, &rank_ends);
+    if (cost_sched) {
+      for (size_t i = 0; i < chunks.size(); ++i) {
+        const auto t = static_cast<size_t>(chunks[i].tile);
+        if (chunks[i].part == 0) {
+          block.reduce_costs.owner_measured[t] = chunk_own[i];
+        }
+        block.reduce_costs.measured[t] += chunk_meas[i];
       }
     }
   }

@@ -12,11 +12,16 @@
 //   pass 2 (one ParallelForTiles region): per tile, staging + deposition
 //          kernel; followed by the rhocell -> J reduction executed as a
 //          halo-disjoint colored schedule — every color class fans out, the
-//          classes run as sequential barriers.
+//          classes run as sequential barriers. Each rank reduces the class
+//          tiles it owns; when they are fewer than its cores it splits each
+//          tile's reduction into z-plane chunks
+//          (DepositionEngine::ReduceChunks), so every core reduces. One-tile
+//          classes used to run serially on the main context.
 //
 // Every stage is tile-private until the serial barriers, and the reduction
-// visits its color classes in a fixed order, so physics output is
-// bit-identical on any core count and thread count.
+// visits its color classes in a fixed order, each J node reduced by one
+// chunk in its tile's cell order, so physics output is bit-identical on any
+// core count and thread count.
 //
 // J zeroing runs under its own fan-out: each core zeroes a contiguous chunk.
 //

@@ -139,7 +139,8 @@ void DepositRhocellVpu(HwContext& hw, const ParticleTile& tile,
 
 template <int Order>
 void ReduceRhocellToGrid(HwContext& hw, const ParticleTile& tile,
-                         RhocellBuffer& rhocell, FieldSet& fields) {
+                         RhocellBuffer& rhocell, FieldSet& fields,
+                         ZPlanes planes) {
   static_assert(Order == 1 || Order == 3, "rhocell requires odd order");
   PhaseScope phase(hw.ledger(), Phase::kReduce);
   constexpr int kSupport = Order + 1;
@@ -151,14 +152,31 @@ void ReduceRhocellToGrid(HwContext& hw, const ParticleTile& tile,
   int64_t node_idx[Support3D(Order)];
 
   for (int cell = 0; cell < rhocell.num_cells(); ++cell) {
-    blocks[0] = rhocell.CellJx(cell);
-    blocks[1] = rhocell.CellJy(cell);
-    blocks[2] = rhocell.CellJz(cell);
     int gx, gy, gz;
     tile.LocalCellToGlobal(cell, &gx, &gy, &gz);
     const int sx0 = gx - kOff;
     const int sy0 = gy - kOff;
     const int sz0 = gz - kOff;
+    // Block node k sits on plane sz0 + k / kSupport^2; only the planes inside
+    // `planes` are this call's (a CIC row spans two planes).
+    int owned = 0;
+    for (int c = 0; c < kSupport; ++c) {
+      owned += planes.Contains(sz0 + c) ? 1 : 0;
+    }
+    if (owned == 0) {
+      continue;
+    }
+    Mask8 row_mask[(kNodes + kVpuLanes - 1) / kVpuLanes];
+    for (int base = 0; base < kNodes; base += kVpuLanes) {
+      Mask8& m = row_mask[base / kVpuLanes];
+      for (int i = 0; i < kVpuLanes && base + i < kNodes; ++i) {
+        m.lane[static_cast<size_t>(i)] =
+            planes.Contains(sz0 + (base + i) / (kSupport * kSupport));
+      }
+    }
+    blocks[0] = rhocell.CellJx(cell);
+    blocks[1] = rhocell.CellJy(cell);
+    blocks[2] = rhocell.CellJz(cell);
     int k = 0;
     for (int c = 0; c < kSupport; ++c) {
       for (int b = 0; b < kSupport; ++b) {
@@ -167,19 +185,25 @@ void ReduceRhocellToGrid(HwContext& hw, const ParticleTile& tile,
         }
       }
     }
-    hw.ScalarOps(8);  // node index arithmetic (strength-reduced)
+    // Node index arithmetic (strength-reduced), 8 ops over the block's
+    // planes: a call that owns some of them computes only theirs.
+    hw.ScalarOps(8 * owned / kSupport);
 
     for (int comp = 0; comp < 3; ++comp) {
       double* grid = comps[comp]->data();
       for (int base = 0; base < kNodes; base += kVpuLanes) {
-        const int n = std::min(kVpuLanes, kNodes - base);
-        const Mask8 m = Mask8::FirstN(n);
+        const Mask8& m = row_mask[base / kVpuLanes];
+        if (m.PopCount() == 0) {
+          continue;
+        }
         // Load the block row, scatter-accumulate onto the grid (lanes hit
-        // distinct nodes by construction: no conflict handling needed).
-        Vec8 v = hw.VLoad(blocks[comp] + base);
+        // distinct nodes by construction: no conflict handling needed), and
+        // zero it for the next deposition pass. A full mask bills and does
+        // what the plain load and store do; a row the plane range cuts
+        // touches only its own lanes, the other side's call the rest.
+        Vec8 v = hw.VLoadMasked(blocks[comp] + base, m);
         hw.VScatterAccum(grid, node_idx + base, v, m);
-        // Zero the block row for the next deposition pass.
-        hw.VStore(blocks[comp] + base, Vec8::Zero());
+        hw.VStoreMasked(blocks[comp] + base, Vec8::Zero(), m);
       }
     }
   }
@@ -198,8 +222,8 @@ template void DepositRhocellVpu<3>(HwContext&, const ParticleTile&,
                                    const DepositParams&, DepositScratch&,
                                    RhocellBuffer&, bool);
 template void ReduceRhocellToGrid<1>(HwContext&, const ParticleTile&, RhocellBuffer&,
-                                     FieldSet&);
+                                     FieldSet&, ZPlanes);
 template void ReduceRhocellToGrid<3>(HwContext&, const ParticleTile&, RhocellBuffer&,
-                                     FieldSet&);
+                                     FieldSet&, ZPlanes);
 
 }  // namespace mpic

@@ -42,9 +42,15 @@ void DepositRhocellVpu(HwContext& hw, const ParticleTile& tile,
 
 // Scatter-adds every cell block onto fields.jx/jy/jz and zeroes the buffer.
 // Charged to Phase::kReduce. Works for any tile; node indices are global.
+// With a narrower `planes` only the block nodes on those z planes are added
+// and zeroed, so calls over disjoint plane ranges may run concurrently and
+// together do exactly the full call's additions, each node's in the same
+// cell order. A CIC block row spans two planes; a call that owns only part
+// of it loads, adds and zeroes just its own lanes (masked load and store).
 template <int Order>
 void ReduceRhocellToGrid(HwContext& hw, const ParticleTile& tile,
-                         RhocellBuffer& rhocell, FieldSet& fields);
+                         RhocellBuffer& rhocell, FieldSet& fields,
+                         ZPlanes planes = {});
 
 // Tile-local cell id of a staged particle, derived from its start node indices
 // (start = cell for order 1, cell-1 for order 3).

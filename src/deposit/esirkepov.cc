@@ -340,7 +340,8 @@ void DepositEsirkepovTile(HwContext& hw, const ParticleTile& tile,
   });
 }
 
-void ReduceEsirkepovToGrid(HwContext& hw, TileCurrent& tile_j, FieldSet& fields) {
+void ReduceEsirkepovToGrid(HwContext& hw, TileCurrent& tile_j, FieldSet& fields,
+                           ZPlanes planes) {
   if (tile_j.empty()) {
     return;
   }
@@ -349,12 +350,17 @@ void ReduceEsirkepovToGrid(HwContext& hw, TileCurrent& tile_j, FieldSet& fields)
   std::vector<double>* scratch[3] = {&tile_j.jx(), &tile_j.jy(), &tile_j.jz()};
   const int nx = tile_j.nx();
   const int ny = tile_j.ny();
-  const int nz = tile_j.nz();
+  // Box planes [k0, k1) of `planes`.
+  int k0 = 0;
+  int k1 = tile_j.nz();
+  while (k0 < k1 && !planes.Contains(tile_j.oz() + k0)) ++k0;
+  while (k1 > k0 && !planes.Contains(tile_j.oz() + k1 - 1)) --k1;
+  const size_t plane_nodes = static_cast<size_t>(nx) * static_cast<size_t>(ny);
   const int rows8 = (nx + kVpuLanes - 1) / kVpuLanes;
   for (int comp = 0; comp < 3; ++comp) {
     FieldArray& f = *comps[comp];
     std::vector<double>& src = *scratch[comp];
-    for (int k = 0; k < nz; ++k) {
+    for (int k = k0; k < k1; ++k) {
       for (int j = 0; j < ny; ++j) {
         // Both rows are x-contiguous: a clean vector load + add + store.
         double* srow =
@@ -372,9 +378,10 @@ void ReduceEsirkepovToGrid(HwContext& hw, TileCurrent& tile_j, FieldSet& fields)
         hw.ChargeCycles(2.0 * rows8 / static_cast<double>(hw.cfg().vpu_pipes));
       }
     }
-    std::fill(src.begin(), src.end(), 0.0);
-    // Streaming re-zero of the scratch component.
-    hw.ChargeBulk(0.0, static_cast<double>(src.size()) * 8.0);
+    std::fill(src.begin() + static_cast<ptrdiff_t>(plane_nodes * k0),
+              src.begin() + static_cast<ptrdiff_t>(plane_nodes * k1), 0.0);
+    // Streaming re-zero of the component's planes.
+    hw.ChargeBulk(0.0, static_cast<double>(plane_nodes * (k1 - k0)) * 8.0);
   }
 }
 

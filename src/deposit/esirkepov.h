@@ -27,7 +27,9 @@
 // scratch (Phase::kCompute). The writes are tile-private, so tiles fan out in
 // parallel like the rhocell kernels; ReduceEsirkepovToGrid performs the
 // O(tile nodes) scatter-add onto the global J arrays on the engine's
-// halo-disjoint colored schedule (Phase::kReduce).
+// halo-disjoint colored schedule (Phase::kReduce), each tile cut into z-plane
+// chunks of its whole box when its rank owns fewer of its color class's
+// tiles than it has cores (one-tile classes used to reduce serially).
 //
 // Three combine cost profiles serve the scheme:
 //
@@ -243,8 +245,13 @@ void DepositEsirkepovTile(HwContext& hw, const ParticleTile& tile,
 
 // Scatter-adds the tile scratch onto fields.jx/jy/jz (row-contiguous vector
 // adds) and zeroes it. Tiles of one reduce-coloring class have disjoint node
-// footprints and may run concurrently. Charged to Phase::kReduce.
-void ReduceEsirkepovToGrid(HwContext& hw, TileCurrent& tile_j, FieldSet& fields);
+// footprints and may run concurrently. With a narrower `planes` only the
+// scratch planes inside it are added and zeroed, so calls over disjoint
+// plane ranges of one tile may run concurrently too; their ranges must
+// together cover the whole box, whose planes any particle's window can have
+// written. Charged to Phase::kReduce.
+void ReduceEsirkepovToGrid(HwContext& hw, TileCurrent& tile_j, FieldSet& fields,
+                           ZPlanes planes = {});
 
 // Registers the scratch arrays and the tile scratch with the hardware model's
 // address space under stable keys (streams key_base..key_base+8; the engine

@@ -10,11 +10,20 @@
 #define MPIC_SRC_GRID_FIELD_ARRAY_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/common/check.h"
 
 namespace mpic {
+
+// Half-open range [begin, end) of global z node planes (k indices, guard
+// planes included). The default range holds every plane.
+struct ZPlanes {
+  int begin = std::numeric_limits<int>::min();
+  int end = std::numeric_limits<int>::max();
+  bool Contains(int k) const { return k >= begin && k < end; }
+};
 
 class FieldArray {
  public:

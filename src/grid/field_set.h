@@ -38,6 +38,10 @@ struct FieldSet {
   FieldArray ex, ey, ez;
   FieldArray bx, by, bz;
   FieldArray jx, jy, jz;
+  // Never written: DepositChargeDensity returns its own array, and the
+  // moving window does not shift it. It stays only because the v3
+  // checkpoint FIELDS section carries it; drop both at the next format
+  // change.
   FieldArray rho;
 };
 

@@ -58,8 +58,7 @@ HwContext& HwContext::worker(int w) {
   return *workers_[static_cast<size_t>(w)];
 }
 
-double HwContext::MemPenalty(const void* p, size_t bytes) {
-  const MemLocation loc = mem_.TranslateEx(p);
+double HwContext::MemPenalty(const MemLocation& loc, size_t bytes) {
   return cache_.TouchRange(loc.addr, bytes, ledger_, IsRemote(loc));
 }
 
@@ -68,6 +67,29 @@ double HwContext::MemPenalty(const void* p, size_t bytes) {
 void HwContext::ScalarOps(int n) {
   ledger_.counters().scalar_ops += static_cast<uint64_t>(n);
   ledger_.AddCycles(scalar_op_cycles_ * n);
+}
+
+void HwContext::TouchReadRows(const void* p, size_t row_bytes, int rows,
+                              int64_t row_stride, int planes,
+                              int64_t plane_stride) {
+  const auto* first = static_cast<const char*>(p);
+  const auto span = static_cast<size_t>((rows - 1) * row_stride +
+                                        (planes - 1) * plane_stride) +
+                    row_bytes;
+  MemLocation loc;
+  const bool one_region = mem_.TranslateSpan(first, span, &loc);
+  for (int pl = 0; pl < planes; ++pl) {
+    for (int r = 0; r < rows; ++r) {
+      const int64_t offset = pl * plane_stride + r * row_stride;
+      if (one_region) {
+        MemLocation row = loc;
+        row.addr += static_cast<uint64_t>(offset);
+        ChargeMemAt(row, row_bytes, cfg_.scalar_mem_issue_cycles, 0);
+      } else {
+        TouchRead(first + offset, row_bytes);
+      }
+    }
+  }
 }
 
 void HwContext::AccumScalar(double* p, double v) {
@@ -97,6 +119,28 @@ void HwContext::VStore(double* p, const Vec8& v) {
   }
 }
 
+Vec8 HwContext::VLoadMasked(const double* p, const Mask8& m) {
+  ChargeMem(p, sizeof(double) * kVpuLanes, cfg_.vector_mem_issue_cycles,
+            /*write=*/false, 1);
+  Vec8 r = Vec8::Zero();
+  for (int i = 0; i < kVpuLanes; ++i) {
+    if (m.lane[static_cast<size_t>(i)]) {
+      r[i] = p[i];
+    }
+  }
+  return r;
+}
+
+void HwContext::VStoreMasked(double* p, const Vec8& v, const Mask8& m) {
+  ChargeMem(p, sizeof(double) * kVpuLanes, cfg_.vector_mem_issue_cycles,
+            /*write=*/true, 1);
+  for (int i = 0; i < kVpuLanes; ++i) {
+    if (m.lane[static_cast<size_t>(i)]) {
+      p[i] = v[i];
+    }
+  }
+}
+
 void HwContext::TouchGather(const void* base, size_t elem_bytes,
                             const int64_t* idx, const Mask8& m) {
   ++ledger_.counters().gathers;
@@ -105,7 +149,8 @@ void HwContext::TouchGather(const void* base, size_t elem_bytes,
   const auto elem = static_cast<int64_t>(elem_bytes);
   for (int i = 0; i < kVpuLanes; ++i) {
     if (m.lane[static_cast<size_t>(i)]) {
-      ledger_.AddCycles(MemPenalty(bytes + idx[i] * elem, elem_bytes));
+      ledger_.AddCycles(
+          MemPenalty(mem_.TranslateEx(bytes + idx[i] * elem), elem_bytes));
     }
   }
 }
@@ -157,7 +202,7 @@ void HwContext::VScatterAccum(double* base, const int64_t* idx, const Vec8& v,
       continue;
     }
     double* p = base + idx[i];
-    ledger_.AddCycles(MemPenalty(p, sizeof(double)));
+    ledger_.AddCycles(MemPenalty(mem_.TranslateEx(p), sizeof(double)));
     *p += v[i];
   }
 }

@@ -89,12 +89,22 @@ class HwContext {
   void TouchWrite(const void* p, size_t bytes) {
     ChargeMem(p, bytes, cfg_.scalar_mem_issue_cycles, /*write=*/true, 0);
   }
+  // One TouchRead of `row_bytes` per row of a block, row (r, pl) at
+  // p + r * row_stride + pl * plane_stride bytes, planes outer: the same
+  // charges in the same order as the per-row calls. A block that lies inside
+  // one registered region is translated once instead of once per row.
+  void TouchReadRows(const void* p, size_t row_bytes, int rows,
+                     int64_t row_stride, int planes, int64_t plane_stride);
 
   // ---- VPU stream ----------------------------------------------------------
 
   // Contiguous vector load/store of kVpuLanes doubles.
   Vec8 VLoad(const double* p);
   void VStore(double* p, const Vec8& v);
+  // Predicated forms: charged like VLoad/VStore (one full-width access), but
+  // only the active lanes are read or written; inactive result lanes are 0.
+  Vec8 VLoadMasked(const double* p, const Mask8& m);
+  void VStoreMasked(double* p, const Vec8& v, const Mask8& m);
 
   // Gather/scatter with 64-bit lane indices relative to `base` (elements).
   Vec8 VGather(const double* base, const int64_t* idx, const Mask8& m);
@@ -194,17 +204,22 @@ class HwContext {
   void ChargeMem(const void* p, size_t bytes, double issue_cycles, bool write,
                  uint64_t count_as_vpu_mem) {
     (void)write;
-    ledger_.AddCycles(issue_cycles + MemPenalty(p, bytes));
+    ChargeMemAt(mem_.TranslateEx(p), bytes, issue_cycles, count_as_vpu_mem);
+  }
+  // ChargeMem's charge step, for an access already translated to `loc`.
+  void ChargeMemAt(const MemLocation& loc, size_t bytes, double issue_cycles,
+                   uint64_t count_as_vpu_mem) {
+    ledger_.AddCycles(issue_cycles + MemPenalty(loc, bytes));
     if (count_as_vpu_mem != 0) {
       ledger_.counters().vpu_mem += count_as_vpu_mem;
     } else {
       ++ledger_.counters().scalar_mem;
     }
   }
-  // Translates p and models the access to [p, p+bytes) in this context's
+  // Models the access to [loc.addr, loc.addr + bytes) in this context's
   // caches; returns the penalty cycles. The whole L1-hit path is inlined
   // here, so every modeled access makes one out-of-line call.
-  double MemPenalty(const void* p, size_t bytes);
+  double MemPenalty(const MemLocation& loc, size_t bytes);
   // Home-domain intent for registrations issued by this context: the scoped
   // placement domain when one is active (authoritative), this context's own
   // domain otherwise (first-touch).

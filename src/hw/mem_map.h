@@ -103,6 +103,19 @@ class MemMap {
     return TranslateSearch(host);
   }
 
+  // TranslateEx(p) into `out`; true when all of [p, p + bytes) lies in the
+  // same registered region, so every pointer of the span translates at the
+  // same offset.
+  bool TranslateSpan(const void* p, size_t bytes, MemLocation* out) {
+    *out = TranslateEx(p);
+    if (mru_ >= regions_.size()) {
+      return false;
+    }
+    const Region& r = regions_[mru_];
+    const auto host = reinterpret_cast<uintptr_t>(p);
+    return host >= r.host_base && host + bytes <= r.host_end;
+  }
+
   // Drops all registrations (e.g. between bench configurations).
   void Clear();
 

@@ -14,11 +14,10 @@ namespace {
 // non-null) are the region-global feedback vectors, written at global
 // positions. Serial inline on `node` when it has one core (no fork/join
 // charge).
-template <typename IndexOf>
 void RunRegionOnNode(HwContext& node, int begin, int end, int worker_base,
                      const TileBody& body, RegionMerge merge, const double* est,
                      std::vector<double>* measured, const int32_t* prev_owner,
-                     std::vector<int32_t>* owners, const IndexOf& index_of) {
+                     std::vector<int32_t>* owners) {
   const int n_local = end - begin;
   const int num_workers = node.num_cores();
   if (num_workers <= 1) {
@@ -28,11 +27,11 @@ void RunRegionOnNode(HwContext& node, int begin, int end, int worker_base,
       }
       if (measured != nullptr) {
         const double before = node.ledger().TotalCycles();
-        body(node, worker_base, index_of(i));
+        body(node, worker_base, i);
         (*measured)[static_cast<size_t>(i)] =
             node.ledger().TotalCycles() - before;
       } else {
-        body(node, worker_base, index_of(i));
+        body(node, worker_base, i);
       }
     }
     return;
@@ -84,11 +83,11 @@ void RunRegionOnNode(HwContext& node, int begin, int end, int worker_base,
         const int pos = begin + task.pos;
         if (measured != nullptr) {
           const double before = ctx.ledger().TotalCycles();
-          body(ctx, worker_base + w, index_of(pos));
+          body(ctx, worker_base + w, pos);
           (*measured)[static_cast<size_t>(pos)] =
               ctx.ledger().TotalCycles() - before;
         } else {
-          body(ctx, worker_base + w, index_of(pos));
+          body(ctx, worker_base + w, pos);
         }
       }
     }
@@ -110,11 +109,11 @@ void RunRegionOnNode(HwContext& node, int begin, int end, int worker_base,
         }
         if (measured != nullptr) {
           const double before = ctx.ledger().TotalCycles();
-          body(ctx, worker_base + w, index_of(i));
+          body(ctx, worker_base + w, i);
           (*measured)[static_cast<size_t>(i)] =
               ctx.ledger().TotalCycles() - before;
         } else {
-          body(ctx, worker_base + w, index_of(i));
+          body(ctx, worker_base + w, i);
         }
       }
     }
@@ -134,18 +133,20 @@ void RunRegionOnNode(HwContext& node, int begin, int end, int worker_base,
   node.ChargeCycles(node.cfg().parallel_region_fork_join_cycles);
 }
 
-// Shared fan-out: `n` logical positions, position i mapped to a tile index by
-// `index_of`. With one modeled rank this is exactly the single-node fan-out
-// (inline on the main context when the machine also has one core). With
+}  // namespace
+
+// With one modeled rank this is exactly the single-node fan-out (inline on
+// the main context when the machine also has one core). With
 // num_ranks > 1 the positions first split contiguously over the ranks — a
 // z-slab split whenever the region runs over the full tile grid (tile indices
-// linearize z-slowest) — and each rank's HwContext runs its share with its
-// own cores, caches, and memory map. Rank ledgers then merge into the main
-// ledger with the region's own merge semantics (ranks overlap in time, like
-// cores), plus one rank-level launch/barrier charge.
-template <typename IndexOf>
-void RunRegion(HwContext& hw, int n, const TileBody& body, RegionMerge merge,
-               const RegionCosts& costs, const IndexOf& index_of) {
+// linearize z-slowest), or the caller's `rank_ends` — and each rank's
+// HwContext runs its share with its own cores, caches, and memory map. Rank
+// ledgers then merge into the main ledger with the region's own merge
+// semantics (ranks overlap in time, like cores), plus one rank-level
+// launch/barrier charge.
+void ParallelForTiles(HwContext& hw, int n, const TileBody& body,
+                      RegionMerge merge, const RegionCosts& costs,
+                      const std::vector<int>* rank_ends) {
   if (costs.measured != nullptr) {
     costs.measured->assign(static_cast<size_t>(n), 0.0);
   }
@@ -165,7 +166,7 @@ void RunRegion(HwContext& hw, int n, const TileBody& body, RegionMerge merge,
   const int num_ranks = hw.num_ranks();
   if (num_ranks <= 1) {
     RunRegionOnNode(hw, 0, n, 0, body, merge, est, costs.measured, prev_own,
-                    costs.owners, index_of);
+                    costs.owners);
     return;
   }
 
@@ -181,13 +182,20 @@ void RunRegion(HwContext& hw, int n, const TileBody& body, RegionMerge merge,
   }
   // Ranks execute serially here (real OpenMP threads parallelize the cores
   // inside each rank); the model treats them as concurrent via the merge.
+  MPIC_CHECK(rank_ends == nullptr ||
+             (rank_ends->size() == static_cast<size_t>(num_ranks) &&
+              rank_ends->back() == n));
   for (int r = 0; r < num_ranks; ++r) {
-    const TileRange range = WorkerTileRange(n, num_ranks, r);
+    TileRange range = WorkerTileRange(n, num_ranks, r);
+    if (rank_ends != nullptr) {
+      range.begin = r == 0 ? 0 : (*rank_ends)[static_cast<size_t>(r - 1)];
+      range.end = (*rank_ends)[static_cast<size_t>(r)];
+    }
     RunRegionOnNode(hw.rank(r), range.begin, range.end, r * hw.num_cores(),
                     body, merge, est != nullptr ? est + range.begin : nullptr,
                     costs.measured,
                     prev_own != nullptr ? prev_own + range.begin : nullptr,
-                    costs.owners, index_of);
+                    costs.owners);
   }
   switch (merge) {
     case RegionMerge::kPhaseMax:
@@ -201,8 +209,6 @@ void RunRegion(HwContext& hw, int n, const TileBody& body, RegionMerge merge,
   PhaseScope phase(hw.ledger(), Phase::kOther);
   hw.ChargeCycles(hw.cfg().parallel_region_fork_join_cycles);
 }
-
-}  // namespace
 
 TileScheduleResult PlanTileSchedule(const HwContext& node, int n,
                                     const double* est,
@@ -238,11 +244,6 @@ TileRange WorkerTileRange(int n, int num_workers, int worker) {
   return r;
 }
 
-void ParallelForTiles(HwContext& hw, int n, const TileBody& body,
-                      RegionMerge merge, const RegionCosts& costs) {
-  RunRegion(hw, n, body, merge, costs, [](int i) { return i; });
-}
-
 void ParallelForChunks(HwContext& hw, int n, const ChunkBody& body) {
   const int chunks = WorkerSlotCount(hw);
   const Phase phase = hw.ledger().phase();
@@ -251,13 +252,6 @@ void ParallelForChunks(HwContext& hw, int n, const ChunkBody& body) {
     const TileRange r = WorkerTileRange(n, chunks, c);
     body(ctx, worker, r.begin, r.end);
   });
-}
-
-void ParallelForTileList(HwContext& hw, const std::vector<int>& tiles,
-                         const TileBody& body, RegionMerge merge,
-                         const RegionCosts& costs) {
-  RunRegion(hw, static_cast<int>(tiles.size()), body, merge, costs,
-            [&tiles](int i) { return tiles[static_cast<size_t>(i)]; });
 }
 
 }  // namespace mpic

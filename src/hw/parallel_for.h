@@ -102,17 +102,14 @@ struct RegionCosts {
 // is bit-identical either way: bodies touch only tile-private state and
 // callers merge cross-tile results in tile order, so only the *mapping* of
 // tiles to modeled cores (and hence the modeled critical path) changes.
+// On a multi-rank machine `rank_ends`, when given, holds one entry per rank,
+// the last equal to n: rank r runs positions [rank_ends[r - 1], rank_ends[r])
+// (from 0 for rank 0) instead of its share of an even contiguous split, so a
+// caller can keep each position on the rank that owns its tile.
 void ParallelForTiles(HwContext& hw, int n, const TileBody& body,
                       RegionMerge merge = RegionMerge::kPhaseMax,
-                      const RegionCosts& costs = RegionCosts{});
-
-// Fan-out over an explicit tile list (e.g. one color class of the reduction
-// schedule): `body(ctx, worker, tiles[i])` for every i. Positions (and
-// RegionCosts slots) index into `tiles`, not the tile ids themselves.
-void ParallelForTileList(HwContext& hw, const std::vector<int>& tiles,
-                         const TileBody& body,
-                         RegionMerge merge = RegionMerge::kPhaseMax,
-                         const RegionCosts& costs = RegionCosts{});
+                      const RegionCosts& costs = RegionCosts{},
+                      const std::vector<int>* rank_ends = nullptr);
 
 using ChunkBody =
     std::function<void(HwContext& ctx, int worker, int begin, int end)>;

@@ -22,12 +22,15 @@ template <int Order>
 double GatherComponent(HwContext& hw, const FieldArray& f, const AxisShape<Order>& sx,
                        const AxisShape<Order>& sy, const AxisShape<Order>& sz) {
   constexpr int kSupport = Order + 1;
+  const int64_t row_stride = static_cast<int64_t>(f.sx()) * sizeof(double);
+  hw.TouchReadRows(f.data() + f.Index(sx.start, sy.start, sz.start),
+                   sizeof(double) * kSupport, kSupport, row_stride, kSupport,
+                   row_stride * f.sy());
   double acc = 0.0;
   for (int c = 0; c < kSupport; ++c) {
     for (int b = 0; b < kSupport; ++b) {
       const double wyz = sy.w[b] * sz.w[c];
       const int64_t row = f.Index(sx.start, sy.start + b, sz.start + c);
-      hw.TouchRead(f.data() + row, sizeof(double) * kSupport);
       double row_acc = 0.0;
       for (int a = 0; a < kSupport; ++a) {
         row_acc += sx.w[a] * f.data()[row + a];

@@ -25,9 +25,10 @@ void ShiftColumnsZ(FieldArray& f, int begin, int end) {
 
 void ShiftWindowZ(HwContext& hw, FieldSet& fields) {
   PhaseScope phase(hw.ledger(), Phase::kSolver);
-  FieldArray* arrays[] = {&fields.ex, &fields.ey, &fields.ez, &fields.bx,
-                          &fields.by, &fields.bz, &fields.jx, &fields.jy,
-                          &fields.jz, &fields.rho};
+  // rho is not shifted: no stage writes it (FieldSet::rho).
+  FieldArray* arrays[] = {&fields.ex, &fields.ey, &fields.ez,
+                          &fields.bx, &fields.by, &fields.bz,
+                          &fields.jx, &fields.jy, &fields.jz};
   // Workers shift disjoint column blocks through all k. A split along k would
   // race: plane k reads plane k + 1 in place.
   const int plane = fields.ex.sx() * fields.ex.sy();
@@ -35,10 +36,10 @@ void ShiftWindowZ(HwContext& hw, FieldSet& fields) {
     for (FieldArray* f : arrays) {
       ShiftColumnsZ(*f, begin, end);
     }
-    // Streaming copy of ten arrays.
+    // Streaming copy of nine arrays.
     const double nodes =
         static_cast<double>(static_cast<size_t>(end - begin) * fields.ex.sz());
-    ctx.ChargeBulk(0.0, nodes * sizeof(double) * 2.0 * 10.0);
+    ctx.ChargeBulk(0.0, nodes * sizeof(double) * 2.0 * 9.0);
   });
   fields.geom.z0 += fields.geom.dz;
 }

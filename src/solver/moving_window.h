@@ -15,9 +15,10 @@
 
 namespace mpic {
 
-// Shifts all field components one cell towards -z in index space (window moves
-// +z) and advances fields.geom.z0 by dz. Charged to Phase::kSolver, one
-// (i, j) column block per worker (ParallelForChunks).
+// Shifts E, B and J one cell towards -z in index space (window moves +z) and
+// advances fields.geom.z0 by dz. Charged to Phase::kSolver, one (i, j)
+// column block per worker (ParallelForChunks). rho is left alone: nothing
+// writes it.
 void ShiftWindowZ(HwContext& hw, FieldSet& fields);
 
 // Tracks when the window should advance given the window velocity (usually c).

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -23,6 +24,7 @@
 #include "src/core/workloads.h"
 #include "src/deposit/rhocell.h"
 #include "src/hw/parallel_for.h"
+#include "tests/reduce_split_rows.h"
 
 namespace mpic {
 namespace {
@@ -216,10 +218,13 @@ TEST_P(FusedPipeline, BitIdenticalAcrossCoreCounts) {
     auto parallel = c.make(par_hw);
     parallel->Run(c.steps);
     ExpectSimsBitIdentical(*serial, *parallel);
-    // The cores split the same work: instruction counters match too.
+    // The cores split the same work: instruction counters match too, up to
+    // the one scatter more per block row the split reduction cuts.
     EXPECT_EQ(serial_hw.ledger().counters().mopas,
               par_hw.ledger().counters().mopas);
-    EXPECT_EQ(serial_hw.ledger().counters().scatters,
+    const auto cut_rows =
+        static_cast<uint64_t>(c.steps * CutRowsPerStep(*parallel, cores));
+    EXPECT_EQ(serial_hw.ledger().counters().scatters + cut_rows,
               par_hw.ledger().counters().scatters);
     const auto& want = serial->last_sim_stats().species;
     const auto& got = parallel->last_sim_stats().species;
@@ -317,26 +322,69 @@ TEST(ReduceColoring, SingleTileIsOneClass) {
 }
 
 // The colored parallel reduction must agree bitwise with the serial
-// color-major sweep — pinned end-to-end by running the same workload at
-// 1 and 4 cores with a QSP rhocell variant (halo 1, eight color classes).
+// color-major sweep, pinned end-to-end: each grid, deposit and machine below
+// reruns a 1-core run. 12^3 cells in 4-cell tiles color into classes of 8, 4,
+// 2 and 1 tiles; 16^3 in 8-cell tiles into eight one-tile classes. Classes
+// smaller than the worker count split each tile's reduction into z-plane
+// chunks, so a plane no chunk reduces, or a CIC row one side zeroes for the
+// other, shows as J drift on a later step.
 TEST(ReduceColoring, ColoredReduceMatchesSerialReduceBitwise) {
   UseManyThreads();
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 12;
-  p.ppc_x = p.ppc_y = p.ppc_z = 2;
-  p.tile = 4;
-  p.order = 3;
-  p.variant = DepositVariant::kRhocellIncrSortVpu;
-
-  HwContext serial_hw;
-  auto serial = MakeUniformSimulation(serial_hw, p);
-  serial->Run(3);
-
-  HwContext par_hw(MachineConfig::Lx2MultiCore(4));
-  auto parallel = MakeUniformSimulation(par_hw, p);
-  parallel->Run(3);
-
-  ExpectSimsBitIdentical(*serial, *parallel);
+  struct Grid {
+    int cells, tile, ppc;
+  };
+  struct Deposit {
+    const char* name;
+    DepositVariant variant;
+    CurrentScheme scheme;
+    int order;
+  };
+  const Grid grids[] = {{12, 4, 2}, {16, 8, 1}};
+  constexpr DepositVariant kVpu = DepositVariant::kRhocellIncrSortVpu;
+  constexpr DepositVariant kMpu = DepositVariant::kFullOpt;
+  const Deposit deposits[] = {
+      {"CIC rhocell", kVpu, CurrentScheme::kDirect, 1},
+      {"QSP rhocell", kVpu, CurrentScheme::kDirect, 3},
+      {"Esirkepov order 1", kMpu, CurrentScheme::kEsirkepov, 1},
+      {"Esirkepov order 3", kMpu, CurrentScheme::kEsirkepov, 3},
+  };
+  const std::pair<const char*, MachineConfig> machines[] = {
+      {"2 cores", MachineConfig::Lx2MultiCore(2)},
+      {"3 cores", MachineConfig::Lx2MultiCore(3)},
+      {"4 cores", MachineConfig::Lx2MultiCore(4)},
+      {"2 ranks x 2 cores", MachineConfig::Lx2Cluster(2, 2)},
+  };
+  for (const Grid& g : grids) {
+    for (const Deposit& d : deposits) {
+      SCOPED_TRACE(std::to_string(g.cells) + "^3, tile " +
+                   std::to_string(g.tile) + ", " + d.name);
+      UniformWorkloadParams p;
+      p.nx = p.ny = p.nz = g.cells;
+      p.ppc_x = p.ppc_y = p.ppc_z = g.ppc;
+      p.tile = g.tile;
+      // Hot enough that particles cross tile faces every step: only those
+      // write an Esirkepov box's outer planes.
+      p.u_th = 0.05;
+      p.order = d.order;
+      p.variant = d.variant;
+      p.scheme = d.scheme;
+      HwContext serial_hw;
+      auto serial = MakeUniformSimulation(serial_hw, p);
+      serial->Run(3);
+      for (const auto& [name, cfg] : machines) {
+        // Ranks own z-slabs of tiles: 12^3 has three tile layers, which two
+        // ranks cannot share.
+        if ((g.cells / g.tile) % cfg.num_ranks != 0) {
+          continue;
+        }
+        SCOPED_TRACE(name);
+        HwContext par_hw(cfg);
+        auto parallel = MakeUniformSimulation(par_hw, p);
+        parallel->Run(3);
+        ExpectSimsBitIdentical(*serial, *parallel);
+      }
+    }
+  }
 }
 
 // ---- Ledger determinism (registered scratch) ---------------------------------

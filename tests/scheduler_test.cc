@@ -524,5 +524,38 @@ TEST(SchedulerLedger, BunchedRunStealsAndChargesDeterministically) {
   EXPECT_EQ(steal_a.total, steal_b.total);
 }
 
+// A 16^3 grid of 8-cell tiles colors into eight one-tile reduction classes,
+// so on four cores each tile's reduction runs as four z-plane chunks. Its
+// feedback slot must still describe the whole tile: the chunks' summed
+// cycles and the first chunk's owner (the owning rank's first core: the
+// chunks' equal estimates fall back to the block split). On two ranks of two
+// cores, rank 1 owns the upper tile layer (tiles 4-7) and its cores 2 and 3
+// must reduce those tiles, not rank 0's. One-tile classes used to reduce
+// inline and leave the slot at 0 cycles and owner -1.
+TEST(SchedulerLedger, SplitReduceTilesFeedBackTheirChunks) {
+  UseManyThreads();
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.tile = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 1;
+  for (const MachineConfig& cfg :
+       {MachineConfig::Lx2MultiCoreStealing(4),
+        MachineConfig::Lx2Cluster(2, 2, /*stealing=*/true)}) {
+    SCOPED_TRACE(cfg.num_ranks);
+    HwContext hw(cfg);
+    auto sim = MakeUniformSimulation(hw, p);
+    sim->Run(2);
+    const StageCostFeedback& fb = sim->block(0).reduce_costs;
+    ASSERT_EQ(fb.estimate.size(), 8u);
+    ASSERT_EQ(fb.owner.size(), 8u);
+    for (int t = 0; t < 8; ++t) {
+      SCOPED_TRACE(t);
+      EXPECT_GT(fb.estimate[static_cast<size_t>(t)], 0.0);
+      const int rank = cfg.num_ranks > 1 ? t / 4 : 0;
+      EXPECT_EQ(fb.owner[static_cast<size_t>(t)], rank * cfg.num_cores);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mpic

@@ -17,6 +17,7 @@
 #include "src/core/simulation.h"
 #include "src/core/workloads.h"
 #include "src/hw/parallel_for.h"
+#include "tests/reduce_split_rows.h"
 
 namespace mpic {
 namespace {
@@ -177,10 +178,15 @@ TEST(ParallelLedger, StaticPartitionIsBalancedAndComplete) {
 TEST(ParallelLedger, MultiCoreCountersSumToSerialWork) {
   // Counters merge as sums across workers, so a multi-core run must report
   // exactly the serial run's instruction mix — same physics, same work, just
-  // partitioned. (Cycles and cache events legitimately differ: private
-  // per-core caches and critical-path accounting.)
+  // partitioned — plus what the split reduction adds: each CIC block row a
+  // z-plane cut divides costs one masked load, scatter and store more. Here
+  // every one-tile color class splits four ways. (Cycles and cache events
+  // legitimately differ: private per-core caches and critical-path
+  // accounting.)
   UseManyThreads();
-  auto run = [](int cores) {
+  constexpr int kSteps = 3;
+  int64_t cut_rows = 0;
+  auto run = [&cut_rows](int cores) {
     HwContext hw(MachineConfig::Lx2MultiCore(cores));
     UniformWorkloadParams p;
     p.nx = p.ny = p.nz = 8;
@@ -188,17 +194,21 @@ TEST(ParallelLedger, MultiCoreCountersSumToSerialWork) {
     p.tile = 4;
     p.variant = DepositVariant::kFullOpt;
     auto sim = MakeUniformSimulation(hw, p);
-    sim->Run(3);
+    sim->Run(kSteps);
+    cut_rows = kSteps * CutRowsPerStep(*sim, cores);
     return hw.ledger().counters();
   };
   const LedgerCounters serial = run(1);
   const LedgerCounters parallel = run(4);
+  // Three cuts through each of eight 4x4x4 tiles, three components.
+  ASSERT_EQ(cut_rows, kSteps * 8 * 3 * 16 * 3);
   EXPECT_EQ(parallel.scalar_ops, serial.scalar_ops);
   EXPECT_EQ(parallel.scalar_mem, serial.scalar_mem);
   EXPECT_EQ(parallel.vpu_ops, serial.vpu_ops);
-  EXPECT_EQ(parallel.vpu_mem, serial.vpu_mem);
+  const auto cut = static_cast<uint64_t>(cut_rows);
+  EXPECT_EQ(parallel.vpu_mem, serial.vpu_mem + 2 * cut);
   EXPECT_EQ(parallel.gathers, serial.gathers);
-  EXPECT_EQ(parallel.scatters, serial.scatters);
+  EXPECT_EQ(parallel.scatters, serial.scatters + cut);
   EXPECT_EQ(parallel.mopas, serial.mopas);
   EXPECT_EQ(parallel.atomics, serial.atomics);
   EXPECT_GT(parallel.mopas, 0u);
@@ -314,6 +324,36 @@ TEST(SerialSweepSplit, SolveAndShiftSplitOverEveryCoreAndRank) {
             0.30 * serial);
   EXPECT_LE(LwfaSolverCyclesOfOneStep(MachineConfig::Lx2Cluster(2, 2)),
             0.30 * serial);
+}
+
+// Phase::kReduce cycles of the second step of a uniform_qsp-shaped run: a
+// 16^3 QSP grid of 8-cell tiles, whose reduction coloring is eight one-tile
+// classes. The reduction's cost does not depend on the particle count, so one
+// particle per cell keeps the run small.
+double UniformQspReduceCyclesOfOneStep(const MachineConfig& cfg) {
+  HwContext hw(cfg);
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.tile = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 1;
+  p.order = 3;
+  p.variant = DepositVariant::kFullOpt;
+  auto sim = MakeUniformSimulation(hw, p);
+  sim->Run(1);
+  const double before = hw.ledger().PhaseCycles(Phase::kReduce);
+  sim->Step();
+  return hw.ledger().PhaseCycles(Phase::kReduce) - before;
+}
+
+TEST(SerialSweepSplit, OneTileReduceClassesSplitOverCores) {
+  UseManyThreads();
+  const double serial = UniformQspReduceCyclesOfOneStep(MachineConfig::Lx2());
+  ASSERT_GT(serial, 0.0);
+  // Each tile's reduction splits into four z-plane chunks, one per core; the
+  // serial guard fold stays in the phase. One serial reduction per class
+  // read 1.0x.
+  EXPECT_LE(UniformQspReduceCyclesOfOneStep(MachineConfig::Lx2MultiCore(4)),
+            0.55 * serial);
 }
 
 struct ForcedSort {
