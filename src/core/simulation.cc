@@ -100,13 +100,7 @@ void Simulation::Initialize() {
     // Pre-size and register the gather staging so the very first step's
     // fan-out already runs against a fully mapped address space.
     for (int t = 0; t < b->tiles.num_tiles(); ++t) {
-      ParticleTile& tile = b->tiles.tile(t);
-      if (tile.num_live() == 0) {
-        continue;
-      }
-      GatherScratch& gs = b->gather_scratch[static_cast<size_t>(t)];
-      gs.Resize(tile.soa().size());
-      RegisterGatherRegions(hw_, MemRegionKey(b->mem_owner_id, t, 0), gs);
+      b->PrepareGatherScratch(hw_, t);
     }
   }
   fields_.ex.FillGuardsPeriodic();
@@ -147,13 +141,7 @@ void Simulation::RegisterModelRegions() {
   for (auto& b : blocks_) {
     b->engine.ReregisterModelRegions(b->tiles, fields_);
     for (int t = 0; t < b->tiles.num_tiles(); ++t) {
-      ParticleTile& tile = b->tiles.tile(t);
-      if (tile.num_live() == 0) {
-        continue;
-      }
-      GatherScratch& gs = b->gather_scratch[static_cast<size_t>(t)];
-      gs.Resize(tile.soa().size());
-      RegisterGatherRegions(hw_, MemRegionKey(b->mem_owner_id, t, 0), gs);
+      b->PrepareGatherScratch(hw_, t);
     }
   }
   // Collision scratch and the per-step gather/staging refreshes re-register

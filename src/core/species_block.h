@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/core/deposition_engine.h"
+#include "src/deposit/particle_iteration.h"
 #include "src/particles/injector.h"
 #include "src/particles/species.h"
 #include "src/particles/tile_set.h"
@@ -74,10 +75,23 @@ struct SpeciesBlock {
   std::optional<ProfiledPlasmaConfig> window_injection;
   TileSet tiles;
   DepositionEngine engine;
-  std::vector<GatherScratch> gather_scratch;  // per tile
+  // Per tile, one chunk of gathered fields: pass 1 gathers and pushes each
+  // tile kStageChunk slots at a time through it.
+  std::vector<GatherScratch> gather_scratch;
   // Key base for the gather scratch's keyed region registrations (tile t uses
   // MemRegionKey(mem_owner_id, t, 0..5)).
   uint64_t mem_owner_id = NextMemOwnerId();
+
+  // Sizes tile t's gather scratch to one chunk and, when the tile holds
+  // particles, registers it with the model's address space under the
+  // calling context's home domain.
+  void PrepareGatherScratch(HwContext& hw, int t) {
+    GatherScratch& gs = gather_scratch[static_cast<size_t>(t)];
+    gs.Resize(kStageChunk);
+    if (tiles.tile(t).num_live() > 0) {
+      RegisterGatherRegions(hw, MemRegionKey(mem_owner_id, t, 0), gs);
+    }
+  }
 
   // Particle-push census: lifetime total and the most recent step's count.
   int64_t particles_pushed = 0;

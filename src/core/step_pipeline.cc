@@ -6,7 +6,6 @@
 #include "src/core/rank_comm.h"
 #include "src/particles/species.h"
 #include "src/push/boris_pusher.h"
-#include "src/push/field_gather.h"
 #include "src/runtime/fault_injection.h"
 
 namespace mpic {
@@ -102,15 +101,9 @@ void StepPipeline::PrepareTileRegions(SpeciesBlock& block) {
   block.engine.RefreshTileRegistrations(block.tiles,
                                         home.empty() ? nullptr : &home);
   for (int t = 0; t < block.tiles.num_tiles(); ++t) {
-    ParticleTile& tile = block.tiles.tile(t);
-    if (tile.num_live() == 0) {
-      continue;
-    }
-    GatherScratch& gs = block.gather_scratch[static_cast<size_t>(t)];
-    gs.Resize(tile.soa().size());
     ScopedHomeDomain scope(hw_,
                            home.empty() ? -1 : home[static_cast<size_t>(t)]);
-    RegisterGatherRegions(hw_, MemRegionKey(block.mem_owner_id, t, 0), gs);
+    block.PrepareGatherScratch(hw_, t);
   }
 }
 
@@ -262,9 +255,10 @@ void StepPipeline::FusedPass1Impl(const StepPipelineInputs& in, SpeciesBlock& bl
           if (block.engine.esirkepov()) {
             CaptureOldPositionsTile(hw, tile);
           }
-          GatherScratch& gs = block.gather_scratch[static_cast<size_t>(t)];
-          GatherFieldsTile<Order>(hw, tile, fields, gs);
-          PushTileBoris(hw, tile, gs, pp);
+          // One chunk (kStageChunk slots) at a time: the scratch's size.
+          GatherAndPushTile<Order>(
+              hw, tile, fields, block.gather_scratch[static_cast<size_t>(t)],
+              pp);
           part.pushed += tile.num_live();
           if (guards_on &&
               !monitor->GuardTilePositions(hw, tile, g, post_margin, sid, t,

@@ -6,7 +6,9 @@
 //   pass 1 (one ParallelForTiles region): per tile, gather -> push ->
 //          boundary wrap / window drop -> incremental-sort scan, so the
 //          tile's SoA streams stay hot in the core's modeled private cache
-//          across all four stages;
+//          across all four stages. Gather and push alternate over chunks
+//          of kStageChunk slots through a one-chunk field scratch, which
+//          stays in L1;
 //   barrier: serial, order-preserving cross-tile mover delivery (and the
 //          per-tile counting sort for the global-sort-each-step variant);
 //   pass 2 (one ParallelForTiles region): per tile, staging + deposition
@@ -126,10 +128,11 @@ class StepPipeline {
   };
 
   void ZeroCurrentsStage(FieldSet& fields);
-  // Serial pre-pass before a species' first fan-out of the step: sizes the
-  // gather scratch and (re)registers it and the tiles' SoA/staging arrays
-  // with the main context's address map, so in-region accesses never fall
-  // back to nondeterministic identity mapping after a reallocation.
+  // Serial pre-pass before a species' first fan-out of the step: sizes each
+  // tile's gather scratch to one chunk and (re)registers it and the tiles'
+  // SoA/staging arrays with the main context's address map, so in-region
+  // accesses never fall back to nondeterministic identity mapping after a
+  // reallocation.
   void PrepareTileRegions(SpeciesBlock& block);
   // Pre-push position capture into the SoA old-position lanes, for species
   // whose engine runs the Esirkepov current scheme (Phase::kPush).
@@ -141,8 +144,8 @@ class StepPipeline {
   void BoundaryTile(HwContext& hw, SpeciesBlock& block, bool drop_behind_window,
                     int t, int64_t* dropped);
 
-  // Fused pass 1 for one species: a single region fusing (guard,) gather,
-  // push, boundaries, and the sort scan per tile.
+  // Fused pass 1 for one species: a single region fusing (guard,) gather and
+  // push chunk by chunk, boundaries, and the sort scan per tile.
   void FusedPass1(const StepPipelineInputs& in, SpeciesBlock& block, int sid,
                   const FieldSet& fields, SpeciesStepStats* ss);
   template <int Order>

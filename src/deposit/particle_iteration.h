@@ -48,7 +48,8 @@ void ForEachParticle(HwContext& hw, const ParticleTile& tile, bool sorted, Fn&& 
 
 // Particles per staging chunk: 8 batches of kVpuLanes. At QSP's 132 staged
 // bytes per particle a chunk is 8.4 KB, a quarter of the modeled 32 KB L1, so
-// it stays resident from its staging to its deposit.
+// it stays resident from its staging to its deposit. Pass 1 gathers and
+// pushes in chunks of as many SoA slots; their gathered fields take 3 KB.
 inline constexpr int32_t kStageChunk = 8 * kVpuLanes;
 
 // A chunk of a tile's live particles in deposit order: chunk slot k holds tile

@@ -35,22 +35,24 @@ void BorisStep(double ex, double ey, double ez, double bx, double by, double bz,
   *uz = umz + qdt_over_2m * ez;
 }
 
-void PushTileBoris(HwContext& hw, ParticleTile& tile, const GatherScratch& gathered,
-                   const PushParams& params) {
+void PushRangeBoris(HwContext& hw, ParticleTile& tile, int32_t begin, int32_t end,
+                    const GatherScratch& gathered, const PushParams& params) {
+  MPIC_DCHECK(begin >= 0 && begin <= end && end <= tile.num_slots() &&
+              gathered.ex.size() >= static_cast<size_t>(end - begin));
   PhaseScope phase(hw.ledger(), Phase::kPush);
   ParticleSoA& soa = tile.soa();
   const double qdt_over_2m = params.charge * params.dt / (2.0 * params.mass);
   const double inv_c2 = 1.0 / (kSpeedOfLight * kSpeedOfLight);
-  const size_t n = soa.size();
 
   // Vectorized: per batch of 8 slots, load 6 gathered fields + 6 particle
   // streams, ~45 VPU ops of Boris arithmetic, store back 6 streams.
-  for (size_t base = 0; base < n; base += kVpuLanes) {
-    const size_t batch = std::min(n - base, static_cast<size_t>(kVpuLanes));
+  for (int32_t base = begin; base < end; base += kVpuLanes) {
+    const size_t batch = static_cast<size_t>(std::min(end - base, kVpuLanes));
+    const auto entry = static_cast<size_t>(base - begin);
     for (const auto* stream :
          {&gathered.ex, &gathered.ey, &gathered.ez, &gathered.bx, &gathered.by,
           &gathered.bz}) {
-      hw.TouchRead(stream->data() + base, sizeof(double) * batch);
+      hw.TouchRead(stream->data() + entry, sizeof(double) * batch);
     }
     for (const auto* stream : {&soa.x, &soa.y, &soa.z, &soa.ux, &soa.uy, &soa.uz}) {
       hw.TouchRead(stream->data() + base, sizeof(double) * batch);
@@ -58,12 +60,14 @@ void PushTileBoris(HwContext& hw, ParticleTile& tile, const GatherScratch& gathe
     hw.ledger().counters().vpu_ops += 45;
     hw.ChargeCycles(45.0 / static_cast<double>(hw.cfg().vpu_pipes));
 
-    for (size_t i = base; i < base + batch; ++i) {
+    for (size_t j = 0; j < batch; ++j) {
+      const auto i = static_cast<size_t>(base) + j;
       if (!tile.IsLive(static_cast<int32_t>(i))) {
         continue;
       }
-      BorisStep(gathered.ex[i], gathered.ey[i], gathered.ez[i], gathered.bx[i],
-                gathered.by[i], gathered.bz[i], qdt_over_2m, &soa.ux[i], &soa.uy[i],
+      const size_t k = entry + j;
+      BorisStep(gathered.ex[k], gathered.ey[k], gathered.ez[k], gathered.bx[k],
+                gathered.by[k], gathered.bz[k], qdt_over_2m, &soa.ux[i], &soa.uy[i],
                 &soa.uz[i]);
       const double gamma =
           std::sqrt(1.0 + (soa.ux[i] * soa.ux[i] + soa.uy[i] * soa.uy[i] +

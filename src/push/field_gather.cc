@@ -1,5 +1,6 @@
 #include "src/push/field_gather.h"
 
+#include "src/common/check.h"
 #include "src/shape/shape_function.h"
 
 namespace mpic {
@@ -49,18 +50,22 @@ double GatherComponent(HwContext& hw, const FieldArray& f, const AxisShape<Order
 }  // namespace
 
 template <int Order>
-void GatherFieldsTile(HwContext& hw, const ParticleTile& tile, const FieldSet& fields,
-                      GatherScratch& scratch) {
+void GatherFieldsRange(HwContext& hw, const ParticleTile& tile,
+                       const FieldSet& fields, int32_t begin, int32_t end,
+                       GatherScratch& scratch) {
+  MPIC_DCHECK(begin >= 0 && begin <= end && end <= tile.num_slots() &&
+              scratch.ex.size() >= static_cast<size_t>(end - begin));
   PhaseScope phase(hw.ledger(), Phase::kGather);
   const ParticleSoA& soa = tile.soa();
   const GridGeometry& g = fields.geom;
-  scratch.Resize(soa.size());
 
-  for (size_t i = 0; i < soa.size(); ++i) {
-    if (!tile.IsLive(static_cast<int32_t>(i))) {
+  for (int32_t pid = begin; pid < end; ++pid) {
+    if (!tile.IsLive(pid)) {
       hw.ScalarOps(1);
       continue;
     }
+    const auto i = static_cast<size_t>(pid);
+    const auto k = static_cast<size_t>(pid - begin);
     hw.TouchRead(&soa.x[i], sizeof(double));
     hw.TouchRead(&soa.y[i], sizeof(double));
     hw.TouchRead(&soa.z[i], sizeof(double));
@@ -80,19 +85,19 @@ void GatherFieldsTile(HwContext& hw, const ParticleTile& tile, const FieldSet& f
 
     // Yee staggering: Ex(i+1/2,j,k), Ey(i,j+1/2,k), Ez(i,j,k+1/2);
     // Bx(i,j+1/2,k+1/2), By(i+1/2,j,k+1/2), Bz(i+1/2,j+1/2,k).
-    scratch.ex[i] = GatherComponent<Order>(hw, fields.ex, hx, ny, nz);
-    scratch.ey[i] = GatherComponent<Order>(hw, fields.ey, nx, hy, nz);
-    scratch.ez[i] = GatherComponent<Order>(hw, fields.ez, nx, ny, hz);
-    scratch.bx[i] = GatherComponent<Order>(hw, fields.bx, nx, hy, hz);
-    scratch.by[i] = GatherComponent<Order>(hw, fields.by, hx, ny, hz);
-    scratch.bz[i] = GatherComponent<Order>(hw, fields.bz, hx, hy, nz);
+    scratch.ex[k] = GatherComponent<Order>(hw, fields.ex, hx, ny, nz);
+    scratch.ey[k] = GatherComponent<Order>(hw, fields.ey, nx, hy, nz);
+    scratch.ez[k] = GatherComponent<Order>(hw, fields.ez, nx, ny, hz);
+    scratch.bx[k] = GatherComponent<Order>(hw, fields.bx, nx, hy, hz);
+    scratch.by[k] = GatherComponent<Order>(hw, fields.by, hx, ny, hz);
+    scratch.bz[k] = GatherComponent<Order>(hw, fields.bz, hx, hy, nz);
 
-    hw.TouchWrite(&scratch.ex[i], sizeof(double));
-    hw.TouchWrite(&scratch.ey[i], sizeof(double));
-    hw.TouchWrite(&scratch.ez[i], sizeof(double));
-    hw.TouchWrite(&scratch.bx[i], sizeof(double));
-    hw.TouchWrite(&scratch.by[i], sizeof(double));
-    hw.TouchWrite(&scratch.bz[i], sizeof(double));
+    hw.TouchWrite(&scratch.ex[k], sizeof(double));
+    hw.TouchWrite(&scratch.ey[k], sizeof(double));
+    hw.TouchWrite(&scratch.ez[k], sizeof(double));
+    hw.TouchWrite(&scratch.bx[k], sizeof(double));
+    hw.TouchWrite(&scratch.by[k], sizeof(double));
+    hw.TouchWrite(&scratch.bz[k], sizeof(double));
   }
 }
 
@@ -109,11 +114,14 @@ void RegisterGatherRegions(HwContext& hw, uint64_t tile_key_base,
   }
 }
 
-template void GatherFieldsTile<1>(HwContext&, const ParticleTile&, const FieldSet&,
-                                  GatherScratch&);
-template void GatherFieldsTile<2>(HwContext&, const ParticleTile&, const FieldSet&,
-                                  GatherScratch&);
-template void GatherFieldsTile<3>(HwContext&, const ParticleTile&, const FieldSet&,
-                                  GatherScratch&);
+template void GatherFieldsRange<1>(HwContext&, const ParticleTile&,
+                                   const FieldSet&, int32_t, int32_t,
+                                   GatherScratch&);
+template void GatherFieldsRange<2>(HwContext&, const ParticleTile&,
+                                   const FieldSet&, int32_t, int32_t,
+                                   GatherScratch&);
+template void GatherFieldsRange<3>(HwContext&, const ParticleTile&,
+                                   const FieldSet&, int32_t, int32_t,
+                                   GatherScratch&);
 
 }  // namespace mpic

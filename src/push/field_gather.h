@@ -3,7 +3,9 @@
 // E and B components live at staggered half-cell offsets; the gather shifts the
 // particle's grid-unit coordinate by 0.5 on each staggered axis before
 // evaluating the shape function, which is how WarpX handles staggering.
-// Results are written to per-slot staging arrays consumed by the pusher.
+// Results are written to a run of staging entries that the pusher consumes;
+// the step pipeline gathers and pushes one chunk of slots at a time, so the
+// run stays in L1 between the two.
 //
 // Together with deposition this dominates PIC runtime (Fig. 1); the gather is
 // charged to Phase::kGather and its memory behavior (scattered reads over six
@@ -20,7 +22,9 @@
 
 namespace mpic {
 
-// Gathered fields at particle positions, indexed by SoA slot.
+// Gathered fields at particle positions for one run of SoA slots
+// [begin, end): entry i - begin holds slot i. The step pipeline sizes it to
+// one chunk; the tile-wide entry point sizes it to the whole tile.
 struct GatherScratch {
   void Resize(size_t n) {
     ex.resize(n);
@@ -33,13 +37,24 @@ struct GatherScratch {
   std::vector<double> ex, ey, ez, bx, by, bz;
 };
 
-// Gathers E and B for every live particle of the tile. Guard cells of the
-// field arrays must be filled (periodic images) before calling. The scratch
-// must already be sized to the tile's slot count and registered with the
-// model's address space (RegisterGatherRegions) by the serial pre-pass.
+// Gathers E and B for every live particle in SoA slots [begin, end) of the
+// tile into scratch entries 0 .. end - begin - 1. Guard cells of the field
+// arrays must be filled (periodic images) before calling. The scratch must
+// hold at least end - begin entries and be registered with the model's
+// address space (RegisterGatherRegions) by the serial pre-pass.
+template <int Order>
+void GatherFieldsRange(HwContext& hw, const ParticleTile& tile,
+                       const FieldSet& fields, int32_t begin, int32_t end,
+                       GatherScratch& scratch);
+
+// The whole tile in one range: sizes the scratch to the tile's slot count,
+// so entry i is slot i.
 template <int Order>
 void GatherFieldsTile(HwContext& hw, const ParticleTile& tile, const FieldSet& fields,
-                      GatherScratch& scratch);
+                      GatherScratch& scratch) {
+  scratch.Resize(tile.soa().size());
+  GatherFieldsRange<Order>(hw, tile, fields, 0, tile.num_slots(), scratch);
+}
 
 // Registers the six gathered-field staging arrays with the hardware model's
 // address space under stable keys (`tile_key_base` from MemRegionKey; streams

@@ -1,9 +1,11 @@
 // Step-pipeline tests: the two-pass schedule must be bit-identical across
 // modeled core counts on every workload, variant, order, current scheme, and
 // species count; the halo-disjoint reduction coloring must be a valid
-// schedule; and the modeled ledger must be deterministic across runs now that
-// every modeled array (including the gather scratch and the charge-density
-// diagnostic's scratch) is registered with the address map.
+// schedule; pass 1's chunked gather and push must match the tile-wide entry
+// points through a one-chunk scratch; and the modeled ledger must be
+// deterministic across runs now that every modeled array (including the
+// gather scratch and the charge-density diagnostic's scratch) is registered
+// with the address map.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +23,14 @@
 
 #include "src/core/diagnostics.h"
 #include "src/core/simulation.h"
+#include "src/common/rng.h"
 #include "src/core/workloads.h"
+#include "src/deposit/particle_iteration.h"
 #include "src/deposit/rhocell.h"
 #include "src/hw/parallel_for.h"
+#include "src/particles/species.h"
+#include "src/push/boris_pusher.h"
+#include "src/push/field_gather.h"
 #include "tests/reduce_split_rows.h"
 
 namespace mpic {
@@ -384,6 +391,177 @@ TEST(ReduceColoring, ColoredReduceMatchesSerialReduceBitwise) {
         ExpectSimsBitIdentical(*serial, *parallel);
       }
     }
+  }
+}
+
+// ---- Chunked pass 1 ------------------------------------------------------------
+
+// Pass 1 gathers and pushes each tile kStageChunk slots at a time through a
+// one-chunk scratch (GatherAndPushTile). On a tile whose slot count is not a
+// multiple of the chunk and whose dead slots fall in every chunk (and fill
+// one batch), the chunked loop must leave all ten SoA lanes bit-identical to
+// the tile-wide GatherFieldsTile + PushTileBoris, charge the same
+// instructions, and make the same number of modeled accesses; only the cache
+// level serving them may differ.
+template <int Order>
+void ExpectChunkedGatherPushMatchesTileWide() {
+  GridGeometry g;
+  g.nx = g.ny = g.nz = 8;
+  g.dx = g.dy = g.dz = 0.5;
+  FieldSet fields(g, 2);
+  Rng rng(17);
+  for (FieldArray* f : {&fields.ex, &fields.ey, &fields.ez}) {
+    for (double& v : f->vec()) {
+      v = rng.Uniform(-1e5, 1e5);
+    }
+  }
+  for (FieldArray* f : {&fields.bx, &fields.by, &fields.bz}) {
+    for (double& v : f->vec()) {
+      v = rng.Uniform(-0.5, 0.5);
+    }
+  }
+  ParticleTile whole(0, 0, 0, 8, 8, 8);
+  constexpr int32_t kSlots = 2 * kStageChunk + 37;
+  for (int32_t i = 0; i < kSlots; ++i) {
+    Particle p;
+    p.x = rng.Uniform(0.05, 3.95);
+    p.y = rng.Uniform(0.05, 3.95);
+    p.z = rng.Uniform(0.05, 3.95);
+    p.ux = rng.Uniform(-0.3, 0.3) * kSpeedOfLight;
+    p.uy = rng.Uniform(-0.3, 0.3) * kSpeedOfLight;
+    p.uz = rng.Uniform(-0.3, 0.3) * kSpeedOfLight;
+    p.w = rng.Uniform(0.5, 2.0);
+    p.xo = p.x;
+    p.yo = p.y;
+    p.zo = p.z;
+    whole.AddParticle(p);
+  }
+  for (int32_t pid = 3; pid < kSlots; pid += 11) {
+    whole.RemoveParticle(pid);
+  }
+  for (int32_t pid = kStageChunk + 8; pid < kStageChunk + 16; ++pid) {
+    if (whole.IsLive(pid)) {
+      whole.RemoveParticle(pid);
+    }
+  }
+  ASSERT_EQ(whole.num_slots(), kSlots);
+  ASSERT_NE(kSlots % kStageChunk, 0);
+  ParticleTile chunked = whole;
+  PushParams pp;
+  pp.dt = 1e-10;
+  pp.charge = kElectronCharge;
+  pp.mass = kElectronMass;
+
+  // Register every array, as the pipeline does, so both runs see
+  // line-aligned model addresses wherever the allocator put the host arrays.
+  const auto register_all = [&fields](HwContext& hw, ParticleTile& tile,
+                                      GatherScratch& scratch) {
+    for (std::vector<double>* lane : tile.soa().Lanes()) {
+      hw.RegisterRegion(lane->data(), lane->size() * sizeof(double));
+    }
+    for (const FieldArray* f : {&fields.ex, &fields.ey, &fields.ez, &fields.bx,
+                                &fields.by, &fields.bz}) {
+      hw.RegisterRegion(f->data(), f->vec().size() * sizeof(double));
+    }
+    RegisterGatherRegions(hw, MemRegionKey(NextMemOwnerId(), 0, 0), scratch);
+  };
+  HwContext whole_hw;
+  GatherScratch tile_wide;
+  tile_wide.Resize(static_cast<size_t>(kSlots));
+  register_all(whole_hw, whole, tile_wide);
+  GatherFieldsTile<Order>(whole_hw, whole, fields, tile_wide);
+  PushTileBoris(whole_hw, whole, tile_wide, pp);
+
+  HwContext chunk_hw;
+  GatherScratch one_chunk;
+  one_chunk.Resize(kStageChunk);
+  register_all(chunk_hw, chunked, one_chunk);
+  GatherAndPushTile<Order>(chunk_hw, chunked, fields, one_chunk, pp);
+
+  const auto lanes_a = whole.soa().Lanes();
+  const auto lanes_b = chunked.soa().Lanes();
+  for (size_t l = 0; l < lanes_a.size(); ++l) {
+    ASSERT_EQ(lanes_a[l]->size(), lanes_b[l]->size()) << "lane " << l;
+    EXPECT_EQ(std::memcmp(lanes_a[l]->data(), lanes_b[l]->data(),
+                          lanes_a[l]->size() * sizeof(double)),
+              0)
+        << "lane " << l << " differs bitwise";
+  }
+  EXPECT_NE(whole.soa().x, whole.soa().xo) << "the push moved nothing";
+  const LedgerCounters& a = whole_hw.ledger().counters();
+  const LedgerCounters& b = chunk_hw.ledger().counters();
+  EXPECT_EQ(a.scalar_ops, b.scalar_ops);
+  EXPECT_EQ(a.scalar_mem, b.scalar_mem);
+  EXPECT_EQ(a.vpu_ops, b.vpu_ops);
+  EXPECT_EQ(a.vpu_mem, b.vpu_mem);
+  EXPECT_EQ(a.l1_hits + a.l1_misses, b.l1_hits + b.l1_misses);
+}
+
+TEST(ChunkedPass1, GatherPushMatchesTileWideOrder1) {
+  ExpectChunkedGatherPushMatchesTileWide<1>();
+}
+TEST(ChunkedPass1, GatherPushMatchesTileWideOrder3) {
+  ExpectChunkedGatherPushMatchesTileWide<3>();
+}
+
+// Every tile's gather scratch holds one chunk, not one entry per SoA slot,
+// from Initialize() on and after steps that fan pass 1 out over four cores.
+// The second case seeds a hot plasma into the lower half of the box only, so
+// its upper tiles start empty and fill as particles cross into them.
+TEST(ChunkedPass1, GatherScratchHoldsOneChunk) {
+  UseManyThreads();
+  const auto expect_one_chunk = [](const Simulation& sim) {
+    const SpeciesBlock& b = sim.block(0);
+    ASSERT_EQ(b.gather_scratch.size(),
+              static_cast<size_t>(b.tiles.num_tiles()));
+    for (size_t t = 0; t < b.gather_scratch.size(); ++t) {
+      const GatherScratch& gs = b.gather_scratch[t];
+      for (const std::vector<double>* lane :
+           {&gs.ex, &gs.ey, &gs.ez, &gs.bx, &gs.by, &gs.bz}) {
+        EXPECT_EQ(lane->size(), static_cast<size_t>(kStageChunk)) << "tile " << t;
+        EXPECT_EQ(lane->capacity(), static_cast<size_t>(kStageChunk))
+            << "tile " << t;
+      }
+    }
+  };
+  const auto empty_tiles = [](const Simulation& sim) {
+    int empty = 0;
+    const TileSet& tiles = sim.block(0).tiles;
+    for (int t = 0; t < tiles.num_tiles(); ++t) {
+      empty += tiles.tile(t).num_live() == 0 ? 1 : 0;
+    }
+    return empty;
+  };
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 4;
+  p.tile = 4;
+  p.order = 3;
+  {
+    SCOPED_TRACE("whole box");
+    HwContext hw(MachineConfig::Lx2MultiCore(4));
+    auto sim = MakeUniformSimulation(hw, p);
+    ASSERT_GT(sim->block(0).tiles.tile(0).num_slots(), kStageChunk);
+    expect_one_chunk(*sim);
+    sim->Run(2);
+    expect_one_chunk(*sim);
+  }
+  {
+    SCOPED_TRACE("lower half");
+    HwContext hw(MachineConfig::Lx2MultiCore(4));
+    Simulation sim(hw, MakeUniformConfig(p));
+    ProfiledPlasmaConfig plasma;
+    plasma.ppc_x = plasma.ppc_y = plasma.ppc_z = 2;
+    plasma.profile = [](double) { return 1e25; };
+    plasma.u_th = 0.5;
+    plasma.z_cell_hi = p.nz / 2;
+    sim.SeedProfiledPlasma(plasma);
+    sim.Initialize();
+    ASSERT_EQ(empty_tiles(sim), 4);
+    expect_one_chunk(sim);
+    sim.Run(4);
+    ASSERT_EQ(empty_tiles(sim), 0) << "no particle reached the upper tiles";
+    expect_one_chunk(sim);
   }
 }
 
