@@ -47,9 +47,10 @@ struct SpeciesConfig {
 // schedule (RegionCosts::estimates); `measured` collects the current step's
 // per-tile cycle probe (RegionCosts::measured); Commit() rotates measured into
 // estimate at the end of the stage. The owner pair rotates the same way:
-// `owner` is the global worker id that executed each tile last step (the
-// sticky-placement preference and the tile's NUMA home domain),
-// `owner_measured` collects this step's placements (RegionCosts::owners).
+// `owner_measured` collects the stage's placements (RegionCosts::owners),
+// `owner` holds the last committed ones. Only pass 1's carry over to the next
+// step (its sticky preference and the tiles' NUMA homes); the deposit follows
+// this step's pass-1 owners, the reduction this step's deposit owners.
 // All four start empty — the first step of a stage schedules with uniform
 // costs and no affinity, then converges.
 struct StageCostFeedback {
@@ -101,7 +102,7 @@ struct SpeciesBlock {
   // tile-parallel stage of the fused pipeline (indexed by tile id for the two
   // full fan-outs; reduce_costs is also tile-indexed, gathered/scattered per
   // color class: a tile whose reduction its rank splits into z-plane chunks
-  // gets the sum of its chunks' cycles and its first chunk's owner).
+  // gets the sum of its chunks' cycles).
   // Unused (left empty) under TileSchedulePolicy::kStatic.
   StageCostFeedback pass1_costs;
   StageCostFeedback deposit_costs;

@@ -42,12 +42,12 @@ EngineStepStats SimStepStats::Aggregate() const {
 
 namespace {
 
-// Per-tile NUMA home domains for one species this step, derived from last
-// step's pass1 owners — the canonical placement anchor: every stage of the
-// species touches the same SoA/scratch, so all of a tile's pages home where
-// its pass1 ran. Empty when the model has nothing to re-home (flat memory,
-// static schedule, or no owner feedback yet); -1 entries leave a tile's
-// current homes untouched.
+// Per-tile NUMA home domains for one species, derived from the last committed
+// pass1 owners (last step's before pass 1, this step's after it) — the
+// canonical placement anchor: every stage of the species touches the same
+// SoA/scratch, so all of a tile's pages home where its pass1 ran. Empty when
+// the model has nothing to re-home (flat memory, static schedule, or no owner
+// feedback yet); -1 entries leave a tile's current homes untouched.
 std::vector<int> TileHomeDomains(const HwContext& hw,
                                  const SpeciesBlock& block) {
   std::vector<int> domains;
@@ -95,8 +95,8 @@ void StepPipeline::ZeroCurrentsStage(FieldSet& fields) {
 void StepPipeline::PrepareTileRegions(SpeciesBlock& block) {
   // On a NUMA machine the serial refresh doubles as the placement pass: each
   // tile's registrations run under its owner's home domain, migrating the
-  // tile's SoA/scratch pages to wherever the tile ran last step — which is
-  // also where the sticky scheduler will prefer to run it this step.
+  // tile's SoA/scratch pages to wherever pass 1 ran it last step — which is
+  // also where the sticky scheduler will prefer to run pass 1 this step.
   const std::vector<int> home = TileHomeDomains(hw_, block);
   block.engine.RefreshTileRegistrations(block.tiles,
                                         home.empty() ? nullptr : &home);
@@ -313,11 +313,13 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
   if (ParallelEnabled(hw_) && engine.deposit_is_tile_parallel()) {
     const std::vector<int> home = TileHomeDomains(hw_, block);
     engine.RefreshTileRegistrations(tiles, home.empty() ? nullptr : &home);
+    // The deposit follows this step's pass-1 owners, whose domains hold the
+    // pages the refresh just re-homed.
     RegionCosts costs;
     if (cost_sched) {
       costs.estimates = &block.deposit_costs.estimate;
       costs.measured = &block.deposit_costs.measured;
-      costs.prev_owners = &block.deposit_costs.owner;
+      costs.prev_owners = &block.pass1_costs.owner;
       costs.owners = &block.deposit_costs.owner_measured;
     }
     ParallelForTiles(
@@ -355,10 +357,10 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
   // one region. Each node belongs to one chunk, which visits its tile's
   // cells in serial order, so J stays bit-identical too. The cost feedback
   // is tile-indexed across all classes: each class gathers its tiles'
-  // estimates (split evenly over a tile's chunks) and owners (the first
-  // chunk's) into a positional list for the scheduler, and scatters the
-  // positional measurements back by tile id, a split tile's summed over its
-  // chunks.
+  // estimates (split evenly over a tile's chunks) into a positional list for
+  // the scheduler, and scatters the positional measurements back by tile id,
+  // a split tile's summed over its chunks. Each tile's first chunk follows
+  // the tile's deposit owner, committed above for every tile.
   const bool fan_out =
       ParallelEnabled(hw_) && engine.deposit_is_tile_parallel();
   const RankSet* ranks =
@@ -369,14 +371,9 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
   const bool have_reduce_est =
       cost_sched && block.reduce_costs.estimate.size() ==
                         static_cast<size_t>(tiles.num_tiles());
-  const bool have_reduce_own =
-      cost_sched && block.reduce_costs.owner.size() ==
-                        static_cast<size_t>(tiles.num_tiles());
   if (cost_sched) {
     block.reduce_costs.measured.assign(
         static_cast<size_t>(tiles.num_tiles()), 0.0);
-    block.reduce_costs.owner_measured.assign(
-        static_cast<size_t>(tiles.num_tiles()), -1);
   }
   struct ReduceChunk {
     int tile;
@@ -388,7 +385,6 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
   std::vector<int> rank_ends;
   std::vector<double> chunk_est;
   std::vector<double> chunk_meas;
-  std::vector<int32_t> chunk_own_est;
   std::vector<int32_t> chunk_own;
   for (const std::vector<int>& color_class : engine.reduce_coloring()) {
     if (!fan_out) {
@@ -421,26 +417,20 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
     }
     RegionCosts costs;
     if (cost_sched) {
-      if (have_reduce_est) {
-        chunk_est.clear();
-        for (const ReduceChunk& c : chunks) {
-          chunk_est.push_back(
-              block.reduce_costs.estimate[static_cast<size_t>(c.tile)] /
-              c.parts);
+      chunk_est.clear();
+      chunk_own.clear();
+      for (const ReduceChunk& c : chunks) {
+        const auto t = static_cast<size_t>(c.tile);
+        if (have_reduce_est) {
+          chunk_est.push_back(block.reduce_costs.estimate[t] / c.parts);
         }
+        chunk_own.push_back(c.part == 0 ? block.deposit_costs.owner[t] : -1);
+      }
+      if (have_reduce_est) {
         costs.estimates = &chunk_est;
       }
-      if (have_reduce_own) {
-        chunk_own_est.clear();
-        for (const ReduceChunk& c : chunks) {
-          chunk_own_est.push_back(
-              c.part == 0 ? block.reduce_costs.owner[static_cast<size_t>(c.tile)]
-                          : -1);
-        }
-        costs.prev_owners = &chunk_own_est;
-      }
+      costs.prev_owners = &chunk_own;
       costs.measured = &chunk_meas;
-      costs.owners = &chunk_own;
     }
     ParallelForTiles(
         hw_, static_cast<int>(chunks.size()),
@@ -454,11 +444,8 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
         RegionMerge::kPhaseMax, costs, &rank_ends);
     if (cost_sched) {
       for (size_t i = 0; i < chunks.size(); ++i) {
-        const auto t = static_cast<size_t>(chunks[i].tile);
-        if (chunks[i].part == 0) {
-          block.reduce_costs.owner_measured[t] = chunk_own[i];
-        }
-        block.reduce_costs.measured[t] += chunk_meas[i];
+        block.reduce_costs.measured[static_cast<size_t>(chunks[i].tile)] +=
+            chunk_meas[i];
       }
     }
   }

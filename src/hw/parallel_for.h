@@ -79,14 +79,16 @@ enum class RegionMerge {
 //    estimates the work, not the scheduling overhead. The probe itself is
 //    free in the model.
 //  - `prev_owners`: per-position global worker id (rank * num_cores + core)
-//    that executed the position last time (typically last step's `owners`).
+//    of the worker whose placement the position should follow: another
+//    region's `owners` (last step's pass 1 for pass 1, this step's pass 1
+//    for the deposit, this step's deposit for the reduction; -1 for none).
 //    Used only under kCostSteal with MachineConfig::sticky_placement, and
 //    only when its size matches the position count: the scheduler prefers
 //    re-placing each position on its previous owner (then the owner's NUMA
 //    domain) within one cost bucket of the balance optimum.
 //  - `owners`: filled (resized to n, -1 for positions no worker ran) with
 //    the global worker id that executed each position this region, the
-//    feedback source for the next step's `prev_owners`.
+//    source of a later region's `prev_owners`.
 struct RegionCosts {
   const std::vector<double>* estimates = nullptr;
   std::vector<double>* measured = nullptr;

@@ -18,9 +18,10 @@ constexpr char kMagic[8] = {'M', 'P', 'I', 'C', 'C', 'K', 'P', '\1'};
 // section. Version 3: the SPECIES tail gained the three committed per-tile
 // owner vectors (sticky placement replans from them) and the LEDGER counters
 // gained the NUMA trio (tasks_stolen_remote, remote_lines, remote_cycles).
-// Older images omit state a bit-exact restart needs, so they are rejected
-// rather than half-restored.
-constexpr uint32_t kVersion = 3;
+// Version 4: the SPECIES tail keeps only pass 1's owners, the only ones a
+// step reads from the step before. Other versions are rejected rather than
+// half-restored.
+constexpr uint32_t kVersion = 4;
 
 enum SectionId : uint32_t {
   kSectionMeta = 1,
@@ -141,9 +142,9 @@ struct StagedSpecies {
   int64_t total_global_sorts = 0;
   // Committed kCostSteal per-tile estimates (what the next step plans from).
   std::vector<double> pass1_est, deposit_est, reduce_est;
-  // v3: committed per-tile owners (global worker ids) — the sticky-placement
+  // Committed pass-1 owners (global worker ids) — the sticky-placement
   // preference and home-domain anchor for the next step's schedule.
-  std::vector<int32_t> pass1_own, deposit_own, reduce_own;
+  std::vector<int32_t> pass1_own;
 };
 
 struct StagedLedger {
@@ -299,12 +300,11 @@ CheckpointStatus SaveCheckpoint(Simulation& sim,
     w.Vec(b.pass1_costs.estimate);
     w.Vec(b.deposit_costs.estimate);
     w.Vec(b.reduce_costs.estimate);
-    // v3 tail: the committed owners alongside the estimates — sticky
-    // placement and the tiles' home domains replan from these, so a restored
-    // run places (and steals) exactly like a never-interrupted one.
+    // v4 tail: the committed pass-1 owners alongside the estimates — sticky
+    // placement and the tiles' home domains replan from them (the deposit
+    // and the reduction follow within the step), so a restored run places
+    // (and steals) exactly like a never-interrupted one.
     w.Vec(b.pass1_costs.owner);
-    w.Vec(b.deposit_costs.owner);
-    w.Vec(b.reduce_costs.owner);
     AppendSection(out, kSectionSpecies, static_cast<uint32_t>(sid), sp);
   }
 
@@ -639,8 +639,6 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
     r.Vec(&ss.deposit_est);
     r.Vec(&ss.reduce_est);
     r.Vec(&ss.pass1_own);
-    r.Vec(&ss.deposit_own);
-    r.Vec(&ss.reduce_own);
     if (!r.ok()) {
       return ParseError("malformed SPECIES section tail");
     }
@@ -728,8 +726,6 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
     b.deposit_costs.estimate = std::move(ss.deposit_est);
     b.reduce_costs.estimate = std::move(ss.reduce_est);
     b.pass1_costs.owner = std::move(ss.pass1_own);
-    b.deposit_costs.owner = std::move(ss.deposit_own);
-    b.reduce_costs.owner = std::move(ss.reduce_own);
   }
   sim->RestoreClock(meta.step, meta.time);
   sim->set_injection_seed(meta.injection_seed);

@@ -387,9 +387,9 @@ TEST(CheckpointCycleExact, StealCountersAreNonVacuous) {
 
 // NUMA cycle-exact restore: on a 2-domain machine with live remote steals,
 // the restored run must replan the same sticky placement — the committed
-// per-tile owner vectors ride the v3 SPECIES tail — and therefore accumulate
-// the same remote-line, remote-cycle, and remote-steal totals as the
-// uninterrupted run, to the last cycle.
+// pass-1 owners ride the SPECIES tail — and therefore accumulate the same
+// remote-line, remote-cycle, and remote-steal totals as the uninterrupted
+// run, to the last cycle.
 TEST(CheckpointCycleExact, NumaRestoreMatchesUninterruptedRun) {
   BunchedBeamParams p;
   p.nx = p.ny = p.nz = 16;
@@ -444,7 +444,9 @@ TEST(CheckpointCycleExact, NumaRestoreMatchesUninterruptedRun) {
 
 // Version 1 images lack the adaptive-trigger baselines, the kCostSteal
 // estimates, and the steal counters; restoring one would silently break the
-// bit-exact contract, so the version gate must reject it outright.
+// bit-exact contract, so the version gate must reject it outright. Version 3
+// images carry two owner vectors more per species, which would misread the
+// SPECIES tail, so they are rejected too.
 TEST(CheckpointRejection, RejectsVersion1Image) {
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 8;
@@ -461,13 +463,16 @@ TEST(CheckpointRejection, RejectsVersion1Image) {
   auto tgt = MakeUniformSimulation(tgt_hw, p);
   const uint64_t before = SimulationDigest(*tgt);
 
-  std::vector<uint8_t> old_image = ckpt;
-  old_image[8] = 1;  // u32 version field, little-endian, at offset 8
-  const CheckpointStatus st = RestoreCheckpoint(tgt.get(), old_image);
-  EXPECT_FALSE(st.ok);
-  EXPECT_NE(st.error.find("unsupported version"), std::string::npos)
-      << st.error;
-  EXPECT_EQ(SimulationDigest(*tgt), before) << "target mutated on reject";
+  for (const uint8_t version : {1, 3}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    std::vector<uint8_t> old_image = ckpt;
+    old_image[8] = version;  // u32 version field, little-endian, at offset 8
+    const CheckpointStatus st = RestoreCheckpoint(tgt.get(), old_image);
+    EXPECT_FALSE(st.ok);
+    EXPECT_NE(st.error.find("unsupported version"), std::string::npos)
+        << st.error;
+    EXPECT_EQ(SimulationDigest(*tgt), before) << "target mutated on reject";
+  }
 }
 
 
