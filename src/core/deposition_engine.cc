@@ -11,6 +11,7 @@
 #include "src/deposit/deposit_staging.h"
 #include "src/hw/parallel_for.h"
 #include "src/hw/rank_topology.h"
+#include "src/shape/shape_function.h"
 
 namespace mpic {
 
@@ -65,6 +66,14 @@ size_t DepositionEngine::StagingSlots(const ParticleTile& tile) const {
       return static_cast<size_t>(DepositChunkSlots(tile, traits_.sorted_iteration));
   }
   return 0;
+}
+
+void DepositionEngine::ResizeStaging(const ParticleTile& tile, int order,
+                                     DepositScratch& scratch) const {
+  scratch.Resize(StagingSlots(tile), order);
+  if (traits_.kernel == KernelKind::kRhocellAutoVec) {
+    scratch.w3.resize(static_cast<size_t>(Support3D(order)));
+  }
 }
 
 DepositionEngine::DepositionEngine(HwContext& hw, const EngineConfig& config)
@@ -357,9 +366,9 @@ void DepositionEngine::DeliverMovers(TileSet& tiles, EngineStepStats* stats) {
   ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
   if (traits_.sort_mode == SortMode::kIncremental) {
     // Deliver cross-tile movers serially, in source-tile order: destination
-    // slot assignment (AddParticle recycles free slots in stack order) must
-    // not depend on the parallel schedule for results to stay bit-identical
-    // to serial.
+    // slot assignment (AddParticle fills the lowest dead slot, so arrivals
+    // land in ascending slots in delivery order) must not depend on the
+    // parallel schedule for results to stay bit-identical to serial.
     PhaseScope phase(hw_.ledger(), Phase::kSort);
     for (size_t src = 0; src < tile_movers_.size(); ++src) {
       std::vector<Mover>& movers = tile_movers_[src];
@@ -444,7 +453,7 @@ void DepositionEngine::RefreshTileRegistrations(
       RegisterEsirkepovRegions(hw_, EsirkepovKey(t), es,
                                tile_currents_[static_cast<size_t>(t)]);
     } else {
-      scratch.Resize(StagingSlots(tile), config_.order);
+      ResizeStaging(tile, config_.order, scratch);
     }
     RegisterStagingRegions(hw_, TileKey(t), tile, scratch);
   }
@@ -542,7 +551,7 @@ void DepositionEngine::StageAndDepositTileImpl(HwContext& hw, uint64_t tile_key,
   // kernels touch anything: scratch/SoA vectors may have (re)allocated since
   // the last registration (cheap no-op otherwise), and the staging writes
   // must land in registered memory to keep the modeled cache deterministic.
-  scratch.Resize(StagingSlots(tile), Order);
+  ResizeStaging(tile, Order, scratch);
   RegisterStagingRegions(hw, tile_key, tile, scratch);
 
   // The compiler-vectorized kernels read StageTileScalar's tile-wide staging;

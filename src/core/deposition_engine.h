@@ -302,6 +302,10 @@ class DepositionEngine {
   // EsirkepovScratch holds one chunk for the MOPA combine, every SoA slot for
   // the staged scalar/VPU combine.
   size_t StagingSlots(const ParticleTile& tile) const;
+  // Sizes the direct scheme's DepositScratch to StagingSlots, plus the weight
+  // products buffer the auto-vectorized rhocell kernel stores and reloads.
+  void ResizeStaging(const ParticleTile& tile, int order,
+                     DepositScratch& scratch) const;
   template <int Order>
   void EsirkepovDepositTileImpl(HwContext& hw, uint64_t key_base,
                                 ParticleTile& tile, const DepositParams& params,

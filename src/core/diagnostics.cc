@@ -7,6 +7,7 @@
 #include "src/common/check.h"
 #include "src/deposit/deposit_scalar.h"
 #include "src/deposit/esirkepov.h"
+#include "src/hw/mem_map.h"
 #include "src/particles/species.h"
 #include "src/runtime/digest.h"
 
@@ -243,9 +244,12 @@ WindowRecord MeasureWindow(Simulation& sim, int warmup, int steps) {
   const double total_before = ledger.TotalCycles();
   const LedgerCounters counters_before = ledger.counters();
   const int64_t pushed_before = sim.particles_pushed();
+  const uint64_t unmapped_before = UnmappedTranslations();
   const auto start = std::chrono::steady_clock::now();
   sim.Run(steps);
   const auto end = std::chrono::steady_clock::now();
+  MPIC_CHECK_MSG(UnmappedTranslations() == unmapped_before,
+                 "the measured window touched unregistered memory");
 
   WindowRecord r;
   r.host_seconds = std::chrono::duration<double>(end - start).count();

@@ -107,7 +107,9 @@ struct WindowRecord {
 
 // Runs `warmup` unmeasured steps, then `steps` measured ones, and returns the
 // measured window's record. Aborts if any phase's cycles over the window are
-// not finite.
+// not finite, or if the window touched memory outside every registered region
+// (UnmappedTranslations, mem_map.h), whose modeled cycles vary from run to
+// run.
 WindowRecord MeasureWindow(Simulation& sim, int warmup, int steps);
 
 }  // namespace mpic

@@ -60,6 +60,10 @@ struct DepositScratch {
   std::vector<int32_t> ix, iy, iz;
   // Effective current factors: q * v_comp * w / cell_volume.
   std::vector<double> wqx, wqy, wqz;
+  // The auto-vectorized rhocell kernel's weight-product temporary, which it
+  // stores and reloads per particle (Support3D(order) entries). Only engines
+  // running that kernel size it, so no other tile registers a region for it.
+  std::vector<double> w3;
 };
 
 }  // namespace mpic

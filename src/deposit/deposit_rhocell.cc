@@ -39,7 +39,7 @@ void AccumulateBlock(double* block, const double* w3, double factor) {
 
 template <int Order>
 void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
-                           const DepositParams& params, const DepositScratch& scratch,
+                           const DepositParams& params, DepositScratch& scratch,
                            RhocellBuffer& rhocell, bool sorted) {
   static_assert(Order == 1 || Order == 3, "rhocell requires odd order");
   (void)params;
@@ -47,6 +47,10 @@ void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
   constexpr int kSupport = Order + 1;
   constexpr int kNodes = Support3D(Order);
   constexpr int kRows = kNodes / kVpuLanes == 0 ? 1 : kNodes / kVpuLanes;
+  if (scratch.w3.size() < static_cast<size_t>(kNodes)) {
+    scratch.w3.resize(kNodes);
+  }
+  double* w3 = scratch.w3.data();
 
   ForEachParticle(hw, tile, sorted, [&](int32_t pid) {
     const auto i = static_cast<size_t>(pid);
@@ -61,9 +65,8 @@ void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
     hw.TouchRead(&scratch.wqy[i], sizeof(double));
     hw.TouchRead(&scratch.wqz[i], sizeof(double));
 
-    double w3[Support3D(Order)];
     NodeWeights<Order>(scratch, i, w3);
-    // The weight products go through a stack temporary (auto-vec emits the
+    // The weight products go through a temporary (auto-vec emits the
     // store-reload): yz products scalar, xyz products vectorized.
     hw.ScalarOps(kSupport * kSupport + 3);
     hw.ledger().counters().vpu_ops += kRows;
@@ -210,10 +213,10 @@ void ReduceRhocellToGrid(HwContext& hw, const ParticleTile& tile,
 }
 
 template void DepositRhocellAutoVec<1>(HwContext&, const ParticleTile&,
-                                       const DepositParams&, const DepositScratch&,
+                                       const DepositParams&, DepositScratch&,
                                        RhocellBuffer&, bool);
 template void DepositRhocellAutoVec<3>(HwContext&, const ParticleTile&,
-                                       const DepositParams&, const DepositScratch&,
+                                       const DepositParams&, DepositScratch&,
                                        RhocellBuffer&, bool);
 template void DepositRhocellVpu<1>(HwContext&, const ParticleTile&,
                                    const DepositParams&, DepositScratch&,

@@ -29,9 +29,12 @@
 
 namespace mpic {
 
+// Reads the tile-wide staging in `scratch` and stores each particle's weight
+// products in scratch.w3, which it grows to Support3D(Order) if smaller; size
+// and register it beforehand so those stores land in mapped memory.
 template <int Order>
 void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
-                           const DepositParams& params, const DepositScratch& scratch,
+                           const DepositParams& params, DepositScratch& scratch,
                            RhocellBuffer& rhocell, bool sorted);
 
 // Staging is charged to Phase::kPreproc, the rest to Phase::kCompute.

@@ -219,6 +219,7 @@ void RegisterStagingRegions(HwContext& hw, uint64_t tile_key_base,
   reg(scratch.wqy);
   reg(scratch.wqz);
   reg(tile.gpma().local_index());
+  reg(scratch.w3);
 }
 
 template void StageTileScalar<1>(HwContext&, const ParticleTile&, const DepositParams&,

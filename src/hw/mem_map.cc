@@ -14,10 +14,15 @@ uint64_t RoundUpPage(uint64_t v) { return (v + kPage - 1) & ~(kPage - 1); }
 // one was copy-assigned from the other (worker snapshots in parallel regions).
 std::atomic<uint64_t> g_mem_map_stamp{0};
 std::atomic<uint64_t> g_mem_owner_id{0};
+std::atomic<uint64_t> g_unmapped_translations{0};
 }  // namespace
 
 uint64_t NextMemOwnerId() {
   return g_mem_owner_id.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+uint64_t UnmappedTranslations() {
+  return g_unmapped_translations.load(std::memory_order_relaxed);
 }
 
 void MemMap::BumpVersion() {
@@ -168,6 +173,7 @@ MemLocation MemMap::TranslateSearch(uintptr_t host) {
   }
   // Unregistered: identity-map into a far range (home domain unknown; the
   // cache model treats it as local).
+  g_unmapped_translations.fetch_add(1, std::memory_order_relaxed);
   return MemLocation{kUnmappedBase + (host & ((uint64_t{1} << 40) - 1)), -1};
 }
 

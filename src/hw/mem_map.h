@@ -33,6 +33,12 @@ namespace mpic {
 // — and with them the registration sequences — are too.
 uint64_t NextMemOwnerId();
 
+// Translations, by every MemMap of the process so far, of pointers that fall
+// in no registered region. Each is identity-mapped by its host address, so
+// its modeled cache set follows ASLR and the allocator: a run that makes one
+// is not deterministic. MeasureWindow aborts when its window makes any.
+uint64_t UnmappedTranslations();
+
 // Key for one registered stream of one tile of one owner (an engine or a
 // species block): owner ids are process-unique, tiles fit 24 bits, stream
 // enumerates the owner's per-tile arrays.

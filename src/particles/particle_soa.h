@@ -3,8 +3,8 @@
 // Components use the common PIC convention: position in meters, momentum as
 // proper velocity u = gamma*v in m/s, and a macro-particle weight w (number of
 // physical particles represented). Slots are stable: a particle's index (its
-// tile-local pid) never changes between global sorts; removed slots are
-// recycled through the owning tile's free list.
+// tile-local pid) never changes between global sorts; the owning tile reuses
+// removed slots, lowest first.
 
 #ifndef MPIC_SRC_PARTICLES_PARTICLE_SOA_H_
 #define MPIC_SRC_PARTICLES_PARTICLE_SOA_H_

@@ -1,6 +1,7 @@
 #include "src/particles/particle_tile.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/sort/counting_sort.h"
@@ -13,16 +14,20 @@ ParticleTile::ParticleTile(int lo_x, int lo_y, int lo_z, int nx, int ny, int nz)
 }
 
 int32_t ParticleTile::AddParticle(const Particle& p) {
+  const size_t n = live_.size();
+  const void* dead =
+      first_dead_ < n ? std::memchr(live_.data() + first_dead_, 0, n - first_dead_)
+                      : nullptr;
   int32_t pid;
-  if (!free_slots_.empty()) {
-    pid = free_slots_.back();
-    free_slots_.pop_back();
+  if (dead != nullptr) {
+    pid = static_cast<int32_t>(static_cast<const uint8_t*>(dead) - live_.data());
     soa_.Set(pid, p);
     live_[static_cast<size_t>(pid)] = 1;
   } else {
     pid = soa_.Append(p);
     live_.push_back(1);
   }
+  first_dead_ = static_cast<size_t>(pid) + 1;
   ++num_live_;
   return pid;
 }
@@ -31,21 +36,19 @@ void ParticleTile::RemoveParticle(int32_t pid) {
   MPIC_DCHECK(pid >= 0 && static_cast<size_t>(pid) < live_.size());
   MPIC_CHECK_MSG(live_[static_cast<size_t>(pid)] != 0, "double remove");
   live_[static_cast<size_t>(pid)] = 0;
-  free_slots_.push_back(pid);
+  first_dead_ = std::min(first_dead_, static_cast<size_t>(pid));
   --num_live_;
 }
 
-void ParticleTile::RestoreStorage(ParticleSoA soa, std::vector<uint8_t> live,
-                                  std::vector<int32_t> free_slots) {
+void ParticleTile::RestoreStorage(ParticleSoA soa, std::vector<uint8_t> live) {
   MPIC_CHECK(live.size() == soa.size());
   soa_ = std::move(soa);
   live_ = std::move(live);
-  free_slots_ = std::move(free_slots);
+  first_dead_ = 0;
   num_live_ = 0;
   for (const uint8_t b : live_) {
     num_live_ += b != 0 ? 1 : 0;
   }
-  MPIC_CHECK(static_cast<size_t>(num_live_) + free_slots_.size() == soa_.size());
   was_rebuilt_this_step = false;
 }
 
@@ -77,7 +80,7 @@ void ParticleTile::BuildGpma(const GridGeometry& geom, const GpmaConfig& config)
 
 int64_t ParticleTile::GlobalSortTile(const GridGeometry& geom,
                                      const GpmaConfig& config) {
-  // Compact live particles in cell order, dropping free slots entirely.
+  // Compact live particles in cell order, dropping dead slots entirely.
   // Cells are recomputed rather than stored, so the only per-particle index
   // array is `src`: tiles sort concurrently, and their temporaries add up.
   const int n_cells = std::max(1, num_cells());
@@ -107,7 +110,7 @@ int64_t ParticleTile::GlobalSortTile(const GridGeometry& geom,
               sorted_cells.begin() + offsets[static_cast<size_t>(c) + 1], c);
   }
   live_.assign(n, 1);
-  free_slots_.clear();
+  first_dead_ = n;
   num_live_ = static_cast<int32_t>(n);
   gpma_.Build(sorted_cells, n_cells, config);
   was_rebuilt_this_step = false;

@@ -1,12 +1,15 @@
 // ParticleTile: the unit of particle decomposition (paper: particles.tile_size,
 // e.g. 8x8x8 cells). Each tile owns
 //   * a ParticleSoA whose slot indices are the tile-local particle ids (pids),
-//   * a free-slot stack recycling removed pids,
-//   * a live bitmap (for the unsorted baselines that iterate in slot order),
+//   * a live bitmap (for the unsorted baselines that iterate in slot order);
+//     its dead slots are the free slots, and a new particle takes the lowest,
 //   * a Gpma binning live pids by tile-local cell (for the sorted kernels).
 //
 // Slots are stable between global sorts; the GPMA manipulates indices only,
 // deferring data movement to GlobalSortTile() — exactly the paper's strategy.
+// Reusing the lowest dead slot keeps a batch of arrivals (one step's movers
+// from a neighbour tile, one moving-window slab) in ascending slots in the
+// order they arrive, so their SoA streams stay ascending in memory.
 
 #ifndef MPIC_SRC_PARTICLES_PARTICLE_TILE_H_
 #define MPIC_SRC_PARTICLES_PARTICLE_TILE_H_
@@ -47,9 +50,10 @@ class ParticleTile {
     *iz = lo_z_ + local / (nx_ * ny_);
   }
 
-  // Adds a particle (recycling a free slot if available); returns its pid.
-  // The caller must separately insert the pid into the GPMA when the tile is
-  // operating in sorted mode (the core engine owns that decision).
+  // Adds a particle in the lowest dead slot (appending when every slot is
+  // live); returns its pid. The caller must separately insert the pid into the
+  // GPMA when the tile is operating in sorted mode (the core engine owns that
+  // decision).
   int32_t AddParticle(const Particle& p);
   // Releases the slot. The pid must not be referenced by the GPMA anymore.
   void RemoveParticle(int32_t pid);
@@ -78,16 +82,13 @@ class ParticleTile {
 
   // ---- Checkpoint support (src/runtime/checkpoint.h) ----
   //
-  // The free-slot stack is serialized in exact stack order: AddParticle
-  // recycles slots LIFO, so slot assignment after a restore replays the
-  // uninterrupted run bit-for-bit only if the stack matches exactly.
-  const std::vector<int32_t>& free_slots() const { return free_slots_; }
+  // The live bitmap is the whole free-slot state: slot assignment after a
+  // restore replays the uninterrupted run bit-for-bit from it alone.
   const std::vector<uint8_t>& live_bits() const { return live_; }
   // Replaces the tile's particle storage wholesale (checkpoint restore).
   // `live` must be one byte per SoA slot; `num_live_` is recomputed from it.
   // The GPMA is restored separately through gpma().ImportState().
-  void RestoreStorage(ParticleSoA soa, std::vector<uint8_t> live,
-                      std::vector<int32_t> free_slots);
+  void RestoreStorage(ParticleSoA soa, std::vector<uint8_t> live);
 
   bool was_rebuilt_this_step = false;
 
@@ -96,9 +97,11 @@ class ParticleTile {
   int nx_, ny_, nz_;
   ParticleSoA soa_;
   Gpma gpma_;
-  std::vector<int32_t> free_slots_;
   std::vector<uint8_t> live_;
   int32_t num_live_ = 0;
+  // Every slot below it is live: AddParticle's search for the lowest dead
+  // slot starts here.
+  size_t first_dead_ = 0;
 };
 
 }  // namespace mpic

@@ -19,9 +19,10 @@ constexpr char kMagic[8] = {'M', 'P', 'I', 'C', 'C', 'K', 'P', '\1'};
 // owner vectors (sticky placement replans from them) and the LEDGER counters
 // gained the NUMA trio (tasks_stolen_remote, remote_lines, remote_cycles).
 // Version 4: the SPECIES tail keeps only pass 1's owners, the only ones a
-// step reads from the step before. Other versions are rejected rather than
-// half-restored.
-constexpr uint32_t kVersion = 4;
+// step reads from the step before. Version 5: a tile's free slots are the
+// dead slots of its live bitmap, so the free-slot vector is gone. Other
+// versions are rejected rather than half-restored.
+constexpr uint32_t kVersion = 5;
 
 enum SectionId : uint32_t {
   kSectionMeta = 1,
@@ -132,7 +133,6 @@ struct Meta {
 struct StagedTile {
   std::vector<double> lanes[10];
   std::vector<uint8_t> live;
-  std::vector<int32_t> free_slots;
   Gpma::State gpma;
 };
 
@@ -271,7 +271,6 @@ CheckpointStatus SaveCheckpoint(Simulation& sim,
         w.Vec(*lane);
       }
       w.Vec(tile.live_bits());
-      w.Vec(tile.free_slots());
       const Gpma::State gs = tile.gpma().ExportState();
       w.Pod<double>(gs.config.gap_fraction);
       w.Pod<int32_t>(gs.config.min_gap_per_bin);
@@ -582,7 +581,6 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
         r.Vec(&lane);
       }
       r.Vec(&st.live);
-      r.Vec(&st.free_slots);
       r.Pod(&st.gpma.config.gap_fraction);
       r.Pod(&st.gpma.config.min_gap_per_bin);
       r.Pod(&st.gpma.config.max_shift_bins);
@@ -604,19 +602,6 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
       }
       if (st.live.size() != n) {
         return ParseError("live bitmap size mismatch");
-      }
-      size_t live_count = 0;
-      for (const uint8_t b : st.live) {
-        live_count += b != 0 ? 1 : 0;
-      }
-      if (live_count + st.free_slots.size() != n) {
-        return ParseError("live/free census mismatch");
-      }
-      for (const int32_t f : st.free_slots) {
-        if (f < 0 || static_cast<size_t>(f) >= n ||
-            st.live[static_cast<size_t>(f)] != 0) {
-          return ParseError("free-slot stack inconsistent with live bitmap");
-        }
       }
       if (st.gpma.num_cells > 0) {
         if (st.gpma.bin_offsets.size() !=
@@ -717,8 +702,7 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
       soa.yo = std::move(st.lanes[8]);
       soa.zo = std::move(st.lanes[9]);
       ParticleTile& tile = b.tiles.tile(t);
-      tile.RestoreStorage(std::move(soa), std::move(st.live),
-                          std::move(st.free_slots));
+      tile.RestoreStorage(std::move(soa), std::move(st.live));
       tile.gpma().ImportState(std::move(st.gpma));
     }
     b.engine.RestoreSortState(ss.sort_stats, ss.total_global_sorts);

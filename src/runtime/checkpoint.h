@@ -1,6 +1,6 @@
 // Bit-exact checkpoint/restart of a full Simulation.
 //
-// Format (little-endian, version 4):
+// Format (little-endian, version 5):
 //
 //   [8B magic "MPICCKP\1"] [u32 version] [u32 section_count]
 //   section*: [u32 id] [u32 index] [u64 payload_bytes] [u64 payload_fnv]
@@ -9,21 +9,23 @@
 // Sections: META (step/time/dt, geometry, tile dims, per-species identity +
 // engine scheme, moving-window offset, injection RNG seed), FIELDS (the ten
 // raw FP64 arrays, guards included), one SPECIES section per block (per tile:
-// all ten SoA lanes, the live bitmap, the free-slot stack in exact LIFO
-// order, and the GPMA's full internal state — serialized, never rebuilt,
-// because the slot layout feeding deposition and collision order depends on
-// the insertion history; then the complete re-sort policy state including the
-// adaptive throughput baselines, the three per-tile cost-feedback estimate
-// vectors the kCostSteal scheduler plans from, and the committed pass-1
-// owners its sticky placement and the tiles' home domains follow), an
+// all ten SoA lanes, the live bitmap, whose dead slots are the free slots
+// the next arrivals fill lowest first, and the GPMA's full internal state —
+// serialized, never rebuilt, because the slot layout feeding deposition and
+// collision order depends on the insertion history; then the complete re-sort
+// policy state including the adaptive throughput baselines, the three
+// per-tile cost-feedback estimate vectors the kCostSteal scheduler plans
+// from, and the committed pass-1 owners its sticky placement and the tiles'
+// home domains follow), an
 // optional LEDGER snapshot (per-phase modeled cycles + counters, including
 // the steal and NUMA counters), and — when the machine models more than one
 // rank — a RANKS section with the cumulative per-rank communication totals.
 //
 // Version 1 and 2 images (which omit state a bit-exact restart needs: the
 // policy baselines, cost estimates and steal counters in v1; the committed
-// owners and NUMA counters in v2) and v3 images (which also carry the
-// deposit's and reduction's owners) are rejected, not silently half-restored.
+// owners and NUMA counters in v2), v3 images (which also carry the deposit's
+// and reduction's owners) and v4 images (which carry a free-slot stack per
+// tile) are rejected, not silently half-restored.
 //
 // Every payload carries its length and FNV-1a checksum; RestoreCheckpoint
 // verifies every checksum and validates META compatibility BEFORE mutating

@@ -37,8 +37,6 @@ uint64_t ParticlesDigest(const TileSet& tiles) {
       h = HashDoubles(*lane, h);
     }
     h = Fnv1a(tile.live_bits().data(), tile.live_bits().size(), h);
-    h = Fnv1a(tile.free_slots().data(),
-              tile.free_slots().size() * sizeof(int32_t), h);
   }
   return h;
 }

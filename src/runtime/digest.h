@@ -22,9 +22,10 @@ class Simulation;
 uint64_t FieldsDigest(const FieldSet& fields);
 
 // Digest of one species' full particle storage: per tile, the slot count, all
-// ten SoA lanes, the live bitmap, and the free-slot stack. This pins not just
-// the live physics values but the slot assignment and recycling order, so two
-// states digest equal only if every subsequent step executes identically.
+// ten SoA lanes and the live bitmap. This pins not just the live physics
+// values but the slot assignment, and with it which slots the next arrivals
+// fill (the lowest dead ones), so two states digest equal only if every
+// subsequent step executes identically.
 uint64_t ParticlesDigest(const TileSet& tiles);
 
 // Fields + every species' particles + the step counter: the whole-simulation

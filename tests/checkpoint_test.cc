@@ -445,8 +445,9 @@ TEST(CheckpointCycleExact, NumaRestoreMatchesUninterruptedRun) {
 // Version 1 images lack the adaptive-trigger baselines, the kCostSteal
 // estimates, and the steal counters; restoring one would silently break the
 // bit-exact contract, so the version gate must reject it outright. Version 3
-// images carry two owner vectors more per species, which would misread the
-// SPECIES tail, so they are rejected too.
+// images carry two owner vectors more per species, and version 4 images a
+// free-slot vector per tile; either would misread the SPECIES section, so
+// they are rejected too.
 TEST(CheckpointRejection, RejectsVersion1Image) {
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 8;
@@ -463,7 +464,7 @@ TEST(CheckpointRejection, RejectsVersion1Image) {
   auto tgt = MakeUniformSimulation(tgt_hw, p);
   const uint64_t before = SimulationDigest(*tgt);
 
-  for (const uint8_t version : {1, 3}) {
+  for (const uint8_t version : {1, 3, 4}) {
     SCOPED_TRACE(static_cast<int>(version));
     std::vector<uint8_t> old_image = ckpt;
     old_image[8] = version;  // u32 version field, little-endian, at offset 8

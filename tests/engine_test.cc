@@ -291,6 +291,90 @@ TEST(Engine, CrossTileMoversArePreserved) {
   }
 }
 
+// A moving-window-like shift: every particle moves one cell down in z, so
+// each tile's bottom z-layer leaves for the tile below and the layer above
+// arrives. The scan frees the bottom layer's slots, which after the initial
+// global sort are the tile's lowest; delivery must fill them in ascending
+// order as the movers arrive (source scan order), then append. A LIFO free
+// list would fill them top down, reversing the layer in memory.
+TEST(Engine, MoversFillFreedSlotsInDeliveryOrder) {
+  EngineWorld world(DepositVariant::kFullOpt);
+  TileSet& tiles = world.tiles;
+  const GridGeometry& geom = world.geom;
+  // Give every particle a distinct weight, to find it after delivery, and
+  // move it one cell down.
+  double next_id = 1.0;
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    ParticleSoA& soa = tiles.tile(t).soa();
+    for (size_t i = 0; i < soa.size(); ++i) {
+      soa.w[i] = next_id++;
+      soa.z[i] = geom.WrapZ(soa.z[i] - geom.dz);
+    }
+  }
+  // Per destination tile: the slots the scan frees (the leavers'), its slot
+  // count, and the weights of the movers it will receive in delivery order:
+  // source tiles ascending, each source's slots ascending.
+  struct Expected {
+    std::vector<int32_t> freed;
+    int32_t slots = 0;
+    std::vector<double> arrivals;
+  };
+  std::vector<Expected> expected(static_cast<size_t>(tiles.num_tiles()));
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    const ParticleTile& tile = tiles.tile(t);
+    const ParticleSoA& soa = tile.soa();
+    Expected& e = expected[static_cast<size_t>(t)];
+    e.slots = tile.num_slots();
+    for (int32_t pid = 0; pid < tile.num_slots(); ++pid) {
+      ASSERT_TRUE(tile.IsLive(pid)) << "the initial global sort leaves no holes";
+      const auto i = static_cast<size_t>(pid);
+      const int ix = geom.CellX(soa.x[i]);
+      const int iy = geom.CellY(soa.y[i]);
+      const int iz = geom.CellZ(soa.z[i]);
+      if (!tile.ContainsCell(ix, iy, iz)) {
+        e.freed.push_back(pid);
+        expected[static_cast<size_t>(tiles.TileOfCell(ix, iy, iz))]
+            .arrivals.push_back(soa.w[i]);
+      }
+    }
+  }
+
+  world.engine.BeginStep(tiles);
+  TileScanPartial scan;
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    world.engine.ScanTile(world.hw, tiles, t, &scan);
+  }
+  EngineStepStats stats;
+  world.engine.AccumulateScan(scan, &stats);
+  world.engine.DeliverMovers(tiles, &stats);
+
+  for (int t = 0; t < tiles.num_tiles(); ++t) {
+    SCOPED_TRACE(t);
+    const ParticleTile& tile = tiles.tile(t);
+    const Expected& e = expected[static_cast<size_t>(t)];
+    ASSERT_GT(e.freed.size(), 1u);
+    ASSERT_GT(e.arrivals.size(), 1u);
+    std::vector<int32_t> got;
+    for (const double w : e.arrivals) {
+      for (int32_t pid = 0; pid < tile.num_slots(); ++pid) {
+        if (tile.IsLive(pid) && tile.soa().w[static_cast<size_t>(pid)] == w) {
+          got.push_back(pid);
+        }
+      }
+    }
+    // The k-th arrival takes the k-th lowest freed slot; arrivals beyond the
+    // freed count append.
+    std::vector<int32_t> want;
+    for (size_t k = 0; k < e.arrivals.size(); ++k) {
+      want.push_back(k < e.freed.size()
+                         ? e.freed[k]
+                         : e.slots + static_cast<int32_t>(k - e.freed.size()));
+    }
+    EXPECT_EQ(got, want);
+    tile.gpma().CheckInvariants();
+  }
+}
+
 TEST(Engine, AddRemoveParticleKeepsStructuresConsistent) {
   EngineWorld world(DepositVariant::kFullOpt);
   Particle p;

@@ -27,6 +27,7 @@
 #include "src/core/workloads.h"
 #include "src/deposit/particle_iteration.h"
 #include "src/deposit/rhocell.h"
+#include "src/hw/mem_map.h"
 #include "src/hw/parallel_for.h"
 #include "src/particles/species.h"
 #include "src/push/boris_pusher.h"
@@ -239,6 +240,23 @@ TEST_P(FusedPipeline, BitIdenticalAcrossCoreCounts) {
     for (size_t sid = 0; sid < want.size(); ++sid) {
       EXPECT_EQ(want[sid].pushed, got[sid].pushed) << "species " << sid;
     }
+  }
+}
+
+// Every modeled access of every case lands in a registered region, on one
+// core and on four. An unmapped access is identity-mapped by its host address,
+// so its cache set, and with it the ledger, would vary from run to run.
+TEST_P(FusedPipeline, TouchesOnlyRegisteredMemory) {
+  UseManyThreads();
+  const CoreCase c = CoreCases()[static_cast<size_t>(GetParam())];
+  for (const MachineConfig& cfg :
+       {MachineConfig::Lx2(), MachineConfig::Lx2MultiCore(4)}) {
+    SCOPED_TRACE(std::to_string(cfg.num_cores) + " cores");
+    const uint64_t before = UnmappedTranslations();
+    HwContext hw(cfg);
+    auto sim = c.make(hw);
+    sim->Run(c.steps);
+    EXPECT_EQ(UnmappedTranslations() - before, 0u);
   }
 }
 

@@ -66,6 +66,21 @@ TEST(ParticleTile, FreeListRecyclesSlots) {
   EXPECT_EQ(tile.num_slots(), 2);
   EXPECT_TRUE(tile.IsLive(c));
   (void)b;
+
+  // Out-of-order removals: the next adds take the lowest dead slot first (a
+  // LIFO stack would hand out 9, 2, 5), then append.
+  for (int i = 0; i < 10; ++i) {
+    tile.AddParticle(p);
+  }
+  ASSERT_EQ(tile.num_slots(), 12);
+  for (const int32_t pid : {5, 2, 9}) {
+    tile.RemoveParticle(pid);
+  }
+  EXPECT_EQ(tile.AddParticle(p), 2);
+  EXPECT_EQ(tile.AddParticle(p), 5);
+  EXPECT_EQ(tile.AddParticle(p), 9);
+  EXPECT_EQ(tile.AddParticle(p), 12);
+  EXPECT_EQ(tile.num_live(), 13);
 }
 
 TEST(ParticleTile, DoubleRemoveAborts) {

@@ -442,7 +442,6 @@ void ExpectSortedTilesBitEqual(const TileSet& a, const TileSet& b) {
     EXPECT_TRUE(same(sa.w, sb.w));
     EXPECT_TRUE(same(sa.xo, sb.xo) && same(sa.yo, sb.yo) && same(sa.zo, sb.zo));
     EXPECT_EQ(ta.live_bits(), tb.live_bits());
-    EXPECT_EQ(ta.free_slots(), tb.free_slots());
     const Gpma::State ga = ta.gpma().ExportState();
     const Gpma::State gb = tb.gpma().ExportState();
     EXPECT_EQ(ga.local_index, gb.local_index);
