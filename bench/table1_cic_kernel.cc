@@ -30,7 +30,7 @@ void Run() {
   for (DepositVariant v : configs) {
     UniformWorkloadParams p;
     p.nx = p.ny = p.nz = 16;  // 4096 cells: J working set exceeds the L1
-    p.tile = 16;  // one tile: per-rank-scale working set (README.md, "Hardware model")
+    p.tile = 16;  // one tile: one core's share (README.md, "Hardware model")
     p.ppc_x = 8;
     p.ppc_y = p.ppc_z = 4;  // PPC 128
     p.order = 1;

@@ -129,7 +129,7 @@ void CollisionModule::Apply(int64_t step, double dt) {
   // RNG streams are pure functions of (seed, step, cell, pair), so the result
   // is bit-identical for any tile partition, core count, or thread count.
   std::vector<PaddedSlot<CollisionStepStats>> partials(
-      static_cast<size_t>(WorkerSlotCount(hw_)));
+      static_cast<size_t>(hw_.num_cores()));
   ParallelForTiles(hw_, num_tiles, [&](HwContext& hw, int worker, int t) {
     PhaseScope phase(hw.ledger(), Phase::kCollide);
     CollisionStepStats& stats = partials[static_cast<size_t>(worker)].value;

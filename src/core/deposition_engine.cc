@@ -10,7 +10,6 @@
 #include "src/deposit/deposit_scalar.h"
 #include "src/deposit/deposit_staging.h"
 #include "src/hw/parallel_for.h"
-#include "src/hw/rank_topology.h"
 #include "src/shape/shape_function.h"
 
 namespace mpic {
@@ -225,17 +224,6 @@ void DepositionEngine::RemoveParticle(HwContext& hw, TileSet& tiles, int tile_in
 void DepositionEngine::BeginStep(TileSet& tiles, double dt) {
   tile_movers_.resize(static_cast<size_t>(tiles.num_tiles()));
   step_dt_ = dt;
-  if (rank_set_ != nullptr) {
-    cross_rank_movers_.assign(static_cast<size_t>(rank_set_->num_ranks()), 0);
-  }
-}
-
-void DepositionEngine::AttachRankSet(const RankSet* ranks) {
-  rank_set_ = ranks;
-  cross_rank_movers_.clear();
-  if (rank_set_ != nullptr) {
-    cross_rank_movers_.assign(static_cast<size_t>(rank_set_->num_ranks()), 0);
-  }
 }
 
 void DepositionEngine::ScanTile(HwContext& hw, TileSet& tiles, int t,
@@ -357,13 +345,6 @@ void DepositionEngine::AccumulateScan(const TileScanPartial& partial,
 
 void DepositionEngine::DeliverMovers(TileSet& tiles, EngineStepStats* stats) {
   const GridGeometry& geom = tiles.geom();
-  // With a rank decomposition attached, delivery work splits over the ranks
-  // (each rank inserts its own arrivals concurrently), so the serial charge
-  // scales down by the rank count; the link cost of the cross-rank movers is
-  // charged separately by RankComm::ChargeMigration from the counts taken
-  // here. The *execution* stays serial in source-tile order either way, so
-  // destination slot assignment is identical for any rank count.
-  ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
   if (traits_.sort_mode == SortMode::kIncremental) {
     // Deliver cross-tile movers serially, in source-tile order: destination
     // slot assignment (AddParticle fills the lowest dead slot, so arrivals
@@ -373,7 +354,6 @@ void DepositionEngine::DeliverMovers(TileSet& tiles, EngineStepStats* stats) {
     for (size_t src = 0; src < tile_movers_.size(); ++src) {
       std::vector<Mover>& movers = tile_movers_[src];
       for (const Mover& m : movers) {
-        CountCrossRankMover(static_cast<int>(src), m.dest_tile);
         ParticleTile& dest = tiles.tile(m.dest_tile);
         const int32_t pid = dest.AddParticle(m.p);
         const int cell = dest.CellOfParticle(geom, pid);
@@ -399,21 +379,10 @@ void DepositionEngine::DeliverMovers(TileSet& tiles, EngineStepStats* stats) {
   for (size_t src = 0; src < tile_movers_.size(); ++src) {
     std::vector<Mover>& movers = tile_movers_[src];
     for (const Mover& m : movers) {
-      CountCrossRankMover(static_cast<int>(src), m.dest_tile);
       tiles.tile(m.dest_tile).AddParticle(m.p);
       hw_.ChargeCycles(8.0);
     }
     movers.clear();
-  }
-}
-
-void DepositionEngine::CountCrossRankMover(int src_tile, int dest_tile) {
-  if (rank_set_ == nullptr) {
-    return;
-  }
-  const int src_rank = rank_set_->RankOfTile(src_tile);
-  if (src_rank != rank_set_->RankOfTile(dest_tile)) {
-    ++cross_rank_movers_[static_cast<size_t>(src_rank)];
   }
 }
 
@@ -755,9 +724,6 @@ int64_t DepositionEngine::ClearStagedMovers(int t) {
 }
 
 void DepositionEngine::FoldCurrentGuards(HwContext& hw, FieldSet& fields) {
-  // Each rank folds the guards of its own slab; the cross-rank z-boundary
-  // contributions ride the modeled J halo exchange (RankComm).
-  ScopedRankScale rank_scale(hw.ledger(), hw.num_ranks());
   PhaseScope phase(hw.ledger(), Phase::kReduce);
   fields.jx.FoldGuardsPeriodic();
   fields.jy.FoldGuardsPeriodic();

@@ -16,8 +16,8 @@
 //                         TileCurrent scratch);
 //   ReduceTile          — rhocell / Esirkepov-scratch reduction onto the
 //                         global J arrays, run color class by color class
-//                         (reduce_coloring()); a rank that owns fewer of a
-//                         class's tiles than it has cores splits each into
+//                         (reduce_coloring()); a class with fewer tiles
+//                         than the machine has cores splits each into
 //                         z-plane chunks (ReduceChunks);
 // and FinishStep evaluates the adaptive global re-sorting policy (Sec. 4.4),
 // performing GlobalSortParticlesByCell when a trigger fires.
@@ -41,8 +41,6 @@
 #include "src/sort/resort_policy.h"
 
 namespace mpic {
-
-class RankSet;  // src/hw/rank_topology.h
 
 struct EngineConfig {
   DepositVariant variant = DepositVariant::kFullOpt;
@@ -239,20 +237,6 @@ class DepositionEngine {
   const RankSortStats& rank_stats() const { return rank_stats_; }
   int64_t total_global_sorts() const { return total_global_sorts_; }
 
-  // ---- Multi-rank hooks (src/hw/rank_topology.h) ---------------------------
-
-  // Attaches the modeled rank decomposition. While attached, DeliverMovers
-  // counts the cross-tile movers whose source and destination tiles live on
-  // different ranks — the particles a real cluster would serialize over the
-  // link — per source rank. StepPipeline feeds the counts to
-  // RankComm::ChargeMigration. Pass nullptr to detach.
-  void AttachRankSet(const RankSet* ranks);
-  // Per-source-rank cross-rank mover counts of the current/last step (reset
-  // by BeginStep; empty when no RankSet is attached).
-  const std::vector<int64_t>& cross_rank_movers_last_step() const {
-    return cross_rank_movers_;
-  }
-
   // ---- Resilience hooks (src/runtime/) -------------------------------------
 
   // Checkpoint restore: reinstates the complete re-sort policy state — the
@@ -287,8 +271,6 @@ class DepositionEngine {
   void SortTiles(TileSet& tiles);
   void UpdateRankStats(TileSet& tiles, const EngineStepStats& stats,
                        double step_cycles, int64_t live);
-  // Bumps cross_rank_movers_ for a mover whose tiles live on different ranks.
-  void CountCrossRankMover(int src_tile, int dest_tile);
 
   // Key bases for this engine's keyed region registrations: SoA + staging of
   // tile t use MemRegionKey(mem_owner_id_, t, 0..31), the Esirkepov scratch
@@ -318,8 +300,6 @@ class DepositionEngine {
   ResortPolicy policy_;
   RankSortStats rank_stats_;
   int64_t total_global_sorts_ = 0;
-  const RankSet* rank_set_ = nullptr;
-  std::vector<int64_t> cross_rank_movers_;  // per source rank, this step
 
   std::vector<DepositScratch> scratch_;   // per tile
   std::vector<RhocellBuffer> rhocells_;   // per tile

@@ -82,20 +82,9 @@ void Simulation::Initialize() {
                  "either node-centered (direct) or Yee-staggered (Esirkepov)");
   staggered_j_ = n_esirkepov > 0;
 
-  // Modeled multi-rank decomposition: slab-partition the tile grid along z
-  // and engage the communication model. Every species shares the tile grid
-  // (one global tile_x/y/z in the config), so one RankSet serves them all.
-  if (hw_.num_ranks() > 1) {
-    const TileSet& t0 = blocks_.front()->tiles;
-    rank_set_.emplace(hw_.cfg(), t0.ntx(), t0.nty(), t0.ntz());
-    rank_comm_.emplace(hw_, *rank_set_, t0.tile_z());
-  }
   for (auto& b : blocks_) {
     b->gather_scratch.assign(static_cast<size_t>(b->tiles.num_tiles()),
                              GatherScratch{});
-    if (rank_set_.has_value()) {
-      b->engine.AttachRankSet(&*rank_set_);
-    }
     b->engine.Initialize(b->tiles, fields_);
     // Pre-size and register the gather staging so the very first step's
     // fan-out already runs against a fully mapped address space.
@@ -170,8 +159,7 @@ void Simulation::AdvanceWindow() {
   }
   const int shifts = window_->StepsToShift(dt_);
   for (int s = 0; s < shifts; ++s) {
-    // Fans out over every modeled core and rank (the slab handoff planes ride
-    // the regular halo exchange).
+    // Fans out over every modeled core.
     ShiftWindowZ(hw_, fields_);
     GridGeometry g = config_.geom;
     g.z0 = fields_.geom.z0;
@@ -187,7 +175,7 @@ void Simulation::AdvanceWindow() {
       // ledger through the RemoveParticle(HwContext&, ...) overload. Drops
       // count into the census the health monitor balances at step end.
       std::vector<PaddedSlot<int64_t>> tail_drops(
-          static_cast<size_t>(WorkerSlotCount(hw_)));
+          static_cast<size_t>(hw_.num_cores()));
       ParallelForTiles(hw_, b->tiles.num_tiles(),
                        [&](HwContext& hw, int worker, int t) {
         PhaseScope phase(hw.ledger(), Phase::kOther);
@@ -231,7 +219,7 @@ void Simulation::AdvanceWindow() {
           win_injected += static_cast<int64_t>(list.size());
         }
         std::vector<PaddedSlot<int64_t>> rebuilds(
-            static_cast<size_t>(WorkerSlotCount(hw_)));
+            static_cast<size_t>(hw_.num_cores()));
         ParallelForTiles(
             hw_, b->tiles.num_tiles(), [&](HwContext& hw, int worker, int t) {
               ParticleTile& tile = b->tiles.tile(t);
@@ -264,7 +252,6 @@ void Simulation::Step() {
   in.collisions = collide_.has_value() ? &*collide_ : nullptr;
   in.health = health_.has_value() ? &*health_ : nullptr;
   in.injector = injector_;
-  in.rank_comm = rank_comm_.has_value() ? &*rank_comm_ : nullptr;
   pipeline_.RunParticleStages(in, blocks_, fields_, &last_sim_stats_);
   last_step_stats_ = last_sim_stats_.Aggregate();
 
@@ -279,15 +266,10 @@ void Simulation::Step() {
     last_sim_stats_.species[i].live = blocks_[i]->tiles.TotalLive();
   }
 
-  // Each update fans out as one k-slab per worker: ranks take contiguous
-  // z-slabs and their cores split those. The boundary planes each rank's slab
-  // needs from its neighbors are settled by the halo exchange below.
+  // Each update fans out as one contiguous k-slab per core.
   solver_.UpdateB(hw_, fields_, 0.5 * dt_);
   solver_.UpdateE(hw_, fields_, dt_, staggered_j_);
   solver_.UpdateB(hw_, fields_, 0.5 * dt_);
-  if (rank_comm_.has_value()) {
-    rank_comm_->ExchangeFieldHalos(fields_);
-  }
 
   // Step epilogue: the field/census/energy sentinels inspect the post-solve
   // state the next step will consume.

@@ -29,7 +29,6 @@
 
 #include "src/collide/collision.h"
 #include "src/core/deposition_engine.h"
-#include "src/core/rank_comm.h"
 #include "src/core/species_block.h"
 #include "src/core/step_pipeline.h"
 #include "src/grid/field_set.h"
@@ -124,17 +123,6 @@ class Simulation {
   const CollisionModule* collisions() const {
     return collide_.has_value() ? &*collide_ : nullptr;
   }
-  // Modeled multi-rank decomposition (src/hw/rank_topology.h). Both are
-  // engaged at Initialize() when MachineConfig::num_ranks > 1 and null
-  // otherwise. The RankSet is the z-slab tile partition; RankComm charges the
-  // per-step halo exchanges and particle migration under Phase::kComm.
-  const RankSet* rank_set() const {
-    return rank_set_.has_value() ? &*rank_set_ : nullptr;
-  }
-  RankComm* rank_comm() { return rank_comm_.has_value() ? &*rank_comm_ : nullptr; }
-  const RankComm* rank_comm() const {
-    return rank_comm_.has_value() ? &*rank_comm_ : nullptr;
-  }
   // Aggregate engine stats of the last step (sums across species).
   const EngineStepStats& last_step_stats() const { return last_step_stats_; }
   // Per-species breakdown of the last step.
@@ -176,7 +164,7 @@ class Simulation {
     time_ = time;
   }
   // Model-state synchronization point for cycle-exact restore: flushes every
-  // modeled cache (main, workers, ranks), clears the logical address map, and
+  // modeled cache (main and workers), clears the logical address map, and
   // replays the full region-registration sequence. Because the logical layout
   // of a MemMap is a pure function of its registration order, a saving run
   // and its restored twin that both sync at the same execution point continue
@@ -203,8 +191,6 @@ class Simulation {
   MaxwellSolver solver_;
   StepPipeline pipeline_;
   std::optional<CollisionModule> collide_;
-  std::optional<RankSet> rank_set_;
-  std::optional<RankComm> rank_comm_;
   std::optional<LaserAntenna> laser_;
   std::optional<MovingWindow> window_;
   std::optional<HealthMonitor> health_;

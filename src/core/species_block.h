@@ -101,8 +101,8 @@ struct SpeciesBlock {
   // Per-tile cycle feedback for the work-stealing scheduler, one loop per
   // tile-parallel stage of the fused pipeline (indexed by tile id for the two
   // full fan-outs; reduce_costs is also tile-indexed, gathered/scattered per
-  // color class: a tile whose reduction its rank splits into z-plane chunks
-  // gets the sum of its chunks' cycles).
+  // color class: a tile whose reduction splits into z-plane chunks gets the
+  // sum of its chunks' cycles).
   // Unused (left empty) under TileSchedulePolicy::kStatic.
   StageCostFeedback pass1_costs;
   StageCostFeedback deposit_costs;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/core/rank_comm.h"
 #include "src/particles/species.h"
 #include "src/push/boris_pusher.h"
 #include "src/runtime/fault_injection.h"
@@ -60,15 +59,15 @@ std::vector<int> TileHomeDomains(const HwContext& hw,
   if (owner.size() != static_cast<size_t>(block.tiles.num_tiles())) {
     return domains;
   }
-  const int cores = cfg.num_cores < 1 ? 1 : cfg.num_cores;
+  const int cores = hw.num_cores();
   domains.resize(owner.size());
   for (size_t t = 0; t < owner.size(); ++t) {
-    const int g = owner[t];
-    // Owners are global worker ids (rank * num_cores + core); the domain
-    // split is per node, so only the core-within-rank part matters.
-    domains[t] = g < 0 ? -1
-                       : NumaDomainOfWorker(g % cores, cores,
-                                            cfg.num_numa_domains);
+    const int w = owner[t];
+    // An owner outside [0, cores) comes from an image saved on a machine
+    // with more cores: unknown, as PlanTileSchedule counts it.
+    domains[t] = (w < 0 || w >= cores)
+                     ? -1
+                     : NumaDomainOfWorker(w, cores, cfg.num_numa_domains);
   }
   return domains;
 }
@@ -78,9 +77,9 @@ std::vector<int> TileHomeDomains(const HwContext& hw,
 // ---- Shared per-tile stages -------------------------------------------------
 
 void StepPipeline::ZeroCurrentsStage(FieldSet& fields) {
-  // Each worker (core, or rank x core) zeroes a contiguous chunk of jx/jy/jz
-  // (disjoint writes), so the charge overlaps across cores like every other
-  // tile-parallel stage instead of serializing at the top of the step.
+  // Each core zeroes a contiguous chunk of jx/jy/jz (disjoint writes), so
+  // the charge overlaps across cores like every other tile-parallel stage
+  // instead of serializing at the top of the step.
   PhaseScope phase(hw_.ledger(), Phase::kOther);
   ParallelForChunks(
       hw_, static_cast<int>(fields.jx.size()),
@@ -225,7 +224,7 @@ void StepPipeline::FusedPass1Impl(const StepPipelineInputs& in, SpeciesBlock& bl
   // guards keep that property: quarantine bytes are per (species, tile), each
   // written by exactly one worker.
   std::vector<PaddedSlot<Pass1Partial>> partials(
-      static_cast<size_t>(WorkerSlotCount(hw_)));
+      static_cast<size_t>(hw_.num_cores()));
   // Under the cost-guided scheduler, feed last step's per-tile cycles in as
   // estimates and capture this step's for the next (kStatic leaves the
   // feedback loop untouched so static runs match the seed model exactly).
@@ -310,7 +309,9 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
   // Pass 2: staging + kernel. Rhocell-backed kernels accumulate into
   // tile-private blocks and fan out; the baseline/scalar kernels scatter
   // straight into shared J and stay serial.
-  if (ParallelEnabled(hw_) && engine.deposit_is_tile_parallel()) {
+  const bool fan_out =
+      hw_.num_cores() > 1 && engine.deposit_is_tile_parallel();
+  if (fan_out) {
     const std::vector<int> home = TileHomeDomains(hw_, block);
     engine.RefreshTileRegistrations(tiles, home.empty() ? nullptr : &home);
     // The deposit follows this step's pass-1 owners, whose domains hold the
@@ -335,9 +336,7 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
       block.deposit_costs.Commit();
     }
   } else {
-    // Serial deposit (shared-J scatter kernels): on a multi-rank machine each
-    // rank sweeps its own domain's tiles concurrently.
-    ScopedRankScale rank_scale(hw_.ledger(), hw_.num_ranks());
+    // Serial deposit (shared-J scatter kernels, or one core).
     for (int t = 0; t < tiles.num_tiles(); ++t) {
       if (skip(t)) {
         continue;
@@ -349,25 +348,18 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
   // Rhocell -> J reduction on the halo-disjoint colored schedule: tiles of
   // one class write disjoint node sets and fan out; the classes run as
   // sequential barriers in a fixed order, so shared halo nodes accumulate
-  // identically on any core count. Each rank reduces the class tiles it owns
-  // on its own cores, and when those are fewer than its cores (one-tile
-  // classes used to run inline on the main context) it splits each tile's
-  // reduction into k = cores / tiles z-plane chunks
-  // (DepositionEngine::ReduceChunks); the class runs every rank's chunks in
-  // one region. Each node belongs to one chunk, which visits its tile's
-  // cells in serial order, so J stays bit-identical too. The cost feedback
-  // is tile-indexed across all classes: each class gathers its tiles'
-  // estimates (split evenly over a tile's chunks) into a positional list for
-  // the scheduler, and scatters the positional measurements back by tile id,
-  // a split tile's summed over its chunks. Each tile's first chunk follows
-  // the tile's deposit owner, committed above for every tile.
-  const bool fan_out =
-      ParallelEnabled(hw_) && engine.deposit_is_tile_parallel();
-  const RankSet* ranks =
-      in.rank_comm != nullptr ? &in.rank_comm->ranks() : nullptr;
-  const auto owner_rank = [&](int t) {
-    return ranks != nullptr ? ranks->RankOfTile(t) : 0;
-  };
+  // identically on any core count. When a class has fewer tiles than the
+  // machine has cores (one-tile classes used to run inline on the main
+  // context), each tile's reduction splits into k = cores / tiles z-plane
+  // chunks (DepositionEngine::ReduceChunks), and the class runs its chunks,
+  // tile by tile in class order, in one region. Each node belongs to one
+  // chunk, which visits its tile's cells in serial order, so J stays
+  // bit-identical too. The cost feedback is tile-indexed across all classes:
+  // each class gathers its tiles' estimates (split evenly over a tile's
+  // chunks) into a positional list for the scheduler, and scatters the
+  // positional measurements back by tile id, a split tile's summed over its
+  // chunks. Each tile's first chunk follows the tile's deposit owner,
+  // committed above for every tile.
   const bool have_reduce_est =
       cost_sched && block.reduce_costs.estimate.size() ==
                         static_cast<size_t>(tiles.num_tiles());
@@ -382,7 +374,6 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
     int parts;  // chunks of its tile
   };
   std::vector<ReduceChunk> chunks;
-  std::vector<int> rank_ends;
   std::vector<double> chunk_est;
   std::vector<double> chunk_meas;
   std::vector<int32_t> chunk_own;
@@ -397,23 +388,13 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
       continue;
     }
     chunks.clear();
-    rank_ends.clear();
-    for (int r = 0; r < hw_.num_ranks(); ++r) {
-      int owned = 0;
-      for (int t : color_class) {
-        owned += owner_rank(t) == r ? 1 : 0;
+    const int k = std::max(
+        1, hw_.num_cores() / static_cast<int>(color_class.size()));
+    for (int t : color_class) {
+      const std::vector<ZPlanes> planes = engine.ReduceChunks(tiles, t, k);
+      for (int j = 0; j < k; ++j) {
+        chunks.push_back({t, planes[static_cast<size_t>(j)], j, k});
       }
-      const int k = owned > 0 ? std::max(1, hw_.num_cores() / owned) : 1;
-      for (int t : color_class) {
-        if (owner_rank(t) != r) {
-          continue;
-        }
-        const std::vector<ZPlanes> planes = engine.ReduceChunks(tiles, t, k);
-        for (int j = 0; j < k; ++j) {
-          chunks.push_back({t, planes[static_cast<size_t>(j)], j, k});
-        }
-      }
-      rank_ends.push_back(static_cast<int>(chunks.size()));
     }
     RegionCosts costs;
     if (cost_sched) {
@@ -441,7 +422,7 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
           }
           engine.ReduceTile(hw, tiles, fields, c.tile, c.planes);
         },
-        RegionMerge::kPhaseMax, costs, &rank_ends);
+        RegionMerge::kPhaseMax, costs);
     if (cost_sched) {
       for (size_t i = 0; i < chunks.size(); ++i) {
         block.reduce_costs.measured[static_cast<size_t>(chunks[i].tile)] +=
@@ -508,25 +489,6 @@ void StepPipeline::RunParticleStages(const StepPipelineInputs& in,
 
   if (shared_fold) {
     DepositionEngine::FoldCurrentGuards(hw_, fields);
-  }
-
-  // Modeled inter-rank communication of the particle stages: the particles
-  // whose cross-tile movers crossed a rank boundary (counted per source rank
-  // by every species' DeliverMovers) and the guard-plane J contributions the
-  // fold just merged across the rank boundaries. Charged under Phase::kComm;
-  // physics is untouched (see src/core/rank_comm.h).
-  if (in.rank_comm != nullptr) {
-    std::vector<int64_t> movers(
-        static_cast<size_t>(in.rank_comm->num_ranks()), 0);
-    for (const std::unique_ptr<SpeciesBlock>& b : blocks) {
-      const std::vector<int64_t>& per_rank =
-          b->engine.cross_rank_movers_last_step();
-      for (size_t r = 0; r < per_rank.size() && r < movers.size(); ++r) {
-        movers[r] += per_rank[r];
-      }
-    }
-    in.rank_comm->ChargeMigration(movers);
-    in.rank_comm->ExchangeCurrentHalos(fields);
   }
 
   // Collision stage: after every species has deposited, so this step's J

@@ -14,11 +14,11 @@
 //   pass 2 (one ParallelForTiles region): per tile, staging + deposition
 //          kernel; followed by the rhocell -> J reduction executed as a
 //          halo-disjoint colored schedule — every color class fans out, the
-//          classes run as sequential barriers. Each rank reduces the class
-//          tiles it owns; when they are fewer than its cores it splits each
-//          tile's reduction into z-plane chunks
-//          (DepositionEngine::ReduceChunks), so every core reduces. One-tile
-//          classes used to run serially on the main context.
+//          classes run as sequential barriers. A class with fewer tiles
+//          than the machine has cores splits each tile's reduction into
+//          z-plane chunks (DepositionEngine::ReduceChunks), so every core
+//          reduces. One-tile classes used to run serially on the main
+//          context.
 //
 // Every stage is tile-private until the serial barriers, and the reduction
 // visits its color classes in a fixed order, each J node reduced by one
@@ -50,7 +50,6 @@
 namespace mpic {
 
 class FaultInjector;
-class RankComm;
 
 // Per-species slice of one Step()'s accounting.
 struct SpeciesStepStats {
@@ -99,11 +98,6 @@ struct StepPipelineInputs {
   // Optional deterministic fault injector; its mover-drop faults hook in
   // between the scan and the delivery barrier.
   FaultInjector* injector = nullptr;
-  // Optional modeled inter-rank communication (set by Simulation when
-  // MachineConfig::num_ranks > 1): after the particle stages it charges the
-  // step's cross-rank particle migration and the post-fold J halo exchange
-  // under Phase::kComm. Purely a cost-model hook — physics is untouched.
-  RankComm* rank_comm = nullptr;
 };
 
 class StepPipeline {

@@ -28,8 +28,8 @@
 // parallel like the rhocell kernels; ReduceEsirkepovToGrid performs the
 // O(tile nodes) scatter-add onto the global J arrays on the engine's
 // halo-disjoint colored schedule (Phase::kReduce), each tile cut into z-plane
-// chunks of its whole box when its rank owns fewer of its color class's
-// tiles than it has cores (one-tile classes used to reduce serially).
+// chunks of its whole box when its color class has fewer tiles than the
+// machine has cores (one-tile classes used to reduce serially).
 //
 // Three combine cost profiles serve the scheme:
 //

@@ -51,8 +51,6 @@ const char* PhaseName(Phase p) {
       return "collide";
     case Phase::kHealth:
       return "health";
-    case Phase::kComm:
-      return "comm";
     case Phase::kOther:
       return "other";
   }
@@ -117,14 +115,6 @@ void CostLedger::SumWorkerCounters(const std::vector<const CostLedger*>& workers
     counters_.l2_misses += c.l2_misses;
     counters_.remote_lines += c.remote_lines;
     counters_.remote_cycles += c.remote_cycles;
-  }
-}
-
-void CostLedger::ScaleCyclesDelta(const std::array<double, kNumPhases>& before,
-                                  double factor) {
-  for (int p = 0; p < kNumPhases; ++p) {
-    const double delta = cycles_[static_cast<size_t>(p)] - before[static_cast<size_t>(p)];
-    cycles_[static_cast<size_t>(p)] = before[static_cast<size_t>(p)] + delta * factor;
   }
 }
 

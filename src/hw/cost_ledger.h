@@ -26,10 +26,9 @@ enum class Phase : int {
   kSolver,       // Maxwell field solve
   kCollide,      // binary Monte-Carlo collisions (cell pairing + scattering)
   kHealth,       // resilience sentinels + checkpoint serialization traffic
-  kComm,         // modeled inter-rank communication: halo exchange + migration
   kOther,
 };
-inline constexpr int kNumPhases = 11;
+inline constexpr int kNumPhases = 10;
 
 const char* PhaseName(Phase p);
 
@@ -112,15 +111,8 @@ class CostLedger {
   // Human-readable multi-line summary (debugging aid).
   std::string Summary() const;
 
-  // Snapshot of the per-phase cycle array, for ScaleCyclesDelta below.
+  // The per-phase cycle array, indexed by Phase (LedgerDigest hashes it).
   const std::array<double, kNumPhases>& phase_cycles() const { return cycles_; }
-
-  // Rescales the cycles charged since `before` (a phase_cycles() snapshot) by
-  // `factor`, leaving counters untouched. Used to model serial-but-
-  // rank-decomposable work: R ranks each run 1/R of a loop concurrently, so
-  // the wall-clock charge is the serial charge divided by R.
-  void ScaleCyclesDelta(const std::array<double, kNumPhases>& before,
-                        double factor);
 
  private:
   void SumWorkerCounters(const std::vector<const CostLedger*>& workers);
@@ -143,39 +135,6 @@ class PhaseScope {
  private:
   CostLedger& ledger_;
   Phase prev_;
-};
-
-// RAII helper modeling a serial code region whose work is evenly split across
-// `ranks` modeled ranks running concurrently: on destruction the cycles
-// charged inside the scope are divided by `ranks`. Counters are untouched (the
-// work still happens, on some rank). A no-op for ranks <= 1, so call sites can
-// wrap unconditionally. Must NOT enclose a parallel region (ParallelForTiles
-// already merges rank-concurrent charges) — that would scale twice.
-//
-// Three call sites keep it, all of them stages that stay serial on the main
-// context: DepositionEngine::FoldCurrentGuards and DeliverMovers, which bill
-// inside the deposition cycles the re-sort policy's throughput trigger reads
-// (a fan-out would move those cycles, and with them sort decisions and the
-// physics), and the shared-J scatter deposit of the non-rhocell kernels,
-// whose tiles write overlapping J nodes. Whole-grid sweeps (solve, window
-// shift) and the global sort fan out through ParallelForChunks and
-// ParallelForTiles instead.
-class ScopedRankScale {
- public:
-  ScopedRankScale(CostLedger& ledger, int ranks)
-      : ledger_(ledger), ranks_(ranks), before_(ledger.phase_cycles()) {}
-  ~ScopedRankScale() {
-    if (ranks_ > 1) {
-      ledger_.ScaleCyclesDelta(before_, 1.0 / static_cast<double>(ranks_));
-    }
-  }
-  ScopedRankScale(const ScopedRankScale&) = delete;
-  ScopedRankScale& operator=(const ScopedRankScale&) = delete;
-
- private:
-  CostLedger& ledger_;
-  int ranks_;
-  std::array<double, kNumPhases> before_;
 };
 
 }  // namespace mpic

@@ -17,9 +17,6 @@ void HwContext::ResetModel() {
   for (auto& w : workers_) {
     w->ResetModel();
   }
-  for (auto& r : ranks_) {
-    r->ResetModel();
-  }
 }
 
 void HwContext::FlushModelCaches() {
@@ -27,21 +24,6 @@ void HwContext::FlushModelCaches() {
   for (auto& w : workers_) {
     w->FlushModelCaches();
   }
-  for (auto& r : ranks_) {
-    r->FlushModelCaches();
-  }
-}
-
-HwContext& HwContext::rank(int r) {
-  MPIC_CHECK(r >= 0 && r < num_ranks());
-  while (static_cast<int>(ranks_.size()) <= r) {
-    // A rank is a full node minus the rank dimension: it fans out over its own
-    // cores but never over further ranks.
-    MachineConfig node_cfg = cfg_;
-    node_cfg.num_ranks = 1;
-    ranks_.push_back(std::make_unique<HwContext>(node_cfg));
-  }
-  return *ranks_[static_cast<size_t>(r)];
 }
 
 HwContext& HwContext::worker(int w) {

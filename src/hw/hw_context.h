@@ -53,15 +53,15 @@ class HwContext {
   // Re-homes the region containing `p` (see MemMap::SetHomeDomain).
   void SetHomeDomain(const void* p, int domain) { mem_.SetHomeDomain(p, domain); }
 
-  // NUMA domain this context models (0 for the main/rank contexts; workers
-  // get theirs from NumaDomainOfWorker at creation).
+  // NUMA domain this context models (0 for the main context; workers get
+  // theirs from NumaDomainOfWorker at creation).
   int numa_domain() const { return numa_domain_; }
 
   // Resets modeled state between bench configurations (cold caches, zero
   // cycles). Region registrations survive; call mem().Clear() to drop them.
   void ResetModel();
 
-  // Empties every modeled cache (this context, its workers, its ranks) without
+  // Empties every modeled cache (this context and its workers) without
   // touching ledgers or registrations. Checkpoint model-sync points call this
   // so a saving run and its restored twin resume from identical (cold) cache
   // state; see runtime/checkpoint.h.
@@ -182,19 +182,6 @@ class HwContext {
   // receive a snapshot of this context's memory map at each region start.
   HwContext& worker(int w);
 
-  // ---- Multi-rank execution (see src/hw/rank_topology.h) ------------------
-
-  // Modeled rank count (>= 1).
-  int num_ranks() const { return cfg_.num_ranks < 1 ? 1 : cfg_.num_ranks; }
-
-  // Per-rank context used by tile-parallel fan-outs when num_ranks() > 1.
-  // Lazily created; a rank keeps the full per-rank core count (its own
-  // workers fan out inside it) but is itself single-rank, and owns a private
-  // ledger, cache hierarchy, and memory map — the node one level out from the
-  // core model. Ranks receive a snapshot of this context's memory map at each
-  // region start, mirroring the worker protocol.
-  HwContext& rank(int r);
-
  private:
   friend class ScopedHomeDomain;
 
@@ -244,7 +231,6 @@ class HwContext {
   int numa_domain_ = 0;
   int scoped_home_domain_ = -1;
   std::vector<std::unique_ptr<HwContext>> workers_;
-  std::vector<std::unique_ptr<HwContext>> ranks_;
 };
 
 // RAII placement scope: registrations issued through `ctx` while the scope is

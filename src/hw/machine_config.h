@@ -98,32 +98,16 @@ struct MachineConfig {
   // accounting for regular stencil sweeps.
   double stream_bytes_per_cycle = 16.0;
 
-  // --- Multi-rank model ---
-  // Modeled rank count. At > 1 the global grid shards into contiguous z-slab
-  // domains of tiles (src/hw/rank_topology.h); each rank owns `num_cores`
-  // cores with private caches, ledgers, and a private MemMap one level out
-  // from the core model. Tile-parallel regions fan out rank-first, then
-  // core-within-rank; inter-rank traffic (field/J halo exchange, particle
-  // migration) is charged under Phase::kComm via the link parameters below.
-  // 1 reproduces the single-rank model exactly.
-  int num_ranks = 1;
-  // Fixed per-message latency of the modeled inter-rank link (software stack
-  // + wire), in core cycles.
-  double rank_link_latency_cycles = 600.0;
-  // Sustained link bandwidth in bytes per core cycle (~10 GB/s at 1.3 GHz —
-  // a commodity interconnect, deliberately slower than the
-  // stream_bytes_per_cycle memory path).
-  double rank_link_bytes_per_cycle = 8.0;
-
   // --- NUMA model ---
-  // Number of NUMA domains the modeled cores split into (contiguous split,
-  // like the rank split of tiles: NumaDomainOfWorker below). Each MemMap
-  // region carries a home domain (first-touch at registration by the
-  // registering worker's domain; tile-owned SoA/scratch is re-homed to the
-  // tile's scheduled owner each step). A cache miss that goes to DRAM in a
-  // non-local home domain pays remote_mem_latency_factor on the miss penalty,
-  // counted in the remote_lines / remote_cycles ledger counters. 1 reproduces
-  // the flat-memory model exactly.
+  // Number of NUMA domains the modeled cores split into (a contiguous split:
+  // NumaDomainOfWorker below); the machine is these domains of cores, with
+  // no level above them. Each MemMap region carries a home domain
+  // (first-touch at registration by the registering worker's domain;
+  // tile-owned SoA/scratch is re-homed to the tile's scheduled owner each
+  // step). A cache miss that goes to DRAM in a non-local home domain pays
+  // remote_mem_latency_factor on the miss penalty, counted in the
+  // remote_lines / remote_cycles ledger counters. 1 reproduces the
+  // flat-memory model exactly.
   int num_numa_domains = 1;
   // Multiplier on the DRAM miss penalty for a line homed in another domain
   // (typical 1.5-2x for a two-socket interconnect hop). Also multiplies
@@ -197,19 +181,6 @@ struct MachineConfig {
     return cfg;
   }
 
-  // A modeled cluster of `ranks` LX2 nodes, each with `cores` cores;
-  // `stealing` selects the cost-guided work-stealing tile scheduler inside
-  // each rank.
-  static MachineConfig Lx2Cluster(int ranks, int cores, bool stealing = false) {
-    MachineConfig cfg;
-    cfg.num_ranks = ranks;
-    cfg.num_cores = cores;
-    if (stealing) {
-      cfg.tile_schedule = TileSchedulePolicy::kCostSteal;
-    }
-    return cfg;
-  }
-
   // A VPU-only machine: identical except kernels may not use the MPU. Used by
   // tests to confirm MPU kernels fail loudly without an MPU.
   static MachineConfig Lx2VpuOnly() {
@@ -221,9 +192,10 @@ struct MachineConfig {
   bool has_mpu = true;
 };
 
-// NUMA domain of a node-local worker id: the cores split contiguously over
-// the domains with the remainder spread over the leading domains, mirroring
-// how tiles split over ranks (WorkerTileRange). Degenerate inputs (one
+// NUMA domain of a worker (core) id: the cores split contiguously over the
+// domains with the remainder spread over the leading domains, so domain d
+// holds the cores WorkerTileRange(num_cores, num_domains, d) gives it (the
+// block split parallel_for.h applies to positions). Degenerate inputs (one
 // domain, one core, more domains than cores) clamp sanely so call sites can
 // use it unconditionally.
 inline int NumaDomainOfWorker(int worker, int num_cores, int num_domains) {

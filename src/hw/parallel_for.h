@@ -24,12 +24,9 @@
 // (capped by OMP_NUM_THREADS). Without OpenMP the same partition runs serially
 // with identical results, including the multi-core ledger accounting.
 //
-// With MachineConfig::num_ranks > 1 (src/hw/rank_topology.h) positions first
-// split contiguously over the modeled ranks — a z-slab split whenever the
-// region covers the full tile grid — and each rank runs its share on its own
-// HwContext (private cores, caches, ledger, memory map). Rank ledgers merge
-// into the main ledger exactly like core ledgers do (ranks overlap in time),
-// plus one rank-level launch/barrier charge per region.
+// The machine is one node: its cores, split into NUMA domains
+// (NumaDomainOfWorker), with nothing above them. A worker id is a core id in
+// [0, num_cores).
 
 #ifndef MPIC_SRC_HW_PARALLEL_FOR_H_
 #define MPIC_SRC_HW_PARALLEL_FOR_H_
@@ -78,17 +75,17 @@ enum class RegionMerge {
 //    are excluded, so feeding `measured` back as next step's `estimates`
 //    estimates the work, not the scheduling overhead. The probe itself is
 //    free in the model.
-//  - `prev_owners`: per-position global worker id (rank * num_cores + core)
-//    of the worker whose placement the position should follow: another
-//    region's `owners` (last step's pass 1 for pass 1, this step's pass 1
-//    for the deposit, this step's deposit for the reduction; -1 for none).
+//  - `prev_owners`: per-position worker (core) id of the worker whose
+//    placement the position should follow: another region's `owners` (last
+//    step's pass 1 for pass 1, this step's pass 1 for the deposit, this
+//    step's deposit for the reduction; -1 for none).
 //    Used only under kCostSteal with MachineConfig::sticky_placement, and
 //    only when its size matches the position count: the scheduler prefers
 //    re-placing each position on its previous owner (then the owner's NUMA
 //    domain) within one cost bucket of the balance optimum.
 //  - `owners`: filled (resized to n, -1 for positions no worker ran) with
-//    the global worker id that executed each position this region, the
-//    source of a later region's `prev_owners`.
+//    the worker id that executed each position this region, the source of a
+//    later region's `prev_owners`.
 struct RegionCosts {
   const std::vector<double>* estimates = nullptr;
   std::vector<double>* measured = nullptr;
@@ -104,38 +101,31 @@ struct RegionCosts {
 // is bit-identical either way: bodies touch only tile-private state and
 // callers merge cross-tile results in tile order, so only the *mapping* of
 // tiles to modeled cores (and hence the modeled critical path) changes.
-// On a multi-rank machine `rank_ends`, when given, holds one entry per rank,
-// the last equal to n: rank r runs positions [rank_ends[r - 1], rank_ends[r])
-// (from 0 for rank 0) instead of its share of an even contiguous split, so a
-// caller can keep each position on the rank that owns its tile.
+// With one core the body runs inline on `hw` (no fork/join charge).
 void ParallelForTiles(HwContext& hw, int n, const TileBody& body,
                       RegionMerge merge = RegionMerge::kPhaseMax,
-                      const RegionCosts& costs = RegionCosts{},
-                      const std::vector<int>* rank_ends = nullptr);
+                      const RegionCosts& costs = RegionCosts{});
 
 using ChunkBody =
     std::function<void(HwContext& ctx, int worker, int begin, int end)>;
 
-// Splits [0, n) into WorkerSlotCount(hw) contiguous chunks (WorkerTileRange)
-// and runs body(ctx, worker, begin, end) once per chunk in one region, so
-// each worker (rank x core) sweeps one chunk of a whole-grid array. Bodies
-// run under the caller's current phase. With one core and one rank this is a
-// single inline call over [0, n), billing exactly what the serial sweep
-// billed.
+// Splits [0, n) into hw.num_cores() contiguous chunks (WorkerTileRange) and
+// runs body(ctx, worker, begin, end) once per chunk in one region, so each
+// core sweeps one chunk of a whole-grid array. Bodies run under the caller's
+// current phase. With one core this is a single inline call over [0, n),
+// billing exactly what the serial sweep billed.
 void ParallelForChunks(HwContext& hw, int n, const ChunkBody& body);
 
 // The TileSchedulePolicy::kCostSteal schedule a fan-out of `n` positions runs
-// on `node`'s cores: BuildTileSchedule with the node's steal cost and NUMA
-// placement. `est` and `prev_owner` (either may be null) are the node's slice
-// of the region's cost estimates and previous owners. Owners are global
-// worker ids; they become node-local by subtracting `worker_base` (rank r's
-// first core), and an owner outside the node counts as unknown. Fed the costs
-// and owners one region measured, it returns the task lists the next region
-// with those inputs runs.
-TileScheduleResult PlanTileSchedule(const HwContext& node, int n,
+// on `hw`'s cores: BuildTileSchedule with the machine's steal cost and NUMA
+// placement. `est` and `prev_owner` (either may be null) are the region's
+// cost estimates and previous owners. An owner outside [0, num_cores) counts
+// as unknown: restored owner vectors may come from a machine with more
+// cores. Fed the costs and owners one region measured, it returns the task
+// lists the next region with those inputs runs.
+TileScheduleResult PlanTileSchedule(const HwContext& hw, int n,
                                     const double* est,
-                                    const int32_t* prev_owner,
-                                    int worker_base = 0);
+                                    const int32_t* prev_owner);
 
 // Per-worker accumulator slot padded to a cache line: callers index one slot
 // per worker, and the padding keeps concurrent per-particle increments from
@@ -144,18 +134,6 @@ template <typename T>
 struct alignas(64) PaddedSlot {
   T value{};
 };
-
-// True when ParallelForTiles will fan out (modeled cores or ranks > 1).
-inline bool ParallelEnabled(const HwContext& hw) {
-  return hw.num_cores() > 1 || hw.num_ranks() > 1;
-}
-
-// Number of distinct worker indices a fan-out can hand to bodies: rank r's
-// core w runs as worker r * num_cores + w. Callers size per-worker slot
-// arrays with this (not num_cores()) so slots stay private across ranks.
-inline int WorkerSlotCount(const HwContext& hw) {
-  return hw.num_cores() * hw.num_ranks();
-}
 
 }  // namespace mpic
 

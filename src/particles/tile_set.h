@@ -16,12 +16,7 @@ class TileSet {
   TileSet(const GridGeometry& geom, int tile_x, int tile_y, int tile_z);
 
   int num_tiles() const { return static_cast<int>(tiles_.size()); }
-  // Tile-grid shape (tiles linearize as t = tx + ntx*(ty + nty*tz)) and the
-  // nominal tile extent along z — the axis the rank decomposition slabs.
-  int ntx() const { return ntx_; }
-  int nty() const { return nty_; }
-  int ntz() const { return ntz_; }
-  int tile_z() const { return tile_z_; }
+  // Tiles linearize as t = tx + ntx*(ty + nty*tz), z slowest.
   ParticleTile& tile(int t) { return tiles_[static_cast<size_t>(t)]; }
   const ParticleTile& tile(int t) const { return tiles_[static_cast<size_t>(t)]; }
 

@@ -1,5 +1,6 @@
 #include "src/runtime/checkpoint.h"
 
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -13,23 +14,24 @@ namespace {
 
 constexpr char kMagic[8] = {'M', 'P', 'I', 'C', 'C', 'K', 'P', '\1'};
 // Version 2: the SPECIES tail gained the re-sort policy's adaptive throughput
-// baselines and the three kCostSteal per-tile estimate vectors, the LEDGER
-// counters gained the steal pair, and multi-rank machines write a RANKS
-// section. Version 3: the SPECIES tail gained the three committed per-tile
-// owner vectors (sticky placement replans from them) and the LEDGER counters
-// gained the NUMA trio (tasks_stolen_remote, remote_lines, remote_cycles).
-// Version 4: the SPECIES tail keeps only pass 1's owners, the only ones a
-// step reads from the step before. Version 5: a tile's free slots are the
-// dead slots of its live bitmap, so the free-slot vector is gone. Other
-// versions are rejected rather than half-restored.
-constexpr uint32_t kVersion = 5;
+// baselines and the three kCostSteal per-tile estimate vectors, and the
+// LEDGER counters gained the steal pair. Version 3: the SPECIES tail gained
+// the three committed per-tile owner vectors (sticky placement replans from
+// them) and the LEDGER counters gained the NUMA trio (tasks_stolen_remote,
+// remote_lines, remote_cycles). Version 4: the SPECIES tail keeps only pass
+// 1's owners, the only ones a step reads from the step before. Version 5: a
+// tile's free slots are the dead slots of its live bitmap, so the free-slot
+// vector is gone. Version 6: the LEDGER holds exactly kNumPhases (10) phase
+// buckets; the deleted cluster model's communication bucket is gone, and so
+// is its RANKS section. Other versions are rejected rather than
+// half-restored.
+constexpr uint32_t kVersion = 6;
 
 enum SectionId : uint32_t {
   kSectionMeta = 1,
   kSectionFields = 2,
   kSectionSpecies = 3,
   kSectionLedger = 4,
-  kSectionRanks = 5,
 };
 
 // ---- Little serialization helpers -------------------------------------------
@@ -148,12 +150,8 @@ struct StagedSpecies {
 };
 
 struct StagedLedger {
-  std::vector<double> phase_cycles;
+  std::array<double, kNumPhases> phase_cycles{};
   LedgerCounters counters;
-};
-
-struct StagedRanks {
-  std::vector<RankCommStats> stats;
 };
 
 FieldArray* FieldByIndex(FieldSet& f, int i) {
@@ -319,22 +317,6 @@ CheckpointStatus SaveCheckpoint(Simulation& sim,
     AppendSection(out, kSectionLedger, 0, led);
   }
 
-  // RANKS: cumulative per-rank communication totals (multi-rank model only).
-  const bool have_ranks = sim.rank_comm() != nullptr;
-  if (have_ranks) {
-    std::vector<uint8_t> rk;
-    Writer w(&rk);
-    const std::vector<RankCommStats>& stats = sim.rank_comm()->stats();
-    w.Pod<int32_t>(static_cast<int32_t>(stats.size()));
-    for (const RankCommStats& s : stats) {
-      w.Pod<uint64_t>(s.bytes_sent);
-      w.Pod<uint64_t>(s.messages);
-      w.Pod<double>(s.comm_cycles);
-      w.Pod<uint64_t>(s.migrated_particles);
-    }
-    AppendSection(out, kSectionRanks, 0, rk);
-  }
-
   // Prepend the header.
   std::vector<uint8_t> file;
   file.reserve(out->size() + 16);
@@ -344,8 +326,7 @@ CheckpointStatus SaveCheckpoint(Simulation& sim,
     w.Pod<uint32_t>(kVersion);
     w.Pod<uint32_t>(
         static_cast<uint32_t>(2 + sim.num_species() +
-                              (opts.include_ledger ? 1 : 0) +
-                              (have_ranks ? 1 : 0)));
+                              (opts.include_ledger ? 1 : 0)));
   }
   file.insert(file.end(), out->begin(), out->end());
   *out = std::move(file);
@@ -428,7 +409,6 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
   const Section* meta_sec = nullptr;
   const Section* fields_sec = nullptr;
   const Section* ledger_sec = nullptr;
-  const Section* ranks_sec = nullptr;
   std::vector<const Section*> species_secs(
       static_cast<size_t>(sim->num_species()), nullptr);
   for (const Section& s : sections) {
@@ -441,9 +421,6 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
         break;
       case kSectionLedger:
         ledger_sec = &s;
-        break;
-      case kSectionRanks:
-        ranks_sec = &s;
         break;
       case kSectionSpecies:
         if (s.index >= species_secs.size()) {
@@ -629,52 +606,25 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
     }
   }
 
-  // LEDGER (optional).
+  // LEDGER (optional): exactly kNumPhases buckets, then the counters, and
+  // nothing after them. Any other phase count would shift every value that
+  // follows it into the wrong bucket or counter.
   StagedLedger staged_ledger;
   bool have_ledger = false;
   if (opts.restore_ledger && ledger_sec != nullptr) {
     Reader r(ledger_sec->payload, ledger_sec->bytes);
     uint32_t n_phases = 0;
     r.Pod(&n_phases);
-    if (!r.ok() || n_phases > 64) {
+    if (!r.ok() || n_phases != static_cast<uint32_t>(kNumPhases)) {
       return ParseError("malformed LEDGER section");
     }
-    staged_ledger.phase_cycles.resize(n_phases);
-    for (uint32_t p = 0; p < n_phases; ++p) {
-      r.Pod(&staged_ledger.phase_cycles[p]);
+    for (double& cycles : staged_ledger.phase_cycles) {
+      r.Pod(&cycles);
     }
-    if (!ReadCounters(&r, &staged_ledger.counters) || !r.ok()) {
+    if (!ReadCounters(&r, &staged_ledger.counters) || !r.AtEnd()) {
       return ParseError("malformed LEDGER section");
     }
     have_ledger = true;
-  }
-
-  // RANKS (present iff the saving machine modeled multiple ranks). Applied
-  // only when the target models the same rank count; a rank-count change is
-  // a machine reconfiguration, and the per-rank history is meaningless then.
-  StagedRanks staged_ranks;
-  bool have_ranks_state = false;
-  if (ranks_sec != nullptr && sim->rank_comm() != nullptr) {
-    Reader r(ranks_sec->payload, ranks_sec->bytes);
-    int32_t n_ranks = 0;
-    r.Pod(&n_ranks);
-    if (!r.ok() || n_ranks < 0 || n_ranks > 1 << 20) {
-      return ParseError("malformed RANKS section");
-    }
-    if (n_ranks != sim->rank_comm()->num_ranks()) {
-      return ParseError("rank count mismatch");
-    }
-    staged_ranks.stats.resize(static_cast<size_t>(n_ranks));
-    for (RankCommStats& s : staged_ranks.stats) {
-      r.Pod(&s.bytes_sent);
-      r.Pod(&s.messages);
-      r.Pod(&s.comm_cycles);
-      r.Pod(&s.migrated_particles);
-    }
-    if (!r.ok()) {
-      return ParseError("malformed RANKS section");
-    }
-    have_ranks_state = true;
   }
 
   // ---- Phase 2: everything verified — apply (no failure paths below) ----
@@ -718,16 +668,12 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
   if (have_ledger) {
     CostLedger& ledger = sim->hw().ledger();
     ledger.Reset();
-    for (size_t p = 0;
-         p < staged_ledger.phase_cycles.size() && p < kNumPhases; ++p) {
+    for (int p = 0; p < kNumPhases; ++p) {
       ledger.SetPhase(static_cast<Phase>(p));
-      ledger.AddCycles(staged_ledger.phase_cycles[p]);
+      ledger.AddCycles(staged_ledger.phase_cycles[static_cast<size_t>(p)]);
     }
     ledger.SetPhase(Phase::kOther);
     ledger.counters() = staged_ledger.counters;
-  }
-  if (have_ranks_state) {
-    sim->rank_comm()->mutable_stats() = std::move(staged_ranks.stats);
   }
 
   if (opts.model_sync) {

@@ -1,6 +1,6 @@
 // Bit-exact checkpoint/restart of a full Simulation.
 //
-// Format (little-endian, version 5):
+// Format (little-endian, version 6):
 //
 //   [8B magic "MPICCKP\1"] [u32 version] [u32 section_count]
 //   section*: [u32 id] [u32 index] [u64 payload_bytes] [u64 payload_fnv]
@@ -16,16 +16,18 @@
 // policy state including the adaptive throughput baselines, the three
 // per-tile cost-feedback estimate vectors the kCostSteal scheduler plans
 // from, and the committed pass-1 owners its sticky placement and the tiles'
-// home domains follow), an
-// optional LEDGER snapshot (per-phase modeled cycles + counters, including
-// the steal and NUMA counters), and — when the machine models more than one
-// rank — a RANKS section with the cumulative per-rank communication totals.
+// home domains follow), and an optional LEDGER snapshot (exactly
+// kNumPhases per-phase modeled cycle buckets, then the counters, including
+// the steal and NUMA counters; a restore_ledger restore rejects any other
+// bucket count and any byte after the counters).
 //
 // Version 1 and 2 images (which omit state a bit-exact restart needs: the
 // policy baselines, cost estimates and steal counters in v1; the committed
 // owners and NUMA counters in v2), v3 images (which also carry the deposit's
-// and reduction's owners) and v4 images (which carry a free-slot stack per
-// tile) are rejected, not silently half-restored.
+// and reduction's owners), v4 images (which carry a free-slot stack per
+// tile) and v5 images (whose LEDGER carries eleven buckets, one for the
+// deleted cluster model's communication) are rejected, not silently
+// half-restored.
 //
 // Every payload carries its length and FNV-1a checksum; RestoreCheckpoint
 // verifies every checksum and validates META compatibility BEFORE mutating
@@ -36,9 +38,9 @@
 // Determinism contract (enforced by tests/checkpoint_test.cc and
 // bench_abl_resilience): save at step k, restore into a freshly built twin,
 // run both to step n — field and particle digests match bit-for-bit, for
-// any modeled core/rank count, all DepositVariants, both CurrentSchemes,
-// both tile-schedule policies, and
-// with the re-sort policy's adaptive performance trigger enabled. With
+// any modeled core count, all DepositVariants, both CurrentSchemes, both
+// tile-schedule policies, and with the re-sort policy's adaptive performance
+// trigger enabled. With
 // `model_sync` requested on both sides (see the options below), the modeled
 // cycle ledgers ALSO match a never-interrupted run exactly: both runs pass
 // through Simulation::ModelSyncPoint() at the save step, which rebuilds the

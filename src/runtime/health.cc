@@ -267,7 +267,7 @@ void HealthMonitor::FinishStep(Simulation& sim, SimStepStats* stats) {
       double max_abs = 0.0;
     };
     std::vector<PaddedSlot<FieldScan>> scans(
-        static_cast<size_t>(WorkerSlotCount(hw)));
+        static_cast<size_t>(hw.num_cores()));
     ParallelForChunks(
         hw, static_cast<int>(f.ex.size()),
         [&](HwContext& ctx, int worker, int begin, int end) {

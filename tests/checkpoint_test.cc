@@ -8,9 +8,11 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/core/simulation.h"
 #include "src/core/workloads.h"
 #include "src/deposit/rhocell.h"
@@ -289,15 +291,15 @@ TEST(CheckpointRoundTrip, LedgerRestoreResumesModeledClock) {
 // must match the saving run bit-for-bit in physics AND in every modeled
 // phase-cycle bucket and ledger counter — including the steal pair and with
 // the adaptive performance trigger at its enabled default — across
-// tile-schedule policies, core counts, and the multi-rank machine. These are
-// exactly the states version-1 images omitted. One test case per machine.
+// tile-schedule policies and core counts. These are exactly the states
+// version-1 images omitted. One test case per machine.
 struct CycleExactMachine {
-  int ranks, cores;
+  int cores;
   bool steal;
 };
 
 std::vector<CycleExactMachine> CycleExactMachines() {
-  return {{1, 4, false}, {1, 4, true}, {1, 1, true}, {2, 4, true}, {2, 2, false}};
+  return {{4, false}, {4, true}, {1, true}};
 }
 
 class CheckpointMachine : public ::testing::TestWithParam<int> {};
@@ -311,7 +313,8 @@ TEST_P(CheckpointMachine, CycleExactRestore) {
   p.tile = 4;
   p.u_th = 0.1;
 
-  const MachineConfig mc = MachineConfig::Lx2Cluster(c.ranks, c.cores, c.steal);
+  const MachineConfig mc = c.steal ? MachineConfig::Lx2MultiCoreStealing(c.cores)
+                                   : MachineConfig::Lx2MultiCore(c.cores);
   HwContext ref_hw(mc);
   auto ref = MakeUniformSimulation(ref_hw, p);
   ref->Run(4);
@@ -365,8 +368,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range(0, static_cast<int>(CycleExactMachines().size())),
     [](const ::testing::TestParamInfo<int>& info) {
       const CycleExactMachine c = CycleExactMachines()[static_cast<size_t>(info.param)];
-      return std::to_string(c.ranks) + "ranks_" + std::to_string(c.cores) +
-             "cores_" + (c.steal ? "steal" : "static");
+      return std::to_string(c.cores) + "cores_" + (c.steal ? "steal" : "static");
     });
 
 // The kCostSteal estimate wire-through is not cosmetic: a restored stealing
@@ -379,7 +381,7 @@ TEST(CheckpointCycleExact, StealCountersAreNonVacuous) {
   p.nx = p.ny = p.nz = 16;
   p.ppc_x = p.ppc_y = p.ppc_z = 4;
 
-  HwContext hw(MachineConfig::Lx2Cluster(1, 4, /*stealing=*/true));
+  HwContext hw(MachineConfig::Lx2MultiCoreStealing(4));
   auto sim = MakeBunchedBeamSimulation(hw, p);
   sim->Run(3);
   EXPECT_GT(hw.ledger().counters().tasks_stolen, 0u);
@@ -447,7 +449,7 @@ TEST(CheckpointCycleExact, NumaRestoreMatchesUninterruptedRun) {
 // bit-exact contract, so the version gate must reject it outright. Version 3
 // images carry two owner vectors more per species, and version 4 images a
 // free-slot vector per tile; either would misread the SPECIES section, so
-// they are rejected too.
+// they are rejected too. Version 5 LEDGERs carry eleven phase buckets.
 TEST(CheckpointRejection, RejectsVersion1Image) {
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 8;
@@ -464,7 +466,7 @@ TEST(CheckpointRejection, RejectsVersion1Image) {
   auto tgt = MakeUniformSimulation(tgt_hw, p);
   const uint64_t before = SimulationDigest(*tgt);
 
-  for (const uint8_t version : {1, 3, 4}) {
+  for (const uint8_t version : {1, 3, 4, 5}) {
     SCOPED_TRACE(static_cast<int>(version));
     std::vector<uint8_t> old_image = ckpt;
     old_image[8] = version;  // u32 version field, little-endian, at offset 8
@@ -476,7 +478,68 @@ TEST(CheckpointRejection, RejectsVersion1Image) {
   }
 }
 
+// Rewrites the phase count that opens the LEDGER section's payload and
+// re-signs the section's checksum, leaving every other byte as saved: a
+// forgery the FNV cannot catch.
+void SetLedgerPhaseCount(std::vector<uint8_t>* image, uint32_t count) {
+  constexpr uint32_t kLedgerSectionId = 4;
+  uint32_t n_sections = 0;
+  std::memcpy(&n_sections, image->data() + 12, 4);
+  size_t pos = 16;
+  for (uint32_t s = 0; s < n_sections; ++s) {
+    uint32_t id = 0;
+    uint64_t bytes = 0;
+    std::memcpy(&id, image->data() + pos, 4);
+    std::memcpy(&bytes, image->data() + pos + 8, 8);
+    uint8_t* payload = image->data() + pos + 24;
+    if (id == kLedgerSectionId) {
+      std::memcpy(payload, &count, 4);
+      const uint64_t fnv = Fnv1a(payload, static_cast<size_t>(bytes));
+      std::memcpy(image->data() + pos + 16, &fnv, 8);
+      return;
+    }
+    pos += 24 + static_cast<size_t>(bytes);
+  }
+  ADD_FAILURE() << "image has no LEDGER section";
+}
 
+// A LEDGER whose phase count is not kNumPhases would read every later value
+// into the wrong bucket or counter (one bucket short: the last bucket read as
+// the first counter, each counter one field off, and 8 bytes left over). The
+// parse rejects both a short and a long count, with the target untouched.
+TEST(CheckpointRejection, RejectsLedgerWithWrongPhaseCount) {
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 1;
+  p.tile = 4;
+
+  HwContext src_hw(MachineConfig::Lx2MultiCore(1));
+  auto src = MakeUniformSimulation(src_hw, p);
+  src->Run(2);
+  std::vector<uint8_t> ckpt;
+  ASSERT_TRUE(SaveCheckpoint(*src, &ckpt));
+
+  HwContext tgt_hw(MachineConfig::Lx2MultiCore(1));
+  auto tgt = MakeUniformSimulation(tgt_hw, p);
+  tgt->Run(1);
+  const uint64_t sim_before = SimulationDigest(*tgt);
+  const uint64_t ledger_before = LedgerDigest(tgt_hw.ledger());
+  CheckpointReadOptions opts;
+  opts.restore_ledger = true;
+
+  for (const int count : {kNumPhases - 1, kNumPhases + 1}) {
+    SCOPED_TRACE(count);
+    std::vector<uint8_t> bad = ckpt;
+    SetLedgerPhaseCount(&bad, static_cast<uint32_t>(count));
+    const CheckpointStatus st = RestoreCheckpoint(tgt.get(), bad, opts);
+    EXPECT_FALSE(st.ok);
+    EXPECT_NE(st.error.find("LEDGER"), std::string::npos) << st.error;
+    EXPECT_EQ(SimulationDigest(*tgt), sim_before) << "target mutated on reject";
+    EXPECT_EQ(LedgerDigest(tgt_hw.ledger()), ledger_before);
+  }
+  // The unforged image restores.
+  EXPECT_TRUE(RestoreCheckpoint(tgt.get(), ckpt, opts));
+}
 
 TEST(CheckpointRejection, TruncationAndCorruptionLeaveTargetUnmutated) {
   UniformWorkloadParams p;

@@ -377,7 +377,6 @@ TEST(ReduceColoring, ColoredReduceMatchesSerialReduceBitwise) {
       {"2 cores", MachineConfig::Lx2MultiCore(2)},
       {"3 cores", MachineConfig::Lx2MultiCore(3)},
       {"4 cores", MachineConfig::Lx2MultiCore(4)},
-      {"2 ranks x 2 cores", MachineConfig::Lx2Cluster(2, 2)},
   };
   for (const Grid& g : grids) {
     for (const Deposit& d : deposits) {
@@ -397,11 +396,6 @@ TEST(ReduceColoring, ColoredReduceMatchesSerialReduceBitwise) {
       auto serial = MakeUniformSimulation(serial_hw, p);
       serial->Run(3);
       for (const auto& [name, cfg] : machines) {
-        // Ranks own z-slabs of tiles: 12^3 has three tile layers, which two
-        // ranks cannot share.
-        if ((g.cells / g.tile) % cfg.num_ranks != 0) {
-          continue;
-        }
         SCOPED_TRACE(name);
         HwContext par_hw(cfg);
         auto parallel = MakeUniformSimulation(par_hw, p);

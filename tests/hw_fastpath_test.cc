@@ -842,7 +842,7 @@ TEST(TouchReadRows, MatchesOneTouchReadPerRow) {
 
 // ---- Pinned ledger digests ------------------------------------------------------
 
-// Ledger digests of small runs of four workloads on four machine shapes,
+// Ledger digests of small runs of four workloads on three machine shapes,
 // recorded with the seed hardware model. A change to the hardware model's
 // host implementation must leave every one unchanged; a change that moves
 // modeled cycles on purpose re-pins them and says why. Only the ledger is
@@ -853,21 +853,21 @@ TEST(TouchReadRows, MatchesOneTouchReadPerRow) {
 // four workloads include chunked staging: the direct MPU and VPU rhocell
 // kernels (qsp, lwfa, collisions) and the Esirkepov MOPA combine
 // (bunched_esirkepov) stage one chunk of particles in deposit order and
-// consume it from L1. On the multi-core, NUMA and cluster machines the
-// Maxwell solve, the window shift and the global sort fan out over every
-// modeled core and rank; that moved only their solver, sort and other
-// cycles, and the single-core pins did not move. The moving window no longer
-// shifts the never-written rho array, which moved only the solver cycles of
-// every lwfa pin. A rank whose share of a reduction color class is smaller
-// than its core count splits each of those tiles' reduction into z-plane
-// chunks on its own cores, instead of one tile reducing serially on the main
-// context, which moved the multi-core pins' reduce and other cycles and the
+// consume it from L1. On the multi-core and NUMA machines the Maxwell solve,
+// the window shift and the global sort fan out over every modeled core; that
+// moved only their solver, sort and other cycles, and the single-core pins
+// did not move. The moving window no longer shifts the never-written rho
+// array, which moved only the solver cycles of every lwfa pin. A reduction
+// color class with fewer tiles than the machine has cores splits each of its
+// tiles' reduction into z-plane chunks, instead of one tile reducing
+// serially on the main context, which moved the multi-core pins' reduce and
+// other cycles and the
 // cache state the later stages see. Pass 1 now gathers and pushes each tile
 // chunk by chunk through a one-chunk field scratch instead of a tile-wide
 // one. That moved every pin's gather, push and other cycles. The other
 // phases that moved (the deposit and collide phases on the single-core
-// machine, a few cycles of preproc, sort or reduce on the NUMA and cluster
-// machines) moved through the cache state and the steals they inherit. No
+// machine, a few cycles of preproc, sort or reduce on the NUMA machine)
+// moved through the cache state and the steals they inherit. No
 // pin's count of modeled accesses moved. On the NUMA machine the deposit now
 // prefers this step's pass-1 owners (the domains its tiles' pages were just
 // homed in) and each reduction tile's first chunk its deposit owner. That
@@ -880,7 +880,11 @@ TEST(TouchReadRows, MatchesOneTouchReadPerRow) {
 // loads turned from gathers into vector loads (22,288 -> 560 gathers on
 // every machine, single-core preproc 523,273 -> 314,811 cycles), and the
 // gather, push and compute phases fell with the cache state; the bunched
-// pins moved by under 0.4% in every phase.
+// pins moved by under 0.4% in every phase. The phase bucket of the deleted
+// multi-node cluster model's communication is gone, so LedgerDigest hashes
+// ten buckets, not eleven. That re-based every pin, but no phase or counter
+// moved: hashing each new ledger with a +0.0 bucket inserted before kOther
+// reproduces its old pin exactly.
 struct PinnedMachine {
   const char* name;
   MachineConfig cfg;
@@ -889,15 +893,13 @@ struct PinnedMachine {
 
 std::vector<PinnedMachine> PinnedMachines() {
   return {
-      {"Lx2", MachineConfig::Lx2(), 0x8562c20c2cca73d9ull, 0x05f2a112b60d72b3ull,
-       0x3ee5436d66d01c26ull, 0x0b5a3372179a4ac0ull},
-      {"Lx2MultiCore4", MachineConfig::Lx2MultiCore(4), 0xfb0c1b6fbf386cc1ull,
-       0x3c95d49b6d27f921ull, 0xc236e657a16226bcull, 0x14de206bea57e10eull},
+      {"Lx2", MachineConfig::Lx2(), 0x8f57db03ea9ef679ull, 0x0ac6666e8ed17333ull,
+       0xbdd06cf002a5e586ull, 0x02b5cd22c8f02d40ull},
+      {"Lx2MultiCore4", MachineConfig::Lx2MultiCore(4), 0xaf95532f34198b81ull,
+       0x00171302936edca1ull, 0xf43be8084432825cull, 0x5ad00c5c3579d86eull},
       {"Lx2MultiCoreNuma4x2", MachineConfig::Lx2MultiCoreNuma(4, 2),
-       0x68600f52ce0ec6b7ull, 0xe82382f97a81fc64ull, 0x4afd4199033eb7c4ull,
-       0x1cf2af45bef324acull},
-      {"Lx2Cluster2x2", MachineConfig::Lx2Cluster(2, 2), 0xa068903d7e9006d3ull,
-       0xd5c3594bee34d6f6ull, 0x0d20d689e23d5eecull, 0x99bbace357232f0eull},
+       0x7903421dc33ef877ull, 0x11a0eadd3bcfd7a4ull, 0x2d16c20df6e7ace4ull,
+       0x59e6d14a9699720cull},
   };
 }
 
@@ -971,7 +973,7 @@ TEST_P(PinnedLedger, DigestsMatchSeedModel) {
   EXPECT_EQ(collisions, m.collisions) << "collisions " << Hex(collisions);
 }
 
-INSTANTIATE_TEST_SUITE_P(Machines, PinnedLedger, ::testing::Range(0, 4),
+INSTANTIATE_TEST_SUITE_P(Machines, PinnedLedger, ::testing::Range(0, 3),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return std::string(
                                PinnedMachines()[static_cast<size_t>(info.param)].name);

@@ -13,8 +13,8 @@
 namespace mpic {
 
 // Block rows of one step's rhocell reduction that z-plane cuts divide when
-// `sim` runs on one rank of `cores` cores with every tile populated, in
-// closed form: a tile of a color class of s tiles splits into
+// `sim` runs on `cores` cores with every tile populated, in closed form: a
+// tile of a color class of s tiles splits into
 // k = max(1, cores / s) chunks, and each of its k - 1 cuts divides the block
 // rows of one layer of nx * ny cells, three components each (k does not
 // exceed the tile's cell layers here). A CIC block row spans two planes, so

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -196,7 +197,7 @@ TEST(TileScheduler, StealsFireOnWithinBucketSpread) {
 
 // ---- NUMA placement unit tests ----------------------------------------------
 
-TEST(NumaDomain, ContiguousSplitLikeRankOfTile) {
+TEST(NumaDomain, ContiguousSplitOverCores) {
   // 4 cores / 2 domains: two contiguous halves.
   const int d42[] = {0, 0, 1, 1};
   for (int w = 0; w < 4; ++w) {
@@ -207,7 +208,7 @@ TEST(NumaDomain, ContiguousSplitLikeRankOfTile) {
     EXPECT_EQ(NumaDomainOfWorker(w, 4, 4), w);
   }
   // 6 cores / 4 domains: remainder domains lead with the extra core
-  // (sizes 2, 2, 1, 1), mirroring RankOfTile's contiguous split.
+  // (sizes 2, 2, 1, 1), mirroring WorkerTileRange's block split.
   const int d64[] = {0, 0, 1, 1, 2, 3};
   for (int w = 0; w < 6; ++w) {
     EXPECT_EQ(NumaDomainOfWorker(w, 6, 4), d64[w]);
@@ -570,50 +571,66 @@ TEST(SchedulerLedger, BunchedRunStealsAndChargesDeterministically) {
 }
 
 // A 16^3 grid of 8-cell tiles colors into eight one-tile reduction classes,
-// so on four cores (or two ranks of two) each tile's reduction runs as
-// z-plane chunks. Its feedback slot must still describe the whole tile: the
-// chunks' summed cycles. One-tile classes used to reduce inline and leave
-// the slot at 0 cycles.
+// so on four cores each tile's reduction runs as z-plane chunks. Its feedback
+// slot must still describe the whole tile: the chunks' summed cycles.
+// One-tile classes used to reduce inline and leave the slot at 0 cycles.
 TEST(SchedulerLedger, SplitReduceTilesFeedBackTheirChunks) {
   UseManyThreads();
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 16;
   p.tile = 8;
   p.ppc_x = p.ppc_y = p.ppc_z = 1;
-  for (const MachineConfig& cfg :
-       {MachineConfig::Lx2MultiCoreStealing(4),
-        MachineConfig::Lx2Cluster(2, 2, /*stealing=*/true)}) {
-    SCOPED_TRACE(cfg.num_ranks);
-    HwContext hw(cfg);
-    auto sim = MakeUniformSimulation(hw, p);
-    sim->Run(2);
-    const StageCostFeedback& fb = sim->block(0).reduce_costs;
-    ASSERT_EQ(fb.estimate.size(), 8u);
-    for (int t = 0; t < 8; ++t) {
-      SCOPED_TRACE(t);
-      EXPECT_GT(fb.estimate[static_cast<size_t>(t)], 0.0);
-    }
+  HwContext hw(MachineConfig::Lx2MultiCoreStealing(4));
+  auto sim = MakeUniformSimulation(hw, p);
+  sim->Run(2);
+  const StageCostFeedback& fb = sim->block(0).reduce_costs;
+  ASSERT_EQ(fb.estimate.size(), 8u);
+  for (int t = 0; t < 8; ++t) {
+    SCOPED_TRACE(t);
+    EXPECT_GT(fb.estimate[static_cast<size_t>(t)], 0.0);
   }
 }
 
-// `rank_ends` keeps each position on the rank its caller names (the split
-// reduction passes each tile's owner rank), not the even split's: on two
-// ranks of two cores, positions 0-2 run on rank 0's cores and 3-7 on rank
-// 1's (global workers 2 and 3).
-TEST(SchedulerLedger, RankEndsKeepPositionsOnTheirRank) {
-  HwContext hw(MachineConfig::Lx2Cluster(2, 2, /*stealing=*/true));
-  std::vector<int> ran_on(8, -1);
-  const std::vector<int> rank_ends = {3, 8};
-  ParallelForTiles(
-      hw, 8,
-      [&](HwContext& ctx, int worker, int i) {
-        ctx.ChargeCycles(100.0);
-        ran_on[static_cast<size_t>(i)] = worker;
-      },
-      RegionMerge::kPhaseMax, RegionCosts{}, &rank_ends);
-  for (int i = 0; i < 8; ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(ran_on[static_cast<size_t>(i)] / 2, i < 3 ? 0 : 1);
+// ---- The determinism contract ----------------------------------------------
+
+// Physics digests agree across core counts, schedule policies and placement
+// arms as long as the same steps sort. The re-sort policy's perf-degradation
+// trigger reads modeled deposition cycles, which the schedule moves, so with
+// it on these machines can sort on different steps and end on different
+// digests. With it off every machine sorts on the fixed interval: at
+// Initialize and after steps 15 and 30, and one digest comes out of all six.
+TEST(SchedulerDeterminism, TriggerOffDigestsAgreeAcrossMachines) {
+  UseManyThreads();
+  BunchedBeamParams p;
+  p.ppc_x = p.ppc_y = p.ppc_z = 3;
+  p.scheme = CurrentScheme::kEsirkepov;
+  p.seed = 1;
+  ResortPolicyConfig policy;
+  policy.trigger_perf_enable = false;
+  policy.sort_interval = 15;
+  p.policy = policy;
+
+  MachineConfig numa_naive = MachineConfig::Lx2MultiCoreNuma(4, 2);
+  numa_naive.sticky_placement = false;
+  MachineConfig numa_static = MachineConfig::Lx2MultiCoreNuma(4, 2);
+  numa_static.tile_schedule = TileSchedulePolicy::kStatic;
+  const std::pair<const char*, MachineConfig> machines[] = {
+      {"Lx2", MachineConfig::Lx2()},
+      {"Lx2MultiCore(4)", MachineConfig::Lx2MultiCore(4)},
+      {"Lx2MultiCoreStealing(4)", MachineConfig::Lx2MultiCoreStealing(4)},
+      {"Lx2MultiCoreNuma(4, 2), sticky", MachineConfig::Lx2MultiCoreNuma(4, 2)},
+      {"Lx2MultiCoreNuma(4, 2), naive", numa_naive},
+      {"Lx2MultiCoreNuma(4, 2), kStatic", numa_static},
+  };
+  std::vector<uint64_t> digests;
+  for (const auto& [name, cfg] : machines) {
+    SCOPED_TRACE(name);
+    HwContext hw(cfg);
+    auto sim = MakeBunchedBeamSimulation(hw, p);
+    sim->Run(30);
+    EXPECT_EQ(sim->engine().total_global_sorts(), 3);
+    digests.push_back(SimulationDigest(*sim));
+    EXPECT_EQ(digests.back(), digests.front());
   }
 }
 
