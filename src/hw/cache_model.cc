@@ -57,9 +57,63 @@ CacheModel::CacheModel(const MachineConfig& cfg)
       remote_factor_(cfg.remote_mem_latency_factor) {
   // stream_bucket_ holds one bit per stream in a 64-bit mask.
   MPIC_CHECK(cfg.prefetch_streams > 0 && cfg.prefetch_streams <= kMaxStreams);
-  stream_next_.assign(static_cast<size_t>(cfg.prefetch_streams), kNoLine);
-  stream_lru_.assign(static_cast<size_t>(cfg.prefetch_streams), 0);
-  stream_bucket_.assign(kStreamBuckets, 0);
+  const auto streams = static_cast<size_t>(cfg.prefetch_streams);
+  stream_next_.resize(streams);
+  stream_lru_.resize(streams);
+  stream_bucket_.resize(kStreamBuckets);
+  stream_uses_.resize(kUsesPerStream * streams);
+  Reset();
+}
+
+void CacheModel::ChargeEach(const CacheAccess* at, int n, uint64_t bytes,
+                            double issue, CostLedger& ledger) {
+  uint64_t hits = 0;
+  for (int k = 0; k < n; ++k) {
+    ledger.AddCycles(issue +
+                     RangePenalty(at[k].addr, bytes, at[k].remote, ledger, hits));
+  }
+  ledger.counters().l1_hits += hits;
+}
+
+void CacheModel::ChargeRows(uint64_t addr, uint64_t row_bytes, int rows,
+                            int64_t row_stride, int planes, int64_t plane_stride,
+                            double issue, bool remote, CostLedger& ledger) {
+  uint64_t hits = 0;
+  for (int pl = 0; pl < planes; ++pl) {
+    uint64_t row = addr + static_cast<uint64_t>(pl * plane_stride);
+    for (int r = 0; r < rows; ++r) {
+      ledger.AddCycles(issue + RangePenalty(row, row_bytes, remote, ledger, hits));
+      row += static_cast<uint64_t>(row_stride);
+    }
+  }
+  ledger.counters().l1_hits += hits;
+}
+
+size_t CacheModel::OldestStream() {
+  // Every tracker has exactly one live use, so a live one comes before the
+  // tail.
+  for (;;) {
+    const uint64_t use = stream_uses_[use_head_++];
+    if (LiveUse(use)) {
+      return static_cast<size_t>(use % kMaxStreams);
+    }
+  }
+}
+
+void CacheModel::PushUse(size_t s) {
+  stream_uses_[use_tail_++] = stream_clock_ * kMaxStreams + s;
+  if (use_tail_ < stream_uses_.size()) {
+    return;
+  }
+  // Full: keep the live uses, in order, at the front.
+  size_t kept = 0;
+  for (size_t i = use_head_; i < use_tail_; ++i) {
+    if (LiveUse(stream_uses_[i])) {
+      stream_uses_[kept++] = stream_uses_[i];
+    }
+  }
+  use_head_ = 0;
+  use_tail_ = kept;
 }
 
 bool CacheModel::PrefetchHit(uint64_t line) {
@@ -79,14 +133,7 @@ bool CacheModel::PrefetchHit(uint64_t line) {
   if (!predicted) {
     // New (or broken) stream: start tracking from here, replacing the least
     // recently used tracker (the lowest index among never-used ones).
-    s = 0;
-    uint64_t oldest = stream_lru_[0];
-    for (size_t i = 1; i < stream_lru_.size(); ++i) {
-      if (stream_lru_[i] < oldest) {
-        oldest = stream_lru_[i];
-        s = i;
-      }
-    }
+    s = OldestStream();
   }
   const uint64_t bit = uint64_t{1} << s;
   if (stream_next_[s] != kNoLine) {
@@ -95,6 +142,7 @@ bool CacheModel::PrefetchHit(uint64_t line) {
   stream_next_[s] = line + 1;
   stream_bucket_[StreamBucket(line + 1)] |= bit;
   stream_lru_[s] = stream_clock_;
+  PushUse(s);
   return predicted;
 }
 
@@ -131,10 +179,15 @@ void CacheModel::Reset() {
   // across a reset lets a pre-reset access pattern discount post-reset
   // misses, which breaks the model-sync guarantee that two runs flushed at
   // the same execution point charge identical cycles from there on.
-  stream_next_.assign(stream_next_.size(), kNoLine);
-  stream_lru_.assign(stream_lru_.size(), 0);
+  std::fill(stream_next_.begin(), stream_next_.end(), kNoLine);
+  std::fill(stream_lru_.begin(), stream_lru_.end(), 0);
   stream_clock_ = 0;
-  stream_bucket_.assign(stream_bucket_.size(), 0);
+  std::fill(stream_bucket_.begin(), stream_bucket_.end(), 0);
+  use_head_ = 0;
+  use_tail_ = 0;
+  for (size_t s = 0; s < stream_next_.size(); ++s) {
+    stream_uses_[use_tail_++] = s;  // clock 0, tracker s
+  }
 }
 
 }  // namespace mpic

@@ -5,7 +5,9 @@
 // extra cycles an access costs and records hit/miss events in the ledger.
 //
 // Every modeled memory access runs through here, so the L1-hit path is inline
-// and everything past an L1 miss is out of line. Host speed-ups must keep the
+// and everything past an L1 miss is out of line. A row block or a gather's
+// lanes are handed over in one call (ChargeRows, ChargeEach), so the host cost
+// follows modeled instructions, not lines. Host speed-ups must keep the
 // charged cycles and counters bit-identical (README.md, "Hardware model").
 
 #ifndef MPIC_SRC_HW_CACHE_MODEL_H_
@@ -97,6 +99,13 @@ class CacheLevel {
   static constexpr uint64_t kInvalidTag = ~uint64_t{0};
 };
 
+// One access of a modeled instruction: its logical address, and whether its
+// line is homed in another NUMA domain (see CacheModel::Touch).
+struct CacheAccess {
+  uint64_t addr;
+  bool remote;
+};
+
 class CacheModel {
  public:
   explicit CacheModel(const MachineConfig& cfg);
@@ -110,43 +119,66 @@ class CacheModel {
   // remote_cycles. Cache hits cost the same either way — only the memory
   // round-trip crosses the interconnect.
   double Touch(uint64_t addr, CostLedger& ledger, bool remote = false) {
-    return TouchLine(addr / kCacheLineBytes, ledger, remote);
+    return TouchRange(addr, 1, ledger, remote);
   }
 
   // Models an access spanning [addr, addr+bytes): touches every line in range
   // and returns the penalties summed in line order.
   double TouchRange(uint64_t addr, uint64_t bytes, CostLedger& ledger,
                     bool remote = false) {
-    if (bytes == 0) {
-      return 0.0;
-    }
-    const uint64_t first = addr / kCacheLineBytes;
-    const uint64_t last = (addr + bytes - 1) / kCacheLineBytes;
-    double penalty = 0.0;
-    for (uint64_t line = first; line <= last; ++line) {
-      penalty += TouchLine(line, ledger, remote);
-    }
+    uint64_t hits = 0;
+    const double penalty = RangePenalty(addr, bytes, remote, ledger, hits);
+    ledger.counters().l1_hits += hits;
     return penalty;
   }
+
+  // Charges the `n` accesses of one modeled instruction, in order: access k
+  // covers [at[k].addr, at[k].addr + bytes) and does its own
+  // ledger.AddCycles(issue + its TouchRange penalty), exactly as one call per
+  // access would. The L1 hits are counted once per call.
+  void ChargeEach(const CacheAccess* at, int n, uint64_t bytes, double issue,
+                  CostLedger& ledger);
+  // ChargeEach over a block of rows that lies in one region: row (r, pl) at
+  // addr + r * row_stride + pl * plane_stride, planes outer.
+  void ChargeRows(uint64_t addr, uint64_t row_bytes, int rows, int64_t row_stride,
+                  int planes, int64_t plane_stride, double issue, bool remote,
+                  CostLedger& ledger);
 
   void Reset();
 
  private:
-  double TouchLine(uint64_t line, CostLedger& ledger, bool remote) {
-    // The line the previous access left in L1 is its set's most recently
-    // used line, so touching it again is a hit that changes no LRU order.
-    if (line != last_line_) {
-      if (!l1_.Access(line)) {
-        return Miss(line, ledger, remote);
-      }
-      last_line_ = line;
+  // TouchRange's penalty, with its L1 hits added to `hits` instead of the
+  // ledger. A hit adds nothing, so skipping its 0.0 keeps the sum exact.
+  double RangePenalty(uint64_t addr, uint64_t bytes, bool remote,
+                      CostLedger& ledger, uint64_t& hits) {
+    if (bytes == 0) {
+      return 0.0;
     }
-    ++ledger.counters().l1_hits;
-    return 0.0;
+    const uint64_t last = (addr + bytes - 1) / kCacheLineBytes;
+    double penalty = 0.0;
+    for (uint64_t line = addr / kCacheLineBytes; line <= last; ++line) {
+      // The line the previous access left in L1 is its set's most recently
+      // used line, so touching it again is a hit that changes no LRU order.
+      if (line != last_line_) {
+        if (!l1_.Access(line)) {
+          penalty += Miss(line, ledger, remote);
+          continue;
+        }
+        last_line_ = line;
+      }
+      ++hits;
+    }
+    return penalty;
   }
   // An L1 miss: prefetcher, L2, DRAM, and the fills on the way back.
   double Miss(uint64_t line, CostLedger& ledger, bool remote);
   bool PrefetchHit(uint64_t line);
+  // The least recently used tracker, popped from the use FIFO.
+  size_t OldestStream();
+  void PushUse(size_t s);
+  bool LiveUse(uint64_t use) const {
+    return stream_lru_[use % kMaxStreams] == use / kMaxStreams;
+  }
   static size_t StreamBucket(uint64_t line) {
     return static_cast<size_t>(line & (kStreamBuckets - 1));
   }
@@ -159,17 +191,30 @@ class CacheModel {
   double remote_factor_;
   uint64_t last_line_ = kNoLine;
   // Next-line stride prefetcher state (LRU-replaced stream trackers).
-  // stream_next_[s] is the line stream s expects (kNoLine while unused).
+  // stream_next_[s] is the line stream s expects (kNoLine while unused), and
+  // stream_lru_[s] the clock of its last use (0 while unused).
   std::vector<uint64_t> stream_next_;
   std::vector<uint64_t> stream_lru_;
   uint64_t stream_clock_ = 0;
   // Bit s of stream_bucket_[b] is set when StreamBucket(stream_next_[s]) == b,
   // so a lookup checks only the streams that can match, lowest index first.
   std::vector<uint64_t> stream_bucket_;
+  // Tracker uses in clock order, each packed as clock * kMaxStreams + tracker,
+  // live in [use_head_, use_tail_). A use is live while stream_lru_ still
+  // holds its clock, so the first live use names the least recently used
+  // tracker. Reset seeds one clock-0 use per tracker in index order, so the
+  // never-used trackers go first, lowest index first. Stale uses are skipped
+  // when the victim is taken, and dropped when the buffer fills.
+  std::vector<uint64_t> stream_uses_;
+  size_t use_head_ = 0;
+  size_t use_tail_ = 0;
 
   static constexpr uint64_t kNoLine = ~uint64_t{0};
   static constexpr uint64_t kStreamBuckets = 256;
   static constexpr int kMaxStreams = 64;
+  // Buffered uses per tracker: the buffer compacts once every
+  // (kUsesPerStream - 1) * streams pushes.
+  static constexpr size_t kUsesPerStream = 16;
 };
 
 }  // namespace mpic

@@ -59,17 +59,17 @@ void HwContext::TouchReadRows(const void* p, size_t row_bytes, int rows,
                                         (planes - 1) * plane_stride) +
                     row_bytes;
   MemLocation loc;
-  const bool one_region = mem_.TranslateSpan(first, span, &loc);
+  if (mem_.TranslateSpan(first, span, &loc)) {
+    cache_.ChargeRows(loc.addr, row_bytes, rows, row_stride, planes, plane_stride,
+                      cfg_.scalar_mem_issue_cycles, IsRemote(loc), ledger_);
+    ledger_.counters().scalar_mem +=
+        static_cast<uint64_t>(rows) * static_cast<uint64_t>(planes);
+    return;
+  }
+  // The block leaves its region (or has none): translate row by row.
   for (int pl = 0; pl < planes; ++pl) {
     for (int r = 0; r < rows; ++r) {
-      const int64_t offset = pl * plane_stride + r * row_stride;
-      if (one_region) {
-        MemLocation row = loc;
-        row.addr += static_cast<uint64_t>(offset);
-        ChargeMemAt(row, row_bytes, cfg_.scalar_mem_issue_cycles, 0);
-      } else {
-        TouchRead(first + offset, row_bytes);
-      }
+      TouchRead(first + (pl * plane_stride + r * row_stride), row_bytes);
     }
   }
 }
@@ -123,18 +123,26 @@ void HwContext::VStoreMasked(double* p, const Vec8& v, const Mask8& m) {
   }
 }
 
+void HwContext::ChargeLanes(const void* base, size_t elem_bytes,
+                            const int64_t* idx, const Mask8& m) {
+  const auto* bytes = static_cast<const char*>(base);
+  const auto elem = static_cast<int64_t>(elem_bytes);
+  CacheAccess at[kVpuLanes];
+  int n = 0;
+  for (int i = 0; i < kVpuLanes; ++i) {
+    if (m.lane[static_cast<size_t>(i)]) {
+      const MemLocation loc = mem_.TranslateEx(bytes + idx[i] * elem);
+      at[n++] = CacheAccess{loc.addr, IsRemote(loc)};
+    }
+  }
+  cache_.ChargeEach(at, n, elem_bytes, 0.0, ledger_);
+}
+
 void HwContext::TouchGather(const void* base, size_t elem_bytes,
                             const int64_t* idx, const Mask8& m) {
   ++ledger_.counters().gathers;
   ledger_.AddCycles(cfg_.gather_issue_cycles);
-  const auto* bytes = static_cast<const char*>(base);
-  const auto elem = static_cast<int64_t>(elem_bytes);
-  for (int i = 0; i < kVpuLanes; ++i) {
-    if (m.lane[static_cast<size_t>(i)]) {
-      ledger_.AddCycles(
-          MemPenalty(mem_.TranslateEx(bytes + idx[i] * elem), elem_bytes));
-    }
-  }
+  ChargeLanes(base, elem_bytes, idx, m);
 }
 
 Vec8 HwContext::VGather(const double* base, const int64_t* idx, const Mask8& m) {
@@ -179,13 +187,11 @@ void HwContext::VScatterAccum(double* base, const int64_t* idx, const Vec8& v,
                               const Mask8& m) {
   ++ledger_.counters().scatters;
   ledger_.AddCycles(cfg_.gather_issue_cycles + vpu_op_cycles_);
+  ChargeLanes(base, sizeof(double), idx, m);
   for (int i = 0; i < kVpuLanes; ++i) {
-    if (!m.lane[static_cast<size_t>(i)]) {
-      continue;
+    if (m.lane[static_cast<size_t>(i)]) {
+      base[idx[i]] += v[i];
     }
-    double* p = base + idx[i];
-    ledger_.AddCycles(MemPenalty(mem_.TranslateEx(p), sizeof(double)));
-    *p += v[i];
   }
 }
 

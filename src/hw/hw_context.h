@@ -92,7 +92,8 @@ class HwContext {
   // One TouchRead of `row_bytes` per row of a block, row (r, pl) at
   // p + r * row_stride + pl * plane_stride bytes, planes outer: the same
   // charges in the same order as the per-row calls. A block that lies inside
-  // one registered region is translated once instead of once per row.
+  // one registered region is translated once and charged in one cache-model
+  // call (CacheModel::ChargeRows).
   void TouchReadRows(const void* p, size_t row_bytes, int rows,
                      int64_t row_stride, int planes, int64_t plane_stride);
 
@@ -191,12 +192,7 @@ class HwContext {
   void ChargeMem(const void* p, size_t bytes, double issue_cycles, bool write,
                  uint64_t count_as_vpu_mem) {
     (void)write;
-    ChargeMemAt(mem_.TranslateEx(p), bytes, issue_cycles, count_as_vpu_mem);
-  }
-  // ChargeMem's charge step, for an access already translated to `loc`.
-  void ChargeMemAt(const MemLocation& loc, size_t bytes, double issue_cycles,
-                   uint64_t count_as_vpu_mem) {
-    ledger_.AddCycles(issue_cycles + MemPenalty(loc, bytes));
+    ledger_.AddCycles(issue_cycles + MemPenalty(mem_.TranslateEx(p), bytes));
     if (count_as_vpu_mem != 0) {
       ledger_.counters().vpu_mem += count_as_vpu_mem;
     } else {
@@ -205,8 +201,13 @@ class HwContext {
   }
   // Models the access to [loc.addr, loc.addr + bytes) in this context's
   // caches; returns the penalty cycles. The whole L1-hit path is inlined
-  // here, so every modeled access makes one out-of-line call.
+  // here, so a single access makes one out-of-line call.
   double MemPenalty(const MemLocation& loc, size_t bytes);
+  // Charges each active lane's `elem_bytes` element at base + idx[i] *
+  // elem_bytes, in lane order, as one CacheModel::ChargeEach call with no
+  // issue cost: each lane does its own AddCycles(penalty).
+  void ChargeLanes(const void* base, size_t elem_bytes, const int64_t* idx,
+                   const Mask8& m);
   // Home-domain intent for registrations issued by this context: the scoped
   // placement domain when one is active (authoritative), this context's own
   // domain otherwise (first-touch).

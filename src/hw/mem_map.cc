@@ -86,24 +86,36 @@ uint64_t MemMap::Register(const void* base, size_t bytes, HomeDomain home) {
   // landed on the same address), move it to a fresh logical range so logical
   // addresses never alias a neighbor. The home domain follows first-touch:
   // only a new/moved region (or an authoritative placement) re-homes it.
-  for (Region& r : regions_) {
-    if (r.host_base == host) {
-      if (host + bytes <= r.host_end) {
-        if (home.authoritative && r.home_domain != home.domain) {
-          r.home_domain = home.domain;
-          BumpVersion();
-        }
-        return r.logical_base;
-      }
-      r.host_end = host + bytes;
-      r.logical_base = next_logical_;
-      r.home_domain = home.domain;
-      next_logical_ += RoundUpPage(bytes) + kPage;
-      BumpVersion();
-      return r.logical_base;
-    }
+  auto it = std::lower_bound(regions_.begin(), regions_.end(), host,
+                             [](const Region& r, uintptr_t h) {
+                               return r.host_base < h;
+                             });
+  if (it == regions_.end() || it->host_base != host) {
+    return InsertRegion(host, bytes, home.domain);
   }
-  return InsertRegion(host, bytes, home.domain);
+  if (host + bytes <= it->host_end) {
+    if (home.authoritative && it->home_domain != home.domain) {
+      it->home_domain = home.domain;
+      BumpVersion();
+    }
+    return it->logical_base;
+  }
+  // Evict the regions the grown range now overlaps, by InsertRegion's rule.
+  // Only later regions can: the earlier ones end at or below `host`.
+  const uintptr_t end = host + bytes;
+  const auto index = static_cast<size_t>(it - regions_.begin());
+  regions_.erase(std::remove_if(it + 1, regions_.end(),
+                                [host, end](const Region& old) {
+                                  return old.host_base < end && host < old.host_end;
+                                }),
+                 regions_.end());
+  Region& r = regions_[index];
+  r.host_end = end;
+  r.logical_base = next_logical_;
+  r.home_domain = home.domain;
+  next_logical_ += RoundUpPage(bytes) + kPage;
+  BumpVersion();
+  return r.logical_base;
 }
 
 uint64_t MemMap::RegisterKeyed(uint64_t key, const void* base, size_t bytes,
@@ -139,42 +151,58 @@ void MemMap::ForgetKeyed(uint64_t key) {
 }
 
 bool MemMap::SetHomeDomain(const void* p, int domain) {
-  const auto host = reinterpret_cast<uintptr_t>(p);
-  for (Region& r : regions_) {
-    if (host >= r.host_base && host < r.host_end) {
-      if (r.home_domain != domain) {
-        r.home_domain = domain;
-        BumpVersion();
-      }
-      return true;
+  Region* r = Containing(reinterpret_cast<uintptr_t>(p));
+  if (r == nullptr) {
+    return false;
+  }
+  if (r->home_domain != domain) {
+    r->home_domain = domain;
+    BumpVersion();
+  }
+  return true;
+}
+
+MemMap::Region* MemMap::Containing(uintptr_t host) {
+  // Regions are disjoint and a zero-byte region never lies inside another, so
+  // only the last region starting at or below `host`, or a region it shares
+  // its base with, can contain it.
+  auto it = std::upper_bound(regions_.begin(), regions_.end(), host,
+                             [](uintptr_t h, const Region& r) {
+                               return h < r.host_base;
+                             });
+  if (it == regions_.begin()) {
+    return nullptr;
+  }
+  const uintptr_t base = (it - 1)->host_base;
+  while (it != regions_.begin() && (it - 1)->host_base == base) {
+    --it;
+    if (host < it->host_end) {
+      return &*it;
     }
   }
-  return false;
+  return nullptr;
 }
 
 MemLocation MemMap::TranslateSearch(uintptr_t host) {
-  // Binary search for the region containing `host`.
-  size_t lo = 0;
-  size_t hi = regions_.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (regions_[mid].host_base <= host) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+  // Fibonacci hashing of the 256-byte granule: arrays a power of two apart
+  // (a tile's SoA streams) and the small streams of one chunk scratch, which
+  // share a page, land in different entries.
+  MemoEntry& memo =
+      memo_[((host >> kMemoGranuleBits) * 0x9E3779B97F4A7C15ull) >> (64 - kMemoBits)];
+  if (memo.version != version_ || host < memo.host_base || host >= memo.host_end) {
+    const Region* r = Containing(host);
+    if (r == nullptr) {
+      // Unregistered: identity-map into a far range (home domain unknown; the
+      // cache model treats it as local).
+      g_unmapped_translations.fetch_add(1, std::memory_order_relaxed);
+      return MemLocation{kUnmappedBase + (host & ((uint64_t{1} << 40) - 1)), -1};
     }
+    memo = MemoEntry{version_, r->host_base, r->host_end,
+                     static_cast<size_t>(r - regions_.data())};
   }
-  if (lo > 0) {
-    const Region& r = regions_[lo - 1];
-    if (host >= r.host_base && host < r.host_end) {
-      mru_ = lo - 1;
-      return MemLocation{r.logical_base + (host - r.host_base), r.home_domain};
-    }
-  }
-  // Unregistered: identity-map into a far range (home domain unknown; the
-  // cache model treats it as local).
-  g_unmapped_translations.fetch_add(1, std::memory_order_relaxed);
-  return MemLocation{kUnmappedBase + (host & ((uint64_t{1} << 40) - 1)), -1};
+  mru_ = memo.index;
+  const Region& r = regions_[memo.index];
+  return MemLocation{r.logical_base + (host - r.host_base), r.home_domain};
 }
 
 void MemMap::Clear() {

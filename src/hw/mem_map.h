@@ -15,12 +15,18 @@
 // happens to place anything. Plain Register() remains for arrays that live at
 // one address for the whole run (fields, rhocell blocks).
 //
-// Translation is on the hot path of every modeled access, so the table keeps a
-// one-entry MRU cache: almost all consecutive accesses fall in the same region.
+// Regions never overlap (a registration that reaches into an older region
+// evicts it), so a pointer translates through the one region that contains
+// it, or none. Translation is on the hot path of every modeled access, so the
+// table keeps a one-entry MRU cache (almost all consecutive accesses fall in
+// the same region) and, behind it, a small memo of the binary search indexed
+// by host address. Neither can change a translation: each names a region for pointers
+// inside it only, and the memo's entries lapse when the map mutates.
 
 #ifndef MPIC_SRC_HW_MEM_MAP_H_
 #define MPIC_SRC_HW_MEM_MAP_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -68,10 +74,11 @@ struct MemLocation {
 class MemMap {
  public:
   // Registers [base, base+bytes). Re-registering the same base with a size that
-  // still fits is a no-op; growing requires Forget() first (or a new region).
-  // Returns the logical base address. For arrays that may reallocate, use
-  // RegisterKeyed instead — a freed region left behind here can alias a later
-  // allocation at the same address.
+  // still fits is a no-op; growing moves the region to a fresh logical range
+  // and evicts the regions the grown range overlaps. Returns the logical base
+  // address. For arrays that may reallocate, use RegisterKeyed instead — a
+  // freed region left behind here can alias a later allocation at the same
+  // address.
   uint64_t Register(const void* base, size_t bytes, HomeDomain home = {});
 
   // Keyed registration: `key` names one logical array. While the array stays
@@ -100,11 +107,9 @@ class MemMap {
   // Translate plus the containing region's home domain (-1 when unmapped).
   MemLocation TranslateEx(const void* p) {
     const auto host = reinterpret_cast<uintptr_t>(p);
-    if (mru_ < regions_.size()) {
+    if (Contains(mru_, host)) {
       const Region& r = regions_[mru_];
-      if (host >= r.host_base && host < r.host_end) {
-        return MemLocation{r.logical_base + (host - r.host_base), r.home_domain};
-      }
+      return MemLocation{r.logical_base + (host - r.host_base), r.home_domain};
     }
     return TranslateSearch(host);
   }
@@ -114,12 +119,8 @@ class MemMap {
   // same offset.
   bool TranslateSpan(const void* p, size_t bytes, MemLocation* out) {
     *out = TranslateEx(p);
-    if (mru_ >= regions_.size()) {
-      return false;
-    }
-    const Region& r = regions_[mru_];
     const auto host = reinterpret_cast<uintptr_t>(p);
-    return host >= r.host_base && host + bytes <= r.host_end;
+    return Contains(mru_, host) && host + bytes <= regions_[mru_].host_end;
   }
 
   // Drops all registrations (e.g. between bench configurations).
@@ -145,9 +146,28 @@ class MemMap {
     uint64_t logical_base;
   };
 
+  // TranslateSearch's memo entry for one 256-byte host granule: the region
+  // the search last found there, with its host range, while the map's version
+  // is still `version`. Checking a pointer against the entry alone saves a
+  // load.
+  struct MemoEntry {
+    uint64_t version = ~uint64_t{0};
+    uintptr_t host_base = 0;
+    uintptr_t host_end = 0;
+    size_t index = 0;
+  };
+
+  // True when region `index` exists and contains `host`.
+  bool Contains(size_t index, uintptr_t host) const {
+    return index < regions_.size() && host >= regions_[index].host_base &&
+           host < regions_[index].host_end;
+  }
   void BumpVersion();
-  // TranslateEx past the MRU region: binary search, then the unmapped range.
+  // TranslateEx past the MRU region: the memo, then binary search, then the
+  // unmapped range.
   MemLocation TranslateSearch(uintptr_t host);
+  // The region containing `host` (binary search), or nullptr.
+  Region* Containing(uintptr_t host);
   // Places a new region (staggered logical base, guard gap), evicting stale
   // regions whose host ranges the new allocation proves freed. Returns the
   // logical base.
@@ -165,6 +185,9 @@ class MemMap {
   uint64_t next_logical_ = 1 << 12;
   uint64_t region_counter_ = 0;
   uint64_t version_ = 0;
+  static constexpr int kMemoBits = 7;  // 128 entries
+  static constexpr int kMemoGranuleBits = 8;
+  std::array<MemoEntry, size_t{1} << kMemoBits> memo_{};
 
   static constexpr uint64_t kUnmappedBase = uint64_t{1} << 46;
 };

@@ -2,9 +2,10 @@
 // model they replaced, plus pinned ledger digests.
 //
 // The seed CacheLevel/CacheModel and MemMap below are the reference: their
-// logic is kept verbatim (only the MemMap's binary search is a linear scan),
-// so any change to the production model that alters a single penalty,
-// counter or translation fails here. The pinned digests catch the same
+// logic is kept verbatim, except that the MemMap's binary search is a linear
+// scan, a grown region evicts the regions it overlaps, and ForgetKeyed is
+// production's. So any change to the production model that alters a single
+// penalty, counter or translation fails here. The pinned digests catch the same
 // across whole workloads on every modeled machine shape.
 
 #include <gtest/gtest.h>
@@ -188,7 +189,8 @@ class CacheModel {
 };
 
 // ---- Seed reference: MemMap, with a linear scan in place of the binary ------
-// ---- search (the MRU entry and every registration rule are unchanged). ------
+// ---- search (the MRU entry and the registration rules are the seed's, -------
+// ---- except that growth evicts what it overlaps). ---------------------------
 
 class MemMap {
  public:
@@ -206,7 +208,18 @@ class MemMap {
         r.logical_base = next_logical_;
         r.home_domain = home.domain;
         next_logical_ += RoundUpPage(bytes) + kPage;
-        return r.logical_base;
+        // The grown range evicts the regions it overlaps, as InsertRegion
+        // does (the seed model left them, so an overlapped pointer
+        // translated through whichever region the MRU entry held).
+        const Region grown = r;
+        regions_.erase(std::remove_if(regions_.begin(), regions_.end(),
+                                      [&grown](const Region& old) {
+                                        return old.logical_base != grown.logical_base &&
+                                               old.host_base < grown.host_end &&
+                                               grown.host_base < old.host_end;
+                                      }),
+                       regions_.end());
+        return grown.logical_base;
       }
     }
     return InsertRegion(host, bytes, home.domain);
@@ -229,6 +242,15 @@ class MemMap {
     const uint64_t logical = InsertRegion(host, bytes, home.domain);
     keyed_[key] = KeyedRecord{host, bytes, logical};
     return logical;
+  }
+
+  // Production's ForgetKeyed, which the seed model did not have.
+  void ForgetKeyed(uint64_t key) {
+    auto it = keyed_.find(key);
+    if (it != keyed_.end()) {
+      EraseRegion(it->second.host_base, it->second.logical_base);
+      keyed_.erase(it);
+    }
   }
 
   bool SetHomeDomain(const void* p, int domain) {
@@ -571,6 +593,46 @@ TEST(CacheDifferential, DuplicatePrefetchStreams) {
   EXPECT_EQ(pair.last_penalty(), cfg.l2.hit_penalty_cycles * cfg.prefetch_factor);
 }
 
+// The prefetcher's victim (the least recently used tracker, never-used ones
+// first in index order) comes from a FIFO of tracker uses. Interleaved
+// sequential streams, more of them than there are trackers, with streams
+// that break, restart where another is headed (duplicates) or continue
+// (predicted), and a Reset now and then; long enough that the FIFO compacts
+// many times. Every line is new to L1 here, so every access asks the
+// prefetcher.
+TEST(CacheDifferential, PrefetchVictimOrder) {
+  for (int streams : {1, 3, 32, 64}) {
+    MachineConfig cfg = MachineConfig::Lx2();
+    cfg.prefetch_streams = streams;
+    CachePair pair(cfg);
+    Rng rng(static_cast<uint64_t>(streams));
+    const int live = streams + 1 + static_cast<int>(rng.NextBelow(8));
+    std::vector<uint64_t> next(static_cast<size_t>(live));
+    for (uint64_t& line : next) {
+      line = rng.NextBelow(uint64_t{1} << 30);
+    }
+    for (int i = 0; i < 150000; ++i) {
+      if (i % 40000 == 39999) {
+        pair.Reset();
+      }
+      // Mostly the first few streams (their trackers stay recent), now and
+      // then any of them (an older one, or one that lost its tracker).
+      const size_t k = static_cast<size_t>(
+          rng.NextBelow(4) == 0 ? rng.NextBelow(static_cast<uint64_t>(live))
+                                : rng.NextBelow(std::min<uint64_t>(3, live)));
+      const uint64_t jump = rng.NextBelow(64);
+      if (jump == 0) {
+        next[k] = rng.NextBelow(uint64_t{1} << 30);  // a broken stream
+      } else if (jump == 1) {
+        next[k] = next[(k + 1) % next.size()];  // a duplicate stream
+      }
+      ASSERT_TRUE(pair.Touch(next[k] * kCacheLineBytes, false))
+          << streams << " trackers, access " << i;
+      ++next[k];
+    }
+  }
+}
+
 // ---- MemMap differential ------------------------------------------------------
 
 ::testing::AssertionResult SameTranslations(MemMap& fast, seed::MemMap& ref,
@@ -662,6 +724,94 @@ TEST(MemMapDifferential, RandomRegistrationSequences) {
           << "op " << op;
     }
   }
+}
+
+// The translation memo against the seed map, with more regions than the memo
+// has entries: 200 regions of one to three pages, translated in an order
+// that keeps returning to each, and again right after every kind of
+// mutation (a fresh region that shifts every later index, a grown region, a
+// moved keyed region, a forgotten one, a re-homed one, a copy and a clear).
+TEST(MemMapDifferential, MemoAlternatesOverManyRegions) {
+  constexpr size_t kPage = 4096;
+  constexpr int kRegions = 200;
+  std::vector<char> arena((3 * kRegions + 8) * kPage + 64);
+  std::vector<char> outside(64);
+  const char* base = arena.data();
+  Rng rng(31);
+  MemMap fast;
+  seed::MemMap ref;
+  std::vector<std::pair<size_t, size_t>> live;  // (offset, bytes)
+  for (int i = 0; i < kRegions; ++i) {
+    // Regions in descending host order, so each one shifts every index.
+    const size_t off = (3 * (kRegions - 1 - i) + 4) * kPage + rng.NextBelow(64) * 8;
+    const size_t bytes = (1 + rng.NextBelow(2)) * kPage + rng.NextBelow(64) * 8;
+    fast.Register(base + off, bytes);
+    ref.Register(base + off, bytes);
+    live.emplace_back(off, bytes);
+  }
+  const auto translate = [&](int n) -> ::testing::AssertionResult {
+    for (int i = 0; i < n; ++i) {
+      // Some pointers fall just outside their region, or in no region.
+      const auto& r = live[rng.NextBelow(live.size())];
+      const size_t off = r.first + rng.NextBelow(r.second + 16);
+      const char* p = rng.NextBelow(16) == 0 ? outside.data() : base + off;
+      const MemLocation got = fast.TranslateEx(p);
+      const MemLocation want = ref.TranslateEx(p);
+      if (got.addr != want.addr || got.home_domain != want.home_domain) {
+        return ::testing::AssertionFailure()
+               << "translation " << i << " at offset " << (p - base) << ": addr "
+               << got.addr << " home " << got.home_domain << " want " << want.addr
+               << " home " << want.home_domain;
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+  ASSERT_TRUE(translate(20000));
+  for (int op = 0; op < 400; ++op) {
+    const uint64_t kind = rng.NextBelow(8);
+    auto& r = live[rng.NextBelow(live.size())];
+    const HomeDomain home{static_cast<int>(rng.NextBelow(3)), rng.NextBelow(2) == 0};
+    if (kind == 0) {
+      // A fresh region in the low pages, below every other: shifts them all.
+      const size_t off = rng.NextBelow(3 * kPage / 8) * 8;
+      fast.Register(base + off, kPage / 2, home);
+      ref.Register(base + off, kPage / 2, home);
+      live.emplace_back(off, kPage / 2);
+    } else if (kind == 1 && r.first + r.second + kPage <= arena.size()) {
+      r.second += kPage / 2;  // grows over the gap; may evict the next region
+      fast.Register(base + r.first, r.second, home);
+      ref.Register(base + r.first, r.second, home);
+    } else if (kind == 2 || kind == 3) {
+      // A keyed region that moves between two places, or is forgotten.
+      const uint64_t key = rng.NextBelow(4);
+      const size_t off = (3 * kRegions + 4 + key) * kPage - 8 * rng.NextBelow(2);
+      if (kind == 2) {
+        fast.RegisterKeyed(key, base + off, kPage / 4, home);
+        ref.RegisterKeyed(key, base + off, kPage / 4, home);
+        live.emplace_back(off, kPage / 4);
+      } else {
+        fast.ForgetKeyed(key);
+        ref.ForgetKeyed(key);
+      }
+    } else if (kind < 6) {
+      const char* p = base + r.first + rng.NextBelow(r.second);
+      const int domain = static_cast<int>(rng.NextBelow(3));
+      EXPECT_EQ(fast.SetHomeDomain(p, domain), ref.SetHomeDomain(p, domain));
+    } else if (kind == 6) {
+      MemMap copy;
+      copy = fast;
+      fast = copy;
+    } else {
+      fast.Clear();
+      ref.Clear();
+      for (const auto& region : live) {
+        fast.Register(base + region.first, region.second);
+        ref.Register(base + region.first, region.second);
+      }
+    }
+    ASSERT_TRUE(translate(1000)) << "op " << op << " kind " << kind;
+  }
+  EXPECT_GT(fast.num_regions(), 64u);
 }
 
 // ---- FMA kernels --------------------------------------------------------------
@@ -838,6 +988,227 @@ TEST(TouchReadRows, MatchesOneTouchReadPerRow) {
   EXPECT_EQ(rows_hw.ledger().counters().scalar_mem, 4u * 2u * 16u);
   EXPECT_GT(rows_hw.ledger().counters().l1_hits, 0u);
   EXPECT_GT(rows_hw.ledger().counters().remote_lines, 0u);
+}
+
+// ---- Batched charges against one access per call ---------------------------------
+
+// Every phase bucket bit for bit, and every counter.
+::testing::AssertionResult SameLedger(const CostLedger& got, const CostLedger& want) {
+  for (int p = 0; p < kNumPhases; ++p) {
+    const auto k = static_cast<size_t>(p);
+    if (Bits(got.phase_cycles()[k]) != Bits(want.phase_cycles()[k])) {
+      return ::testing::AssertionFailure()
+             << PhaseName(static_cast<Phase>(p)) << " cycles "
+             << got.phase_cycles()[k] << " want " << want.phase_cycles()[k];
+    }
+  }
+  const LedgerCounters& a = got.counters();
+  const LedgerCounters& b = want.counters();
+  const uint64_t got_counts[] = {a.scalar_ops, a.scalar_mem,     a.vpu_ops,
+                                 a.vpu_mem,    a.gathers,        a.scatters,
+                                 a.mopas,      a.mopa_valid_slots, a.atomics,
+                                 a.tasks_stolen, a.tasks_stolen_remote,
+                                 Bits(a.steal_cycles)};
+  const uint64_t want_counts[] = {b.scalar_ops, b.scalar_mem,     b.vpu_ops,
+                                  b.vpu_mem,    b.gathers,        b.scatters,
+                                  b.mopas,      b.mopa_valid_slots, b.atomics,
+                                  b.tasks_stolen, b.tasks_stolen_remote,
+                                  Bits(b.steal_cycles)};
+  for (size_t i = 0; i < sizeof(got_counts) / sizeof(got_counts[0]); ++i) {
+    if (got_counts[i] != want_counts[i]) {
+      return ::testing::AssertionFailure()
+             << "instruction counter " << i << ": " << got_counts[i] << " want "
+             << want_counts[i];
+    }
+  }
+  return SameCounters(a, b);
+}
+
+// A NUMA machine with a two-line L1 and costs whose sums round, so that a
+// changed addition order (one AddCycles per block instead of per access)
+// shows in the bits of the phase buckets.
+MachineConfig RoundingCosts(double scalar_issue) {
+  MachineConfig cfg = MachineConfig::Lx2MultiCoreNuma(4, 2);
+  cfg.l1 = CacheLevelConfig{2 * kCacheLineBytes, 2, 0.0};
+  cfg.l2 = CacheLevelConfig{64 * 4 * kCacheLineBytes, 4, 1.0 / 3.0};
+  cfg.dram_penalty_cycles = 100.0 / 7.0;
+  cfg.prefetch_factor = 0.3;
+  cfg.remote_mem_latency_factor = 1.7;
+  cfg.scalar_mem_issue_cycles = scalar_issue;
+  cfg.gather_issue_cycles = 4.1;
+  return cfg;
+}
+
+// Two 16^3-double regions side by side (the second homed in the other NUMA
+// domain, so its DRAM lines are remote) and an unregistered buffer, on twin
+// contexts: one runs the batched call, the other the per-access reference.
+class TwinContexts {
+ public:
+  static constexpr int kN = 16;
+  static constexpr int64_t kRow = kN * sizeof(double);
+  static constexpr int64_t kPlane = kN * kRow;
+  static constexpr int64_t kRegion = kN * kPlane;
+
+  explicit TwinContexts(const MachineConfig& cfg)
+      : arena_(2 * kRegion + 64), unmapped_(kRegion + 64), batched_(cfg), each_(cfg) {
+    for (size_t i = 0; i < arena_.size(); ++i) {
+      arena_[i] = static_cast<char>(i * 131 + 7);  // distinct gathered values
+    }
+    for (HwContext* hw : {&batched_, &each_}) {
+      hw->RegisterRegion(arena_.data(), kRegion);
+      ScopedHomeDomain remote(*hw, 1);
+      hw->RegisterRegion(arena_.data() + kRegion, kRegion);
+    }
+  }
+  // A byte in region 1, region 2 or the unregistered buffer.
+  char* At(int where, int64_t offset) {
+    return where == 2 ? unmapped_.data() + offset
+                      : arena_.data() + where * kRegion + offset;
+  }
+  HwContext& batched() { return batched_; }
+  HwContext& each() { return each_; }
+  // Both ledgers charge under `phase` from here on.
+  void SetPhase(Phase phase) {
+    batched_.ledger().SetPhase(phase);
+    each_.ledger().SetPhase(phase);
+  }
+
+ private:
+  std::vector<char> arena_;
+  std::vector<char> unmapped_;
+  HwContext batched_;
+  HwContext each_;
+};
+
+// TouchReadRows (one CacheModel::ChargeRows call per block that lies in one
+// region) against one TouchRead per row: blocks inside either region, across
+// the edge between them and in the unregistered buffer, rows that straddle
+// lines, strides that repeat or share lines, under changing phases.
+TEST(BatchedCharges, RowBlocksMatchOneTouchReadPerRow) {
+  TwinContexts twins(RoundingCosts(0.1));
+  Rng rng(21);
+  const int64_t strides[] = {TwinContexts::kRow, 16, 40, 0, 3 * TwinContexts::kRow};
+  for (int block = 0; block < 4000; ++block) {
+    twins.SetPhase(static_cast<Phase>(rng.NextBelow(kNumPhases)));
+    const int rows = 1 + static_cast<int>(rng.NextBelow(4));
+    const int planes = 1 + static_cast<int>(rng.NextBelow(4));
+    const auto row_bytes = static_cast<size_t>(1 + rng.NextBelow(72));
+    const int64_t row_stride = strides[rng.NextBelow(5)];
+    const int64_t plane_stride = rng.NextBelow(2) == 0 ? TwinContexts::kPlane : 104;
+    const int64_t extent = (rows - 1) * row_stride + (planes - 1) * plane_stride +
+                           static_cast<int64_t>(row_bytes);
+    // A third of the blocks lie in the first region and a third in the
+    // second; a sixth lie in the unregistered buffer, and a sixth run from
+    // the first region into the second.
+    const uint64_t kind = rng.NextBelow(6);
+    const int where = kind < 2 ? 0 : kind < 4 ? 1 : kind == 4 ? 2 : 0;
+    int64_t offset = static_cast<int64_t>(
+        rng.NextBelow(kind == 5 ? extent : TwinContexts::kRegion - extent));
+    if (kind == 5) {
+      offset += TwinContexts::kRegion - extent + 1;  // ends past the first region
+    }
+    const char* first = twins.At(where, offset);
+    twins.batched().TouchReadRows(first, row_bytes, rows, row_stride, planes,
+                                  plane_stride);
+    for (int pl = 0; pl < planes; ++pl) {
+      for (int r = 0; r < rows; ++r) {
+        twins.each().TouchRead(first + (pl * plane_stride + r * row_stride), row_bytes);
+      }
+    }
+    ASSERT_TRUE(SameLedger(twins.batched().ledger(), twins.each().ledger()))
+        << "block " << block;
+  }
+  const LedgerCounters& c = twins.batched().ledger().counters();
+  EXPECT_GT(c.l1_hits, 0u);
+  EXPECT_GT(c.l2_hits, 0u);
+  EXPECT_GT(c.remote_lines, 0u);
+}
+
+// TouchGather, VGather and VScatterAccum (one CacheModel::ChargeEach call per
+// instruction) against the issue charge plus one TouchRead per active lane,
+// counted as the instruction: masked and repeated lanes, lanes in both
+// regions and in the unregistered buffer, elements that straddle lines (a
+// base 4 bytes past a line start), and element widths 1, 4 and 8. VGather
+// returns, and VScatterAccum adds, the lanes' values in lane order.
+TEST(BatchedCharges, GathersAndScattersMatchOneTouchReadPerLane) {
+  const MachineConfig cfg = RoundingCosts(0.0);
+  TwinContexts twins(cfg);
+  Rng rng(22);
+  std::vector<double> got_values(512, 0.0);
+  std::vector<double> want_values(got_values.size(), 0.0);
+  for (HwContext* hw : {&twins.batched(), &twins.each()}) {
+    hw->RegisterRegion(got_values.data(), got_values.size() * sizeof(double));
+  }
+  const size_t widths[] = {1, 4, 8};
+  for (int op = 0; op < 6000; ++op) {
+    twins.SetPhase(static_cast<Phase>(rng.NextBelow(kNumPhases)));
+    Mask8 m = Mask8::All();
+    int64_t idx[kVpuLanes];
+    for (int i = 0; i < kVpuLanes; ++i) {
+      m.lane[static_cast<size_t>(i)] = rng.NextBelow(5) != 0;
+      const bool repeat = i > 0 && rng.NextBelow(4) == 0;
+      idx[i] = repeat ? idx[i - 1] : static_cast<int64_t>(rng.NextBelow(512));
+    }
+    HwContext& each = twins.each();
+    uint64_t lanes = 0;
+    const uint64_t kind = rng.NextBelow(3);
+    if (kind < 2) {
+      // A charge-only gather (any width, its base 4 bytes past a line start)
+      // or a VGather of doubles (8 bytes past), from near the end of either
+      // region or of the unregistered buffer, so the highest lanes run into
+      // what follows.
+      const size_t elem = kind == 0 ? widths[rng.NextBelow(3)] : sizeof(double);
+      const char* base = twins.At(static_cast<int>(rng.NextBelow(3)),
+                                  TwinContexts::kRegion - 4096 + (kind == 0 ? 4 : 8));
+      if (kind == 0) {
+        twins.batched().TouchGather(base, elem, idx, m);
+      } else {
+        const auto* doubles = reinterpret_cast<const double*>(base);
+        const Vec8 v = twins.batched().VGather(doubles, idx, m);
+        for (int i = 0; i < kVpuLanes; ++i) {
+          double want = 0.0;
+          if (m.lane[static_cast<size_t>(i)]) {
+            std::memcpy(&want, base + idx[i] * 8, sizeof(want));
+          }
+          ASSERT_EQ(Bits(v[i]), Bits(want)) << "op " << op << " lane " << i;
+        }
+      }
+      each.ChargeCycles(cfg.gather_issue_cycles);
+      for (int i = 0; i < kVpuLanes; ++i) {
+        if (m.lane[static_cast<size_t>(i)]) {
+          each.TouchRead(base + idx[i] * static_cast<int64_t>(elem), elem);
+          ++lanes;
+        }
+      }
+      ++each.ledger().counters().gathers;
+    } else {
+      Vec8 v;
+      for (int i = 0; i < kVpuLanes; ++i) {
+        v[i] = static_cast<double>(rng.NextBelow(1000)) / 8.0;
+      }
+      twins.batched().VScatterAccum(got_values.data(), idx, v, m);
+      each.ChargeCycles(cfg.gather_issue_cycles +
+                        1.0 / static_cast<double>(cfg.vpu_pipes));
+      for (int i = 0; i < kVpuLanes; ++i) {
+        if (m.lane[static_cast<size_t>(i)]) {
+          const auto k = static_cast<size_t>(idx[i]);
+          each.TouchRead(&got_values[k], sizeof(double));
+          want_values[k] += v[i];
+          ++lanes;
+        }
+      }
+      ++each.ledger().counters().scatters;
+    }
+    each.ledger().counters().scalar_mem -= lanes;
+    ASSERT_TRUE(SameLedger(twins.batched().ledger(), each.ledger())) << "op " << op;
+  }
+  for (size_t i = 0; i < got_values.size(); ++i) {
+    ASSERT_EQ(Bits(got_values[i]), Bits(want_values[i])) << "element " << i;
+  }
+  const LedgerCounters& c = twins.batched().ledger().counters();
+  EXPECT_GT(c.l1_hits, 0u);
+  EXPECT_GT(c.l2_hits, 0u);
+  EXPECT_GT(c.remote_lines, 0u);
 }
 
 // ---- Pinned ledger digests ------------------------------------------------------

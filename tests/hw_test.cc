@@ -155,6 +155,26 @@ TEST(MemMap, ReRegisterSameBaseIsStable) {
   EXPECT_EQ(first, second);
 }
 
+// Growing a plain registration evicts the regions the grown range overlaps,
+// so a pointer in the overlap translates through the grown region whatever
+// was translated before it. (Without the eviction, A + 4196 translated
+// through B right after A + 10000 had made B the MRU region.)
+TEST(MemMap, GrowingARegionEvictsTheRegionsItOverlaps) {
+  MemMap map;
+  std::vector<char> buf(16384);
+  const char* a = buf.data();
+  map.Register(a, 1024);
+  map.Register(a + 4096, 16384 - 4096);
+  const uint64_t grown = map.Register(a, 8192);
+  EXPECT_EQ(map.num_regions(), 1u);
+  map.Translate(a + 10);
+  const uint64_t after_near = map.Translate(a + 4196);
+  EXPECT_GE(map.Translate(a + 10000), uint64_t{1} << 46);  // B is gone
+  const uint64_t after_far = map.Translate(a + 4196);
+  EXPECT_EQ(after_near, grown + 4196);
+  EXPECT_EQ(after_far, grown + 4196);
+}
+
 TEST(MemMap, UnregisteredPointerMapsHigh) {
   MemMap map;
   double local = 0.0;

@@ -220,5 +220,57 @@ TEST(Momentum, TotalCurrentMatchesParticleDrift) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Grid heating of a thermal plasma, bounded. A plasma whose Debye length is
+// far below the cell size heats numerically (finite-grid instability). This
+// is the collision-free twin of the collisional-relaxation workload, built on
+// the uniform workload: 8^3 cells, 4-cell tiles, 2^3 PPC per species, two
+// electron-mass species of opposite charge (a neutral box) at u_th 0.01, CIC,
+// kFullOpt, on Lx2(). It is a regression bound, not an analytic one: each
+// species' temperature rise is gated at its measured value plus a margin, so
+// a change that heats faster fails.
+// ---------------------------------------------------------------------------
+
+TEST(GridHeating, ThermalPlasmaHeatsNoFasterThanRecorded) {
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.tile = 4;
+  p.ppc_x = p.ppc_y = p.ppc_z = 2;
+  p.order = 1;
+  p.variant = DepositVariant::kFullOpt;
+  p.u_th = 0.01;
+  p.species = {Species{"hot_e", kElectronCharge, kElectronMass},
+               Species{"cold_p", -kElectronCharge, kElectronMass}};
+  HwContext hw(MachineConfig::Lx2());
+  auto sim = MakeUniformSimulation(hw, p);
+  double t0[2];
+  for (int s = 0; s < 2; ++s) {
+    t0[s] = SpeciesTemperature(sim->block(s).tiles, sim->species(s));
+  }
+  // The regime the bound holds in: lambda_D^-2 sums n_s e^2 / (eps0 T_s)
+  // over both species, and lambda_D is 0.0395 cells (recorded).
+  const double inv_ld2 = p.density * kElectronCharge * kElectronCharge / kEpsilon0 *
+                         (1.0 / t0[0] + 1.0 / t0[1]);
+  EXPECT_NEAR(1.0 / std::sqrt(inv_ld2) / sim->fields().geom.dx, 0.0395, 0.001);
+  // Recorded rises (T / T0 - 1) per species: +2.95% and +3.10% by step 40,
+  // +12.72% and +12.67% by step 80. Seeds 1-7 of the same plasma rise
+  // 2.2-3.7% and 10.2-13.4%, a standard deviation of about 0.44 and 0.87
+  // points, so the margins (1.5 and 3.5 points) are about 3.5 and 4 of them.
+  constexpr int kSteps[] = {40, 80};
+  constexpr double kRecorded[2][2] = {{0.0295, 0.0310}, {0.1272, 0.1267}};
+  constexpr double kMargin[] = {0.015, 0.035};
+  int done = 0;
+  for (int w = 0; w < 2; ++w) {
+    sim->Run(kSteps[w] - done);
+    done = kSteps[w];
+    for (int s = 0; s < 2; ++s) {
+      const double rise =
+          SpeciesTemperature(sim->block(s).tiles, sim->species(s)) / t0[s] - 1.0;
+      EXPECT_LT(rise, kRecorded[w][s] + kMargin[w])
+          << "species " << s << " at step " << done;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mpic
