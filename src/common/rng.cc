@@ -29,17 +29,6 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-Rng Rng::ForStream(uint64_t seed, uint64_t k0, uint64_t k1, uint64_t k2) {
-  // Absorb each key through the finalizer with distinct round constants, so
-  // (s, a, b, c) and any permutation/shift of the keys land in unrelated
-  // states.
-  uint64_t h = Mix64(seed + 0x9E3779B97F4A7C15ull);
-  h = Mix64(h ^ Mix64(k0 + 0xBF58476D1CE4E5B9ull));
-  h = Mix64(h ^ Mix64(k1 + 0x94D049BB133111EBull));
-  h = Mix64(h ^ Mix64(k2 + 0xD6E8FEB86659FD93ull));
-  return Rng(h);
-}
-
 uint64_t Rng::NextU64() {
   const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
   const uint64_t t = s_[1] << 17;

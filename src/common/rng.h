@@ -13,20 +13,13 @@
 namespace mpic {
 
 // Mixes a 64-bit value through the SplitMix64 finalizer (a strong bijective
-// hash). Exposed for counter-based stream derivation and digest helpers.
+// hash). Exposed for the digest helpers.
 uint64_t Mix64(uint64_t x);
 
 // xoshiro256++ generator with SplitMix64 seeding.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
-
-  // Counter-based stream derivation: a generator whose state is a pure hash
-  // of (seed, k0, k1, k2). Unlike sequential seeding, the stream for a given
-  // key tuple is independent of when, where, or on which thread it is
-  // created — the per-cell/per-step collision streams rely on this to stay
-  // bit-identical for any tile partition or thread count.
-  static Rng ForStream(uint64_t seed, uint64_t k0, uint64_t k1, uint64_t k2 = 0);
 
   // Uniform 64-bit value.
   uint64_t NextU64();

@@ -673,9 +673,8 @@ void DepositionEngine::ReregisterModelRegions(TileSet& tiles, FieldSet& fields) 
   RegisterRegions(tiles, fields);
 }
 
-void DepositionEngine::UpdateRankStats(TileSet& tiles, const EngineStepStats& stats,
-                                       double step_cycles, int64_t live) {
-  (void)stats;
+void DepositionEngine::UpdateRankStats(TileSet& tiles, double step_cycles,
+                                       int64_t live) {
   ++rank_stats_.steps_since_sort;
   int64_t capacity = 0;
   int64_t empty = 0;
@@ -694,7 +693,7 @@ void DepositionEngine::UpdateRankStats(TileSet& tiles, const EngineStepStats& st
 
 void DepositionEngine::FinishStep(TileSet& tiles, FieldSet& fields,
                                   double step_cycles, EngineStepStats* stats) {
-  UpdateRankStats(tiles, *stats, step_cycles, tiles.TotalLive());
+  UpdateRankStats(tiles, step_cycles, tiles.TotalLive());
 
   // Global re-sorting policy (Sec. 4.4).
   if (traits_.sort_mode == SortMode::kIncremental) {
@@ -711,16 +710,6 @@ void DepositionEngine::RestoreSortState(const RankSortStats& stats,
                                         int64_t total_global_sorts) {
   rank_stats_ = stats;
   total_global_sorts_ = total_global_sorts;
-}
-
-int64_t DepositionEngine::ClearStagedMovers(int t) {
-  if (t < 0 || static_cast<size_t>(t) >= tile_movers_.size()) {
-    return 0;
-  }
-  std::vector<Mover>& movers = tile_movers_[static_cast<size_t>(t)];
-  const auto dropped = static_cast<int64_t>(movers.size());
-  movers.clear();
-  return dropped;
 }
 
 void DepositionEngine::FoldCurrentGuards(HwContext& hw, FieldSet& fields) {

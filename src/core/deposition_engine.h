@@ -237,7 +237,7 @@ class DepositionEngine {
   const RankSortStats& rank_stats() const { return rank_stats_; }
   int64_t total_global_sorts() const { return total_global_sorts_; }
 
-  // ---- Resilience hooks (src/runtime/) -------------------------------------
+  // ---- Checkpoint hook (src/runtime/checkpoint.h) ---------------------------
 
   // Checkpoint restore: reinstates the complete re-sort policy state — the
   // physics-driven inputs (steps since sort, accumulated rebuilds), the
@@ -248,13 +248,6 @@ class DepositionEngine {
   // identical post-sync modeled throughput, so the trigger fires on the same
   // steps.
   void RestoreSortState(const RankSortStats& stats, int64_t total_global_sorts);
-
-  // Fault-injection hook (src/runtime/fault_injection.h): discards tile `t`'s
-  // staged cross-tile movers between the scan and DeliverMovers, modeling a
-  // lost migration buffer. Returns the number of particles dropped (they are
-  // already removed from the source tile, so the census sentinel sees the
-  // loss). Meaningful only between ScanTile and DeliverMovers of one step.
-  int64_t ClearStagedMovers(int t);
 
  private:
   template <int Order>
@@ -269,8 +262,7 @@ class DepositionEngine {
   // GlobalSortTile on every tile in one region, each tile billing its own
   // live particles under Phase::kSort.
   void SortTiles(TileSet& tiles);
-  void UpdateRankStats(TileSet& tiles, const EngineStepStats& stats,
-                       double step_cycles, int64_t live);
+  void UpdateRankStats(TileSet& tiles, double step_cycles, int64_t live);
 
   // Key bases for this engine's keyed region registrations: SoA + staging of
   // tile t use MemRegionKey(mem_owner_id_, t, 0..31), the Esirkepov scratch

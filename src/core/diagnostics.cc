@@ -56,26 +56,6 @@ double KineticEnergy(const TileSet& tiles, const Species& species) {
   return energy;
 }
 
-void SpeciesMomentum(const TileSet& tiles, const Species& species, double out[3]) {
-  double px = 0.0, py = 0.0, pz = 0.0;
-  for (int t = 0; t < tiles.num_tiles(); ++t) {
-    const ParticleTile& tile = tiles.tile(t);
-    const ParticleSoA& soa = tile.soa();
-    for (int32_t pid = 0; pid < tile.num_slots(); ++pid) {
-      if (!tile.IsLive(pid)) {
-        continue;
-      }
-      const auto i = static_cast<size_t>(pid);
-      px += soa.w[i] * soa.ux[i];
-      py += soa.w[i] * soa.uy[i];
-      pz += soa.w[i] * soa.uz[i];
-    }
-  }
-  out[0] = species.mass * px;
-  out[1] = species.mass * py;
-  out[2] = species.mass * pz;
-}
-
 double SpeciesTemperature(const TileSet& tiles, const Species& species) {
   double sw = 0.0;
   double mean[3] = {0.0, 0.0, 0.0};

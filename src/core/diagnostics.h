@@ -25,12 +25,8 @@ double KineticEnergy(const TileSet& tiles, const Species& species);
 // Same, summed across every species block of a simulation.
 double TotalKineticEnergy(const Simulation& sim);
 
-// Weighted total momentum sum(w m u) of one species [kg m/s] per component
-// (p = m gamma v = m u, so this is exact relativistically).
-void SpeciesMomentum(const TileSet& tiles, const Species& species, double out[3]);
-
 // Kinetic temperature proxy of one species [J]: m <|u - <u>|^2> / 3 with
-// weighted means (non-relativistic; the collision workloads run at u << c).
+// weighted means (non-relativistic, so meaningful only at u << c).
 double SpeciesTemperature(const TileSet& tiles, const Species& species);
 
 // Nodal charge density of every species, each deposited at its own engine's

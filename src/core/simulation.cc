@@ -98,31 +98,6 @@ void Simulation::Initialize() {
   fields_.bx.FillGuardsPeriodic();
   fields_.by.FillGuardsPeriodic();
   fields_.bz.FillGuardsPeriodic();
-
-  // Assemble the effective collision pair list: one intra pair per species
-  // that opted in, then the configured inter-species pairs. Construction
-  // waits until here because the module pairs through the GPMA bins the
-  // engines just built.
-  CollisionConfig effective = config_.collisions;
-  std::vector<CollisionPairConfig> pairs;
-  for (size_t sid = 0; sid < config_.species.size(); ++sid) {
-    const SpeciesConfig& sc = config_.species[sid];
-    if (sc.collide_self) {
-      pairs.push_back({static_cast<int>(sid), static_cast<int>(sid),
-                       sc.self_coulomb_log});
-    }
-  }
-  pairs.insert(pairs.end(), effective.pairs.begin(), effective.pairs.end());
-  effective.pairs = std::move(pairs);
-  if (effective.enabled && !effective.pairs.empty()) {
-    collide_.emplace(hw_, effective);
-    std::vector<SpeciesBlock*> block_ptrs;
-    block_ptrs.reserve(blocks_.size());
-    for (auto& b : blocks_) {
-      block_ptrs.push_back(b.get());
-    }
-    collide_->Initialize(std::move(block_ptrs));
-  }
   initialized_ = true;
 }
 
@@ -133,9 +108,9 @@ void Simulation::RegisterModelRegions() {
       b->PrepareGatherScratch(hw_, t);
     }
   }
-  // Collision scratch and the per-step gather/staging refreshes re-register
-  // keyed at the top of every step, so they rebuild deterministically on the
-  // first step after a sync point without help from here.
+  // The per-step gather/staging refreshes re-register keyed at the top of
+  // every step, so they rebuild deterministically on the first step after a
+  // sync point without help from here.
 }
 
 void Simulation::ModelSyncPoint() {
@@ -248,10 +223,7 @@ void Simulation::Step() {
   StepPipelineInputs in;
   in.dt = dt_;
   in.drop_behind_window = config_.moving_window;
-  in.step = step_count_;
-  in.collisions = collide_.has_value() ? &*collide_ : nullptr;
   in.health = health_.has_value() ? &*health_ : nullptr;
-  in.injector = injector_;
   pipeline_.RunParticleStages(in, blocks_, fields_, &last_sim_stats_);
   last_step_stats_ = last_sim_stats_.Aggregate();
 

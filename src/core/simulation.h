@@ -13,8 +13,8 @@
 //
 // Step order (standard leapfrog PIC cycle):
 //   zero J -> per species: fused pass 1 -> delivery barrier -> fused pass 2
-//   -> shared guard fold -> collisions (when configured)
-//   -> laser drive -> moving window -> B half-step, E full-step, B half-step.
+//   -> shared guard fold -> laser drive -> moving window
+//   -> B half-step, E full-step, B half-step.
 //
 // All stages charge the shared HwContext, so total wall time and the per-phase
 // breakdown of Figures 1 and 8-10 come straight off the ledger.
@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/collide/collision.h"
 #include "src/core/deposition_engine.h"
 #include "src/core/species_block.h"
 #include "src/core/step_pipeline.h"
@@ -44,8 +43,6 @@
 
 namespace mpic {
 
-class FaultInjector;
-
 struct SimulationConfig {
   GridGeometry geom;
   int tile_x = 8, tile_y = 8, tile_z = 8;  // particles.tile_size
@@ -57,12 +54,6 @@ struct SimulationConfig {
   SolverKind solver = SolverKind::kCkc;
   int guard_cells = 2;
 
-  // Binary Monte-Carlo Coulomb collisions (src/collide/collision.h). The
-  // effective pair list is this config's inter-species pairs plus one intra
-  // pair per species with SpeciesConfig::collide_self; the module runs only
-  // when `collisions.enabled` and that list is non-empty.
-  CollisionConfig collisions;
-
   // LWFA options.
   bool laser_enabled = false;
   LaserConfig laser;
@@ -70,8 +61,8 @@ struct SimulationConfig {
   double window_velocity = kSpeedOfLight;
 
   // Per-step health sentinels (src/runtime/health.h). Disabled by default —
-  // the guards and step-epilogue scans cost modeled cycles (Phase::kHealth)
-  // and bench_abl_resilience gates their overhead.
+  // the guards and step-epilogue scans cost modeled cycles (Phase::kHealth),
+  // and tests/health_test.cc gates their overhead.
   std::optional<HealthConfig> health;
 };
 
@@ -119,10 +110,6 @@ class Simulation {
   bool initialized() const { return initialized_; }
   // True when the species run the Esirkepov scheme (J is Yee-staggered).
   bool staggered_j() const { return staggered_j_; }
-  // The collision module, or null when no collisions are configured.
-  const CollisionModule* collisions() const {
-    return collide_.has_value() ? &*collide_ : nullptr;
-  }
   // Aggregate engine stats of the last step (sums across species).
   const EngineStepStats& last_step_stats() const { return last_step_stats_; }
   // Per-species breakdown of the last step.
@@ -130,7 +117,7 @@ class Simulation {
   // Total particle pushes across all species and steps.
   int64_t particles_pushed() const;
 
-  // ---- Resilience layer (src/runtime/) --------------------------------------
+  // ---- Health sentinels and checkpoint plumbing (src/runtime/) --------------
 
   // Enables the per-step health sentinels. Equivalent to setting
   // SimulationConfig::health before construction; callable any time.
@@ -142,10 +129,6 @@ class Simulation {
   const HealthMonitor* health_monitor() const {
     return health_.has_value() ? &*health_ : nullptr;
   }
-  // Hooks a deterministic fault injector into the step schedule (the mover-
-  // drop faults need a mid-step site). Null detaches. Not owned.
-  void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
-
   // Checkpoint plumbing (src/runtime/checkpoint.h). The injection seed and
   // window accumulator are the only non-structural scalars a bit-exact
   // restart needs beyond the clock.
@@ -190,11 +173,9 @@ class Simulation {
   std::vector<std::unique_ptr<SpeciesBlock>> blocks_;
   MaxwellSolver solver_;
   StepPipeline pipeline_;
-  std::optional<CollisionModule> collide_;
   std::optional<LaserAntenna> laser_;
   std::optional<MovingWindow> window_;
   std::optional<HealthMonitor> health_;
-  FaultInjector* injector_ = nullptr;
   EngineStepStats last_step_stats_;
   SimStepStats last_sim_stats_;
 

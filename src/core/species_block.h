@@ -35,11 +35,6 @@ struct SpeciesConfig {
   // want kHybridNoSort or a long re-sort interval while electrons keep the
   // full incremental-sort pipeline.
   std::optional<EngineConfig> engine;
-  // Intra-species Coulomb collisions (Takizuka-Abe pairing within each cell,
-  // src/collide/collision.h). Requires a GPMA-maintaining sort mode.
-  // Inter-species pairs are listed in SimulationConfig::collisions instead.
-  bool collide_self = false;
-  double self_coulomb_log = 10.0;
 };
 
 // One stage's per-tile cost feedback loop for the cost-guided tile scheduler

@@ -5,7 +5,6 @@
 #include "src/common/check.h"
 #include "src/particles/species.h"
 #include "src/push/boris_pusher.h"
-#include "src/runtime/fault_injection.h"
 
 namespace mpic {
 
@@ -466,13 +465,6 @@ void StepPipeline::RunParticleStages(const StepPipelineInputs& in,
     b->engine.BeginStep(b->tiles, in.dt);
     const double dep_before = hw_.ledger().DepositionCycles();
     FusedPass1(in, *b, sid, fields, &ss);
-    // Fault hook: a lost migration buffer vanishes here, after the scan
-    // staged the movers and before the delivery barrier. Deliberately NOT
-    // counted into ss.dropped — the loss is silent, which is exactly what
-    // the census sentinel exists to catch.
-    if (in.injector != nullptr) {
-      in.injector->OnMoversStaged(*b, sid, in.step);
-    }
     b->engine.DeliverMovers(b->tiles, &ss.engine);
     b->engine.PostScanGlobalSort(b->tiles, fields, &ss.engine);
     DepositTiles(in, *b, sid, fields);
@@ -489,17 +481,6 @@ void StepPipeline::RunParticleStages(const StepPipelineInputs& in,
 
   if (shared_fold) {
     DepositionEngine::FoldCurrentGuards(hw_, fields);
-  }
-
-  // Collision stage: after every species has deposited, so this step's J
-  // reflects the pre-collision momenta, and after the sort barriers, so the
-  // GPMA bins hold each cell's current occupants. Scattering rewrites only
-  // momenta — positions, slots, and GPMA structures are untouched.
-  if (in.collisions != nullptr) {
-    in.collisions->Apply(in.step, in.dt);
-    stats->collisions = in.collisions->last_step_stats();
-  } else {
-    stats->collisions = CollisionStepStats{};
   }
 }
 

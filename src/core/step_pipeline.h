@@ -26,12 +26,6 @@
 // core count and thread count.
 //
 // J zeroing runs under its own fan-out: each core zeroes a contiguous chunk.
-//
-// When collisions are configured, a tile-parallel Takizuka-Abe collision
-// stage (src/collide/collision.h, Phase::kCollide) runs as the tail of the
-// step, after every species has deposited: the step's J sees the
-// pre-collision momenta, and the GPMA bins — current after the sort
-// barriers — provide the per-cell pairing.
 
 #ifndef MPIC_SRC_CORE_STEP_PIPELINE_H_
 #define MPIC_SRC_CORE_STEP_PIPELINE_H_
@@ -40,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "src/collide/collision.h"
 #include "src/core/species_block.h"
 #include "src/grid/field_set.h"
 #include "src/hw/hw_context.h"
@@ -48,8 +41,6 @@
 #include "src/runtime/health.h"
 
 namespace mpic {
-
-class FaultInjector;
 
 // Per-species slice of one Step()'s accounting.
 struct SpeciesStepStats {
@@ -66,8 +57,6 @@ struct SpeciesStepStats {
 // Aggregated per-step accounting across all species.
 struct SimStepStats {
   std::vector<SpeciesStepStats> species;
-  // Collision-stage census of the step (zero when collisions are disabled).
-  CollisionStepStats collisions;
   // Structured health-sentinel block (checked == false when the monitor is
   // disabled — the default).
   HealthStepReport health;
@@ -84,20 +73,11 @@ struct StepPipelineInputs {
   // Moving-window runs: particles ahead of/behind the window are dropped at
   // the boundary stage instead of wrapped in z.
   bool drop_behind_window = false;
-  // Step index keying the collision RNG streams.
-  int64_t step = 0;
-  // Optional collision stage, applied after every species has deposited (so
-  // this step's J reflects the pre-collision momenta). Null disables
-  // collisions.
-  CollisionModule* collisions = nullptr;
   // Optional health monitor (src/runtime/health.h). When set, the per-tile
   // lane guards run fused into the particle passes and tiles that trip are
   // quarantined for the rest of the step (skipped by gather/push/boundary/
   // scan/deposit, contributing zero J).
   HealthMonitor* health = nullptr;
-  // Optional deterministic fault injector; its mover-drop faults hook in
-  // between the scan and the delivery barrier.
-  FaultInjector* injector = nullptr;
 };
 
 class StepPipeline {

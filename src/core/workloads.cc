@@ -362,60 +362,4 @@ std::unique_ptr<Simulation> MakeTwoStreamSimulation(HwContext& hw,
   return sim;
 }
 
-SimulationConfig MakeCollisionalRelaxationConfig(
-    const CollisionalRelaxationParams& p) {
-  SimulationConfig cfg;
-  cfg.geom.nx = p.nx;
-  cfg.geom.ny = p.ny;
-  cfg.geom.nz = p.nz;
-  cfg.geom.dx = cfg.geom.dy = cfg.geom.dz = 3.0e-7;
-  cfg.geom.x0 = cfg.geom.y0 = cfg.geom.z0 = 0.0;
-  cfg.tile_x = cfg.tile_y = cfg.tile_z = p.tile;
-  cfg.engine.variant = p.variant;
-  cfg.engine.order = p.order;
-  cfg.cfl = 0.95;
-  cfg.solver = SolverKind::kCkc;
-
-  // Hot electrons plus a cold electron-mass species of opposite charge: the
-  // box is charge-neutral (quiet fields) and the equal masses equilibrate at
-  // the fastest two-species rate.
-  cfg.species.clear();
-  SpeciesConfig hot;
-  hot.species = Species{"hot_e", kElectronCharge, kElectronMass};
-  hot.collide_self = p.intra_species;
-  hot.self_coulomb_log = p.coulomb_log;
-  SpeciesConfig cold;
-  cold.species = Species{"cold_p", -kElectronCharge, kElectronMass};
-  cold.collide_self = p.intra_species;
-  cold.self_coulomb_log = p.coulomb_log;
-  cfg.species.push_back(hot);
-  cfg.species.push_back(cold);
-
-  cfg.collisions.enabled = p.collisions_enabled;
-  cfg.collisions.seed = p.collision_seed;
-  if (p.inter_species) {
-    cfg.collisions.pairs.push_back({0, 1, p.coulomb_log});
-  }
-  return cfg;
-}
-
-std::unique_ptr<Simulation> MakeCollisionalRelaxationSimulation(
-    HwContext& hw, const CollisionalRelaxationParams& p) {
-  auto sim = std::make_unique<Simulation>(hw, MakeCollisionalRelaxationConfig(p));
-  for (int sid = 0; sid < sim->num_species(); ++sid) {
-    UniformPlasmaConfig plasma;
-    plasma.ppc_x = p.ppc_x;
-    plasma.ppc_y = p.ppc_y;
-    plasma.ppc_z = p.ppc_z;
-    plasma.density = p.density;
-    plasma.u_th = sid == 0 ? p.u_th_hot : p.u_th_cold;
-    plasma.seed = p.seed + static_cast<uint64_t>(sid);
-    sim->SeedUniformPlasma(sid, plasma);
-    ScrambleParticleOrder(sim->block(sid).tiles,
-                          (p.seed ^ 0xABCD) + static_cast<uint64_t>(sid));
-  }
-  sim->Initialize();
-  return sim;
-}
-
 }  // namespace mpic

@@ -167,38 +167,6 @@ struct TwoStreamParams {
 std::unique_ptr<Simulation> MakeTwoStreamSimulation(HwContext& hw,
                                                     const TwoStreamParams& p);
 
-// Collisional two-temperature relaxation: a hot electron population and a
-// cold equal-mass population of opposite charge (a charge-neutral "pair
-// plasma", so the equal masses exchange energy at the full rate and the box
-// stays field-quiet), coupled by Takizuka-Abe intra- and inter-species
-// Coulomb collisions. The temperatures must converge monotonically toward a
-// common value; with u_th_hot == u_th_cold the plasma is in equilibrium and
-// the distribution moments must stay stationary.
-struct CollisionalRelaxationParams {
-  int nx = 8, ny = 8, nz = 8;
-  int ppc_x = 2, ppc_y = 2, ppc_z = 2;
-  int order = 1;
-  DepositVariant variant = DepositVariant::kFullOpt;
-  double density = 1e25;   // m^-3, per species
-  double u_th_hot = 0.02;  // hot-species thermal proper velocity / c
-  double u_th_cold = 0.005;
-  // Physical values are ~10-20; the relaxation rate is linear in it, so tests
-  // crank it to compress the equilibration into a short run.
-  double coulomb_log = 10.0;
-  bool intra_species = true;  // hot-hot and cold-cold pairs
-  bool inter_species = true;  // hot-cold pair
-  // Same workload without the collision operator (ablation baseline).
-  bool collisions_enabled = true;
-  uint64_t collision_seed = 0xC0111DE5ull;
-  int tile = 4;
-  uint64_t seed = 42;
-};
-
-SimulationConfig MakeCollisionalRelaxationConfig(
-    const CollisionalRelaxationParams& p);
-std::unique_ptr<Simulation> MakeCollisionalRelaxationSimulation(
-    HwContext& hw, const CollisionalRelaxationParams& p);
-
 // Randomly permutes the particle order within every tile. Workload builders
 // apply this after seeding so that the *memory order* of particles represents
 // the steady-state disorder of a long-running simulation rather than the

@@ -47,8 +47,6 @@ const char* PhaseName(Phase p) {
       return "push";
     case Phase::kSolver:
       return "solver";
-    case Phase::kCollide:
-      return "collide";
     case Phase::kHealth:
       return "health";
     case Phase::kOther:

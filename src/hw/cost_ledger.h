@@ -24,11 +24,10 @@ enum class Phase : int {
   kGather,       // field gather (grid -> particle)
   kPush,         // particle push
   kSolver,       // Maxwell field solve
-  kCollide,      // binary Monte-Carlo collisions (cell pairing + scattering)
-  kHealth,       // resilience sentinels + checkpoint serialization traffic
+  kHealth,       // health sentinels + checkpoint serialization traffic
   kOther,
 };
-inline constexpr int kNumPhases = 10;
+inline constexpr int kNumPhases = 9;
 
 const char* PhaseName(Phase p);
 

@@ -71,15 +71,6 @@ class HwContext {
 
   // n scalar ALU/FPU micro-ops.
   void ScalarOps(int n);
-  // Scalar load of one double (value returned; cache modeled).
-  double LoadScalar(const double* p) {
-    ChargeMem(p, sizeof(double), cfg_.scalar_mem_issue_cycles, /*write=*/false, 0);
-    return *p;
-  }
-  void StoreScalar(double* p, double v) {
-    ChargeMem(p, sizeof(double), cfg_.scalar_mem_issue_cycles, /*write=*/true, 0);
-    *p = v;
-  }
   // Scalar read-modify-write: *p += v (the canonical deposition update).
   void AccumScalar(double* p, double v);
   // Models a scalar-width access to non-double data (indices, flags).

@@ -23,9 +23,10 @@ constexpr char kMagic[8] = {'M', 'P', 'I', 'C', 'C', 'K', 'P', '\1'};
 // tile's free slots are the dead slots of its live bitmap, so the free-slot
 // vector is gone. Version 6: the LEDGER holds exactly kNumPhases (10) phase
 // buckets; the deleted cluster model's communication bucket is gone, and so
-// is its RANKS section. Other versions are rejected rather than
-// half-restored.
-constexpr uint32_t kVersion = 6;
+// is its RANKS section. Version 7: the LEDGER holds exactly kNumPhases (9);
+// the deleted collision module's bucket is gone. Other versions are rejected
+// rather than half-restored.
+constexpr uint32_t kVersion = 7;
 
 enum SectionId : uint32_t {
   kSectionMeta = 1,
@@ -678,18 +679,9 @@ CheckpointStatus RestoreCheckpoint(Simulation* sim,
 
   if (opts.model_sync) {
     // Restore-side half of the cycle-exact handshake. Runs after the state
-    // apply (the tile SoA storage just moved, so the old registrations are
-    // stale either way) and before the serialization charge, mirroring the
-    // save side's serialize -> sync -> charge order.
+    // apply: the tile SoA storage just moved, so the old registrations are
+    // stale either way.
     sim->ModelSyncPoint();
-  }
-
-  if (opts.charge != nullptr) {
-    // Tile-parallel like the save path: read buffer, write state.
-    PhaseScope phase(opts.charge->ledger(), Phase::kHealth);
-    opts.charge->ChargeBulk(
-        0.0, 2.0 * static_cast<double>(buf.size()) /
-                 static_cast<double>(opts.charge->cfg().num_cores));
   }
   return CheckpointStatus::Ok();
 }

@@ -1,6 +1,6 @@
 // Bit-exact checkpoint/restart of a full Simulation.
 //
-// Format (little-endian, version 6):
+// Format (little-endian, version 7):
 //
 //   [8B magic "MPICCKP\1"] [u32 version] [u32 section_count]
 //   section*: [u32 id] [u32 index] [u64 payload_bytes] [u64 payload_fnv]
@@ -11,8 +11,8 @@
 // raw FP64 arrays, guards included), one SPECIES section per block (per tile:
 // all ten SoA lanes, the live bitmap, whose dead slots are the free slots
 // the next arrivals fill lowest first, and the GPMA's full internal state —
-// serialized, never rebuilt, because the slot layout feeding deposition and
-// collision order depends on the insertion history; then the complete re-sort
+// serialized, never rebuilt, because the slot layout feeding deposition
+// order depends on the insertion history; then the complete re-sort
 // policy state including the adaptive throughput baselines, the three
 // per-tile cost-feedback estimate vectors the kCostSteal scheduler plans
 // from, and the committed pass-1 owners its sticky placement and the tiles'
@@ -25,8 +25,9 @@
 // policy baselines, cost estimates and steal counters in v1; the committed
 // owners and NUMA counters in v2), v3 images (which also carry the deposit's
 // and reduction's owners), v4 images (which carry a free-slot stack per
-// tile) and v5 images (whose LEDGER carries eleven buckets, one for the
-// deleted cluster model's communication) are rejected, not silently
+// tile), v5 images (whose LEDGER carries eleven buckets, one for the
+// deleted cluster model's communication) and v6 images (whose LEDGER carries
+// ten, one for the deleted collision module) are rejected, not silently
 // half-restored.
 //
 // Every payload carries its length and FNV-1a checksum; RestoreCheckpoint
@@ -35,12 +36,13 @@
 // target simulation untouched — never silently loaded. Errors are returned
 // as CheckpointStatus (no aborts on bad input).
 //
-// Determinism contract (enforced by tests/checkpoint_test.cc and
-// bench_abl_resilience): save at step k, restore into a freshly built twin,
-// run both to step n — field and particle digests match bit-for-bit, for
-// any modeled core count, all DepositVariants, both CurrentSchemes, both
-// tile-schedule policies, and with the re-sort policy's adaptive performance
-// trigger enabled. With
+// Determinism contract (enforced by tests/checkpoint_test.cc): save at step
+// k, restore into a freshly built twin, run both to step n — field and
+// particle digests match bit-for-bit, for all DepositVariants, both
+// CurrentSchemes and both tile-schedule policies. On the saving machine that
+// holds with the re-sort policy's adaptive performance trigger enabled; a
+// twin on another modeled core count matches with the trigger off, because
+// the trigger reads modeled cycles, which depend on the machine. With
 // `model_sync` requested on both sides (see the options below), the modeled
 // cycle ledgers ALSO match a never-interrupted run exactly: both runs pass
 // through Simulation::ModelSyncPoint() at the save step, which rebuilds the
@@ -77,25 +79,23 @@ struct CheckpointWriteOptions {
   // state a restored twin rebuilds — the handshake that makes post-restore
   // modeled cycles bit-identical to an uninterrupted run. Default off: the
   // sync flushes the modeled caches, which perturbs this run's subsequent
-  // cycle charges (bench_abl_resilience's overhead gate measures the
+  // cycle charges (tests/health_test.cc's overhead gate measures the
   // serialization cost alone).
   bool model_sync = false;
   // When set, the serialization traffic is billed to this context under
-  // Phase::kHealth (the resilience overhead the ≤2% gate measures).
+  // Phase::kHealth (the overhead tests/health_test.cc gates at <= 2%).
   HwContext* charge = nullptr;
 };
 
 struct CheckpointReadOptions {
   // Restore the ledger snapshot (when present) on top of the target context,
   // resuming the modeled clock where the checkpointed run left it. Default
-  // off: in-memory rollback wants the failed attempt's cycles kept, not
-  // rewound.
+  // off: the target keeps its own cycles.
   bool restore_ledger = false;
   // Pass through Simulation::ModelSyncPoint() after applying the state —
   // the restore side of the cycle-exact handshake described above. Must
   // match the save-side flag for the ledgers to track.
   bool model_sync = false;
-  HwContext* charge = nullptr;
 };
 
 // Serializes `sim` (must be Initialize()d) into `out`. Non-const because

@@ -1,8 +1,8 @@
 // Bit-identity digests over simulation state: FNV-1a chained over the raw
 // FP64 bytes, so two states digest equal iff they are bitwise equal. The
-// checkpoint tests and bench_abl_resilience gate on these — a restored run
-// must digest identically to the uninterrupted run, across schedules and
-// core counts. LedgerDigest does the same for the modeled clock.
+// checkpoint tests gate on these — a restored run must digest identically to
+// the uninterrupted run, across schedules and core counts. LedgerDigest does
+// the same for the modeled clock.
 
 #ifndef MPIC_SRC_RUNTIME_DIGEST_H_
 #define MPIC_SRC_RUNTIME_DIGEST_H_

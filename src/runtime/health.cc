@@ -66,7 +66,6 @@ std::string HealthStepReport::Summary() const {
 }
 
 void HealthMonitor::BeginStep(int num_species, int num_tiles) {
-  num_species_ = num_species;
   num_tiles_ = num_tiles;
   quarantined_.assign(
       static_cast<size_t>(num_species) * static_cast<size_t>(num_tiles), 0);
@@ -80,18 +79,6 @@ bool HealthMonitor::AnyQuarantined() const {
     }
   }
   return false;
-}
-
-std::vector<std::pair<int, int>> HealthMonitor::QuarantinedTiles() const {
-  std::vector<std::pair<int, int>> out;
-  for (int sid = 0; sid < num_species_; ++sid) {
-    for (int t = 0; t < num_tiles_; ++t) {
-      if (IsQuarantined(sid, t)) {
-        out.emplace_back(sid, t);
-      }
-    }
-  }
-  return out;
 }
 
 void HealthMonitor::AccumulateTilePartial(const HealthTilePartial& part) {
@@ -398,31 +385,6 @@ void HealthMonitor::FinishStep(Simulation& sim, SimStepStats* stats) {
 
   ++steps_checked_;
   stats->health = rep;
-}
-
-void HealthMonitor::Rebaseline(Simulation& sim) {
-  int64_t live = 0;
-  for (int sid = 0; sid < sim.num_species(); ++sid) {
-    live += sim.block(sid).tiles.TotalLive();
-  }
-  prev_live_ = live;
-  have_census_ = true;
-  if (cfg_.check_energy) {
-    // Exact kinetic energy of the restored/scrubbed state (the guard partial
-    // describes the discarded timeline).
-    prev_energy_ = CurrentTotalEnergy(sim, 0.0, /*use_guard_kinetic=*/false);
-    have_energy_ = std::isfinite(prev_energy_);
-  }
-  prev_gauss_residual_.reset();
-  gauss_scale_ = 0.0;
-  // The cycle baseline describes the discarded timeline (and a rollback
-  // rewinds the modeled clock itself), so re-warm it from scratch.
-  have_cycle_mark_ = false;
-  prev_total_cycles_ = 0.0;
-  cycle_baseline_ = 0.0;
-  cycle_samples_ = 0;
-  step_partial_ = HealthTilePartial{};
-  std::fill(quarantined_.begin(), quarantined_.end(), 0);
 }
 
 }  // namespace mpic

@@ -1,5 +1,5 @@
-// Per-step health sentinels (the detection half of the resilience layer; the
-// recovery half is src/runtime/recovery.h).
+// Per-step health sentinels: value-based checks that a step's particles,
+// fields, census and energy are still sane.
 //
 // Detection is split to match where each fault class becomes visible:
 //
@@ -7,9 +7,9 @@
 //                        with the tile's positions: full-lane scan (x/y/z/
 //                        ux/uy/uz/w) for non-finite values and out-of-domain
 //                        positions, plus the kinetic-energy partial the
-//                        energy sentinel consumes. A memory fault injected
-//                        into a particle lane is caught here, before the
-//                        poisoned position can index out of bounds.
+//                        energy sentinel consumes. A corrupted particle
+//                        lane is caught here, before the poisoned position
+//                        can index out of bounds.
 //   GuardTilePositions — post-push, before the periodic boundary wrap:
 //                        position-only recheck. A non-finite field gathered
 //                        this step turns into a non-finite push result within
@@ -24,9 +24,8 @@
 //
 // A tile either guard trips is *quarantined* for the rest of the step: the
 // pipeline skips its gather/push/boundary/scan/deposit so poisoned lanes are
-// never consumed, and its J contribution is zero — exactly the degraded
-// "zero-and-continue" semantics recovery falls back to when no checkpoint
-// exists. Quarantine is per (species, tile) and resets each step.
+// never consumed, and its J contribution is zero. Quarantine is per
+// (species, tile) and resets each step.
 //
 // All checks are value-based and deterministic, so a run with sentinels
 // enabled stays bit-identical across core and thread counts; their modeled
@@ -176,9 +175,6 @@ class HealthMonitor {
                         static_cast<size_t>(t)] != 0;
   }
   bool AnyQuarantined() const;
-  // Quarantined (species, tile) pairs of the current step, for the degraded
-  // scrub path.
-  std::vector<std::pair<int, int>> QuarantinedTiles() const;
 
   // Folds one worker's guard partial; call in worker order after each region.
   void AccumulateTilePartial(const HealthTilePartial& part);
@@ -187,11 +183,6 @@ class HealthMonitor {
   // post-solve state and fills stats->health. Expects stats->species to carry
   // this step's live/dropped/injected census.
   void FinishStep(Simulation& sim, SimStepStats* stats);
-
-  // Re-arms the census/energy/Gauss baselines from the current state. Called
-  // after a checkpoint rollback or a degraded scrub, when the previous step's
-  // baselines describe a discarded timeline.
-  void Rebaseline(Simulation& sim);
 
  private:
   void Quarantine(int sid, int t) {
@@ -202,12 +193,11 @@ class HealthMonitor {
                             bool use_guard_kinetic) const;
 
   HealthConfig cfg_;
-  int num_species_ = 0;
   int num_tiles_ = 0;
   std::vector<uint8_t> quarantined_;  // [sid * num_tiles_ + t]
   HealthTilePartial step_partial_;
 
-  // Sentinel baselines (armed on the first monitored step / Rebaseline).
+  // Sentinel baselines (armed on the first monitored step).
   bool have_census_ = false;
   int64_t prev_live_ = 0;
   bool have_energy_ = false;

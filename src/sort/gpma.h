@@ -97,9 +97,9 @@ class Gpma {
   //
   // The full internal state as plain vectors. Checkpoints serialize it exactly
   // instead of rebuilding on restore: an incrementally maintained GPMA's slot
-  // layout (and with it the bin iteration order feeding deposition and
-  // collision pairing) depends on the insertion history, so a fresh Build()
-  // would not replay the uninterrupted run bit-for-bit.
+  // layout (and with it the bin iteration order feeding deposition) depends
+  // on the insertion history, so a fresh Build() would not replay the
+  // uninterrupted run bit-for-bit.
   struct State {
     GpmaConfig config;
     int num_cells = 0;

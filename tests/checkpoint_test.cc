@@ -13,12 +13,12 @@
 #include <vector>
 
 #include "src/common/fnv.h"
+#include "src/common/rng.h"
 #include "src/core/simulation.h"
 #include "src/core/workloads.h"
 #include "src/deposit/rhocell.h"
 #include "src/runtime/checkpoint.h"
 #include "src/runtime/digest.h"
-#include "src/runtime/fault_injection.h"
 
 namespace mpic {
 namespace {
@@ -138,6 +138,69 @@ TEST(CheckpointRoundTrip, CrossScheduleAndCoreRestore) {
     EXPECT_EQ(SimulationDigest(*twin), want);
   }
 }
+
+// The restore matrix: every DepositVariant under both CurrentSchemes, saved
+// on 2 modeled cores at step 3 and restored into twins on 1, 2 and 4 cores,
+// each run to step 6 on the uninterrupted run's digest. The re-sort policy's
+// throughput trigger is off: it reads modeled cycles, which differ between
+// the machines, so with it on a twin may sort on another step.
+struct MatrixCase {
+  DepositVariant variant;
+  CurrentScheme scheme;
+};
+
+std::vector<MatrixCase> RestoreMatrixCases() {
+  std::vector<MatrixCase> cases;
+  for (const EngineCombo& c : AllEngineCombos()) {
+    if (c.order == 1) {
+      cases.push_back({c.variant, c.scheme});
+    }
+  }
+  return cases;
+}
+
+class CheckpointRestoreMatrix : public ::testing::TestWithParam<int> {};
+
+TEST_P(CheckpointRestoreMatrix, TwinsOnOneTwoAndFourCoresMatch) {
+  const MatrixCase c = RestoreMatrixCases()[static_cast<size_t>(GetParam())];
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 1;
+  p.tile = 4;
+  p.u_th = 0.1;
+  p.variant = c.variant;
+  p.scheme = c.scheme;
+  ResortPolicyConfig pol;
+  pol.trigger_perf_enable = false;
+  p.policy = pol;
+
+  HwContext ref_hw(MachineConfig::Lx2MultiCore(2));
+  auto ref = MakeUniformSimulation(ref_hw, p);
+  ref->Run(3);
+  std::vector<uint8_t> ckpt;
+  ASSERT_TRUE(SaveCheckpoint(*ref, &ckpt)) << "save failed";
+  ref->Run(3);
+  const uint64_t want = SimulationDigest(*ref);
+
+  for (int cores : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(cores) + " cores");
+    HwContext hw(MachineConfig::Lx2MultiCore(cores));
+    auto twin = MakeUniformSimulation(hw, p);
+    const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt);
+    ASSERT_TRUE(st) << st.error;
+    twin->Run(3);
+    EXPECT_EQ(SimulationDigest(*twin), want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CheckpointRestoreMatrix,
+    ::testing::Range(0, static_cast<int>(RestoreMatrixCases().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      const MatrixCase c = RestoreMatrixCases()[static_cast<size_t>(info.param)];
+      return TestNameOf(std::string(VariantName(c.variant)) + "_" +
+                        CurrentSchemeName(c.scheme));
+    });
 
 TEST(CheckpointRoundTrip, MultiSpeciesEngineOverrides) {
   UniformWorkloadParams p;
@@ -444,12 +507,32 @@ TEST(CheckpointCycleExact, NumaRestoreMatchesUninterruptedRun) {
 
 // ---- Rejection of damaged or incompatible checkpoints ------------------------
 
+// Truncates a serialized checkpoint to `keep_bytes`.
+void TruncateCheckpoint(std::vector<uint8_t>* buf, size_t keep_bytes) {
+  if (keep_bytes < buf->size()) {
+    buf->resize(keep_bytes);
+  }
+}
+
+// Flips one bit, chosen by `seed`, in the section data past the 16-byte file
+// header: storage corruption the section checksums must catch.
+void FlipCheckpointBit(std::vector<uint8_t>* buf, uint64_t seed) {
+  if (buf->size() <= 17) {
+    return;
+  }
+  const size_t idx =
+      16 + static_cast<size_t>(Mix64(seed) % (buf->size() - 16));
+  const int bit = static_cast<int>(Mix64(seed ^ 0x9E3779B97F4A7C15ull) % 8);
+  (*buf)[idx] ^= static_cast<uint8_t>(1u << bit);
+}
+
 // Version 1 images lack the adaptive-trigger baselines, the kCostSteal
 // estimates, and the steal counters; restoring one would silently break the
 // bit-exact contract, so the version gate must reject it outright. Version 3
 // images carry two owner vectors more per species, and version 4 images a
 // free-slot vector per tile; either would misread the SPECIES section, so
-// they are rejected too. Version 5 LEDGERs carry eleven phase buckets.
+// they are rejected too. Version 5 LEDGERs carry eleven phase buckets, and
+// version 6 LEDGERs ten.
 TEST(CheckpointRejection, RejectsVersion1Image) {
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 8;
@@ -466,7 +549,7 @@ TEST(CheckpointRejection, RejectsVersion1Image) {
   auto tgt = MakeUniformSimulation(tgt_hw, p);
   const uint64_t before = SimulationDigest(*tgt);
 
-  for (const uint8_t version : {1, 3, 4, 5}) {
+  for (const uint8_t version : {1, 3, 4, 5, 6}) {
     SCOPED_TRACE(static_cast<int>(version));
     std::vector<uint8_t> old_image = ckpt;
     old_image[8] = version;  // u32 version field, little-endian, at offset 8

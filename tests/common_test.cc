@@ -29,36 +29,6 @@ TEST(Rng, DifferentSeedsDiffer) {
   EXPECT_LT(same, 2);
 }
 
-TEST(Rng, StreamIsPureFunctionOfKeys) {
-  // Same key tuple: identical sequence, regardless of construction order.
-  Rng later = Rng::ForStream(9, 100, 42, 7);
-  Rng first = Rng::ForStream(9, 100, 42, 7);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(first.NextU64(), later.NextU64());
-  }
-}
-
-TEST(Rng, StreamKeysDecorrelate) {
-  // Neighboring key tuples (adjacent cell, next step, next pair, permuted
-  // keys) must land in unrelated states.
-  Rng base = Rng::ForStream(9, 100, 42, 7);
-  std::vector<Rng> neighbors = {
-      Rng::ForStream(9, 100, 43, 7), Rng::ForStream(9, 101, 42, 7),
-      Rng::ForStream(9, 100, 42, 8), Rng::ForStream(9, 42, 100, 7),
-      Rng::ForStream(10, 100, 42, 7)};
-  std::vector<uint64_t> base_draws;
-  for (int i = 0; i < 64; ++i) {
-    base_draws.push_back(base.NextU64());
-  }
-  for (Rng& n : neighbors) {
-    int same = 0;
-    for (int i = 0; i < 64; ++i) {
-      same += n.NextU64() == base_draws[static_cast<size_t>(i)] ? 1 : 0;
-    }
-    EXPECT_LT(same, 2);
-  }
-}
-
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {

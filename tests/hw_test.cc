@@ -338,10 +338,10 @@ TEST(HwContext, ResetModelZeroesLedgerAndColdsCache) {
   HwContext hw;
   std::vector<double> buf(8, 0.0);
   hw.RegisterRegion(buf.data(), buf.size() * sizeof(double));
-  hw.LoadScalar(&buf[0]);
+  hw.TouchRead(&buf[0], sizeof(double));
   hw.ResetModel();
   EXPECT_DOUBLE_EQ(hw.ledger().TotalCycles(), 0.0);
-  hw.LoadScalar(&buf[0]);
+  hw.TouchRead(&buf[0], sizeof(double));
   EXPECT_EQ(hw.ledger().counters().l1_misses, 1u);  // cold again
 }
 

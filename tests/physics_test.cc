@@ -222,9 +222,8 @@ TEST(Momentum, TotalCurrentMatchesParticleDrift) {
 
 // ---------------------------------------------------------------------------
 // Grid heating of a thermal plasma, bounded. A plasma whose Debye length is
-// far below the cell size heats numerically (finite-grid instability). This
-// is the collision-free twin of the collisional-relaxation workload, built on
-// the uniform workload: 8^3 cells, 4-cell tiles, 2^3 PPC per species, two
+// far below the cell size heats numerically (finite-grid instability). The
+// run is the uniform workload: 8^3 cells, 4-cell tiles, 2^3 PPC per species, two
 // electron-mass species of opposite charge (a neutral box) at u_th 0.01, CIC,
 // kFullOpt, on Lx2(). It is a regression bound, not an analytic one: each
 // species' temperature rise is gated at its measured value plus a margin, so
