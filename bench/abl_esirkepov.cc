@@ -14,8 +14,9 @@
 //      documented drift the scheme exists to close;
 //   4. on every MPU variant, the Esirkepov/direct cycle ratio stays within
 //      kMaxMpuEsirkepovRatio — the MOPA Esirkepov kernel's price-of-charge-
-//      conservation claim (the staged scalar kernel sat at 2.1-3.3x). A VPU
-//      variant is reported alongside, ungated, as the contrast row.
+//      conservation claim. A VPU variant, whose staged scalar/VPU combine
+//      reads about 2.4x (CIC) and 2.8x (QSP), is reported alongside,
+//      ungated, as the contrast row.
 
 #include <cstdint>
 #include <cstdio>

@@ -130,9 +130,9 @@ int main(int argc, char** argv) {
   mpic::HwContext hw_base;
   mpic::FieldSet base_fields(geom, 2);
   mpic::DepositScratch base_scratch;
-  base_scratch.Resize(tile.soa().size(), 1);
+  base_scratch.Resize(
+      static_cast<size_t>(mpic::DepositChunkSlots(tile, /*sorted=*/false)), 1);
   register_regions(hw_base, base_scratch, nullptr, base_fields);
-  mpic::StageTileScalar<1>(hw_base, tile, params, base_scratch);
   mpic::DepositBaselineTile<1>(hw_base, tile, params, base_scratch, base_fields,
                                /*sorted=*/false);
 

@@ -47,24 +47,10 @@ uint64_t DepositionEngine::EsirkepovKey(int t) const {
 }
 
 size_t DepositionEngine::StagingSlots(const ParticleTile& tile) const {
-  if (esirkepov()) {
-    // The MOPA combine stages chunk by chunk, the staged scalar/VPU combine
-    // tile-wide.
-    return traits_.uses_mpu
-               ? static_cast<size_t>(DepositChunkSlots(tile, traits_.sorted_iteration))
-               : tile.soa().size();
+  if (!esirkepov() && traits_.kernel == KernelKind::kScalarReference) {
+    return 0;
   }
-  switch (traits_.kernel) {
-    case KernelKind::kScalarReference:
-      return 0;
-    case KernelKind::kBaselineScatter:
-    case KernelKind::kRhocellAutoVec:
-      return tile.soa().size();
-    case KernelKind::kRhocellVpu:
-    case KernelKind::kMpu:
-      return static_cast<size_t>(DepositChunkSlots(tile, traits_.sorted_iteration));
-  }
-  return 0;
+  return static_cast<size_t>(DepositChunkSlots(tile, traits_.sorted_iteration));
 }
 
 void DepositionEngine::ResizeStaging(const ParticleTile& tile, int order,
@@ -491,12 +477,13 @@ void DepositionEngine::EsirkepovDepositTileImpl(HwContext& hw, uint64_t key_base
   scratch.Resize(StagingSlots(tile), Order);
   RegisterEsirkepovRegions(hw, key_base, scratch, tile_j);
   // The variant's staging cost profile carries over: VPU-staged variants
-  // charge batched staging, the others the scalar loop.
+  // charge batched staging, the others the scalar loop. Both combines stage
+  // chunk by chunk.
   if (traits_.uses_mpu) {
-    // MPU variants route the combine through the MOPA kernel, which stages
-    // chunk by chunk and rides the GPMA sort cell-resident where the variant
-    // maintains it, pairwise otherwise — the same scheduling split as the
-    // direct DepositMpu dispatch.
+    // MPU variants route the combine through the MOPA kernel, which rides the
+    // GPMA sort cell-resident where the variant maintains it, pairwise
+    // otherwise — the same scheduling split as the direct DepositMpu
+    // dispatch.
     DepositEsirkepovMpuTile<Order>(hw, tile, params,
                                    traits_.sorted_iteration
                                        ? MpuScheduling::kCellResident
@@ -504,9 +491,8 @@ void DepositionEngine::EsirkepovDepositTileImpl(HwContext& hw, uint64_t key_base
                                    config_.sparse_fallback_ppc,
                                    traits_.vpu_staging, scratch, tile_j);
   } else {
-    StageEsirkepovTile<Order>(hw, tile, params, traits_.vpu_staging, scratch);
     DepositEsirkepovTile<Order>(hw, tile, params, traits_.sorted_iteration,
-                                scratch, tile_j);
+                                traits_.vpu_staging, scratch, tile_j);
   }
 }
 
@@ -523,20 +509,17 @@ void DepositionEngine::StageAndDepositTileImpl(HwContext& hw, uint64_t tile_key,
   ResizeStaging(tile, Order, scratch);
   RegisterStagingRegions(hw, tile_key, tile, scratch);
 
-  // The compiler-vectorized kernels read StageTileScalar's tile-wide staging;
-  // the hand-written batch kernels stage chunk by chunk inside.
+  // Every kernel but the scalar reference stages chunk by chunk inside.
   switch (traits_.kernel) {
     case KernelKind::kScalarReference:
       DepositScalarTile<Order>(hw, tile, params, fields);
       break;
     case KernelKind::kBaselineScatter:
-      StageTileScalar<Order>(hw, tile, params, scratch);
       DepositBaselineTile<Order>(hw, tile, params, scratch, fields,
                                  traits_.sorted_iteration);
       break;
     case KernelKind::kRhocellAutoVec:
       if constexpr (Order == 1 || Order == 3) {
-        StageTileScalar<Order>(hw, tile, params, scratch);
         DepositRhocellAutoVec<Order>(hw, tile, params, scratch, rhocell,
                                      traits_.sorted_iteration);
       }

@@ -269,12 +269,10 @@ class DepositionEngine {
   // streams 32..68.
   uint64_t TileKey(int t) const;
   uint64_t EsirkepovKey(int t) const;
-  // Entries of the tile's staging scratch the current scheme uses. Direct:
-  // the DepositScratch holds every SoA slot for the tile-wide StageTileScalar
-  // layout, one chunk (DepositChunkSlots) for the chunk-staged DepositMpu and
-  // DepositRhocellVpu, none for the scalar reference. Esirkepov: the
-  // EsirkepovScratch holds one chunk for the MOPA combine, every SoA slot for
-  // the staged scalar/VPU combine.
+  // Entries of the tile's staging scratch (the direct scheme's
+  // DepositScratch or the Esirkepov scheme's EsirkepovScratch): one chunk,
+  // DepositChunkSlots, for every staged kernel; none for the direct scalar
+  // reference, which stages nothing.
   size_t StagingSlots(const ParticleTile& tile) const;
   // Sizes the direct scheme's DepositScratch to StagingSlots, plus the weight
   // products buffer the auto-vectorized rhocell kernel stores and reloads.

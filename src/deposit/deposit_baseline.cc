@@ -1,6 +1,6 @@
 #include "src/deposit/deposit_baseline.h"
 
-#include "src/deposit/particle_iteration.h"
+#include "src/deposit/deposit_staging.h"
 
 namespace mpic {
 
@@ -36,35 +36,39 @@ void DepositOneParticle(HwContext& hw, const DepositScratch& scratch, size_t i,
 
 template <int Order>
 void DepositBaselineTile(HwContext& hw, const ParticleTile& tile,
-                         const DepositParams& params, const DepositScratch& scratch,
+                         const DepositParams& params, DepositScratch& scratch,
                          FieldSet& fields, bool sorted) {
-  (void)params;
   PhaseScope phase(hw.ledger(), Phase::kCompute);
-  ForEachParticle(hw, tile, sorted, [&](int32_t pid) {
-    // Staged loads for this particle (shape terms + factors).
-    constexpr int kSupport = Order + 1;
-    const auto i = static_cast<size_t>(pid);
-    hw.TouchRead(&scratch.ix[i], sizeof(int32_t) * 3);
-    for (int t = 0; t < kSupport; ++t) {
-      hw.TouchRead(&scratch.sx[t][i], sizeof(double));
-      hw.TouchRead(&scratch.sy[t][i], sizeof(double));
-      hw.TouchRead(&scratch.sz_[t][i], sizeof(double));
+  constexpr int kSupport = Order + 1;
+  ForEachStagedChunk<Order>(hw, tile, params, /*vpu_staging=*/false, sorted, scratch,
+                            [&](const DepositChunk& chunk) {
+    for (int32_t k = 0; k < chunk.count; ++k) {
+      // Staged loads for this particle (shape terms + factors).
+      const auto i = static_cast<size_t>(k);
+      hw.TouchRead(&scratch.ix[i], sizeof(int32_t));
+      hw.TouchRead(&scratch.iy[i], sizeof(int32_t));
+      hw.TouchRead(&scratch.iz[i], sizeof(int32_t));
+      for (int t = 0; t < kSupport; ++t) {
+        hw.TouchRead(&scratch.sx[t][i], sizeof(double));
+        hw.TouchRead(&scratch.sy[t][i], sizeof(double));
+        hw.TouchRead(&scratch.sz_[t][i], sizeof(double));
+      }
+      hw.TouchRead(&scratch.wqx[i], sizeof(double));
+      hw.TouchRead(&scratch.wqy[i], sizeof(double));
+      hw.TouchRead(&scratch.wqz[i], sizeof(double));
+      DepositOneParticle<Order>(hw, scratch, i, fields);
     }
-    hw.TouchRead(&scratch.wqx[i], sizeof(double) * 1);
-    hw.TouchRead(&scratch.wqy[i], sizeof(double) * 1);
-    hw.TouchRead(&scratch.wqz[i], sizeof(double) * 1);
-    DepositOneParticle<Order>(hw, scratch, i, fields);
   });
 }
 
 template void DepositBaselineTile<1>(HwContext&, const ParticleTile&,
-                                     const DepositParams&, const DepositScratch&,
+                                     const DepositParams&, DepositScratch&,
                                      FieldSet&, bool);
 template void DepositBaselineTile<2>(HwContext&, const ParticleTile&,
-                                     const DepositParams&, const DepositScratch&,
+                                     const DepositParams&, DepositScratch&,
                                      FieldSet&, bool);
 template void DepositBaselineTile<3>(HwContext&, const ParticleTile&,
-                                     const DepositParams&, const DepositScratch&,
+                                     const DepositParams&, DepositScratch&,
                                      FieldSet&, bool);
 
 }  // namespace mpic

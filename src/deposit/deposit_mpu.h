@@ -23,8 +23,8 @@
 //   kPairwise     — no sorting assumption; tiles are zeroed and extracted per
 //     particle pair (models Hybrid-noSort's VPU<->MPU traffic).
 //
-// Staging: the kernel stages its own operands in the chunked layout
-// (deposit_staging.h), one chunk of particles at a time in deposit order —
+// Staging: the kernel stages its own operands (deposit_staging.h), one chunk
+// of particles at a time in deposit order —
 // whole GPMA bins for kCellResident, the next 64 live slots for kPairwise —
 // so the VPU data preparation feeds the MOPAs from L1. Batches, pairs and
 // accumulation order follow the deposit order, so J does not depend on the

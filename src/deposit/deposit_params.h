@@ -23,15 +23,10 @@ struct DepositParams {
 };
 
 // Staged particle quantities produced by the preprocessing stage (Algorithm 2,
-// Stage 1) and consumed by the compute stage, in one of two layouts (see
-// deposit_staging.h):
-//   * tile-wide — one entry per SoA slot, indexed by tile-local pid, filled by
-//     StageTileScalar for the baseline and auto-vectorized rhocell kernels;
-//   * chunked — one chunk of particles in deposit order, indexed by chunk slot
-//     (DepositChunkSlots entries), restaged chunk by chunk by the MPU and
-//     hand-tuned VPU rhocell kernels.
-// The Esirkepov scheme's EsirkepovScratch (esirkepov.h) has the same two
-// layouts.
+// Stage 1) and consumed by the compute stage: one chunk of particles in
+// deposit order, indexed by chunk slot (DepositChunkSlots entries), restaged
+// chunk by chunk by every staged kernel (see deposit_staging.h). The
+// Esirkepov scheme's EsirkepovScratch (esirkepov.h) is laid out the same way.
 struct DepositScratch {
   void Resize(size_t n_slots, int order) {
     const size_t terms = static_cast<size_t>(order) + 1;
@@ -54,7 +49,7 @@ struct DepositScratch {
     return std::min(ix.size(), sx[static_cast<size_t>(order)].size());
   }
 
-  // 1D shape terms per axis; sx[t][pid] is the weight of node (start+t).
+  // 1D shape terms per axis; sx[t][slot] is the weight of node (start+t).
   std::vector<double> sx[4], sy[4], sz_[4];
   // Base cell index per axis (global cells).
   std::vector<int32_t> ix, iy, iz;

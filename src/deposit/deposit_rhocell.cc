@@ -4,7 +4,6 @@
 
 #include "src/common/check.h"
 #include "src/deposit/deposit_staging.h"
-#include "src/deposit/particle_iteration.h"
 
 namespace mpic {
 namespace {
@@ -42,7 +41,6 @@ void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
                            const DepositParams& params, DepositScratch& scratch,
                            RhocellBuffer& rhocell, bool sorted) {
   static_assert(Order == 1 || Order == 3, "rhocell requires odd order");
-  (void)params;
   PhaseScope phase(hw.ledger(), Phase::kCompute);
   constexpr int kSupport = Order + 1;
   constexpr int kNodes = Support3D(Order);
@@ -52,44 +50,49 @@ void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
   }
   double* w3 = scratch.w3.data();
 
-  ForEachParticle(hw, tile, sorted, [&](int32_t pid) {
-    const auto i = static_cast<size_t>(pid);
-    // Scalar staged loads (the compiler does not batch these across particles).
-    hw.TouchRead(&scratch.ix[i], sizeof(int32_t) * 3);
-    for (int t = 0; t < kSupport; ++t) {
-      hw.TouchRead(&scratch.sx[t][i], sizeof(double));
-      hw.TouchRead(&scratch.sy[t][i], sizeof(double));
-      hw.TouchRead(&scratch.sz_[t][i], sizeof(double));
-    }
-    hw.TouchRead(&scratch.wqx[i], sizeof(double));
-    hw.TouchRead(&scratch.wqy[i], sizeof(double));
-    hw.TouchRead(&scratch.wqz[i], sizeof(double));
-
-    NodeWeights<Order>(scratch, i, w3);
-    // The weight products go through a temporary (auto-vec emits the
-    // store-reload): yz products scalar, xyz products vectorized.
-    hw.ScalarOps(kSupport * kSupport + 3);
-    hw.ledger().counters().vpu_ops += kRows;
-    hw.ChargeCycles(kRows / static_cast<double>(hw.cfg().vpu_pipes));
-    hw.TouchWrite(w3, sizeof(double) * kNodes);
-
-    const int cell = StagedCellOf<Order>(tile, scratch, i);
-    hw.ScalarOps(4);  // cell id + block address arithmetic
-
-    const double factors[3] = {scratch.wqx[i], scratch.wqy[i], scratch.wqz[i]};
-    double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
-                         rhocell.CellJz(cell)};
-    for (int comp = 0; comp < 3; ++comp) {
-      AccumulateBlock<Order>(blocks[comp], w3, factors[comp]);
-      // Vectorized block update: load + fma + store per row of the block.
-      for (int r = 0; r < kRows; ++r) {
-        hw.TouchRead(blocks[comp] + r * kVpuLanes,
-                     sizeof(double) * std::min(kNodes, kVpuLanes));
-        hw.TouchWrite(blocks[comp] + r * kVpuLanes,
-                      sizeof(double) * std::min(kNodes, kVpuLanes));
+  ForEachStagedChunk<Order>(hw, tile, params, /*vpu_staging=*/false, sorted, scratch,
+                            [&](const DepositChunk& chunk) {
+    for (int32_t k = 0; k < chunk.count; ++k) {
+      const auto i = static_cast<size_t>(k);
+      // Scalar staged loads (the compiler does not batch these across particles).
+      hw.TouchRead(&scratch.ix[i], sizeof(int32_t));
+      hw.TouchRead(&scratch.iy[i], sizeof(int32_t));
+      hw.TouchRead(&scratch.iz[i], sizeof(int32_t));
+      for (int t = 0; t < kSupport; ++t) {
+        hw.TouchRead(&scratch.sx[t][i], sizeof(double));
+        hw.TouchRead(&scratch.sy[t][i], sizeof(double));
+        hw.TouchRead(&scratch.sz_[t][i], sizeof(double));
       }
-      hw.ledger().counters().vpu_ops += static_cast<uint64_t>(2 * kRows);
-      hw.ChargeCycles(2.0 * kRows / static_cast<double>(hw.cfg().vpu_pipes));
+      hw.TouchRead(&scratch.wqx[i], sizeof(double));
+      hw.TouchRead(&scratch.wqy[i], sizeof(double));
+      hw.TouchRead(&scratch.wqz[i], sizeof(double));
+
+      NodeWeights<Order>(scratch, i, w3);
+      // The weight products go through a temporary (auto-vec emits the
+      // store-reload): yz products scalar, xyz products vectorized.
+      hw.ScalarOps(kSupport * kSupport + 3);
+      hw.ledger().counters().vpu_ops += kRows;
+      hw.ChargeCycles(kRows / static_cast<double>(hw.cfg().vpu_pipes));
+      hw.TouchWrite(w3, sizeof(double) * kNodes);
+
+      const int cell = StagedCellOf<Order>(tile, scratch, i);
+      hw.ScalarOps(4);  // cell id + block address arithmetic
+
+      const double factors[3] = {scratch.wqx[i], scratch.wqy[i], scratch.wqz[i]};
+      double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
+                           rhocell.CellJz(cell)};
+      for (int comp = 0; comp < 3; ++comp) {
+        AccumulateBlock<Order>(blocks[comp], w3, factors[comp]);
+        // Vectorized block update: load + fma + store per row of the block.
+        for (int r = 0; r < kRows; ++r) {
+          hw.TouchRead(blocks[comp] + r * kVpuLanes,
+                       sizeof(double) * std::min(kNodes, kVpuLanes));
+          hw.TouchWrite(blocks[comp] + r * kVpuLanes,
+                        sizeof(double) * std::min(kNodes, kVpuLanes));
+        }
+        hw.ledger().counters().vpu_ops += static_cast<uint64_t>(2 * kRows);
+        hw.ChargeCycles(2.0 * kRows / static_cast<double>(hw.cfg().vpu_pipes));
+      }
     }
   });
 }

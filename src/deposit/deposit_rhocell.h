@@ -3,7 +3,9 @@
 //   DepositRhocellAutoVec — reproduction of the compiler-vectorized rhocell
 //     kernel of Vincenti et al.: the 8-node (CIC) / 64-node (QSP) inner loop
 //     vectorizes because the cell block is contiguous, but the per-particle
-//     setup stays scalar and particles arrive in whatever order the tile holds.
+//     setup stays scalar (the scalar profile of StageChunk, one chunk at a
+//     time in deposit order) and particles arrive in whatever order the tile
+//     holds.
 //   DepositRhocellVpu — the hand-tuned strongest VPU baseline: it stages its
 //     own operands chunk by chunk in deposit order (the VPU profile of
 //     StageChunk, deposit_staging.h), then per batch of 8: vector loads of
@@ -29,9 +31,11 @@
 
 namespace mpic {
 
-// Reads the tile-wide staging in `scratch` and stores each particle's weight
-// products in scratch.w3, which it grows to Support3D(Order) if smaller; size
-// and register it beforehand so those stores land in mapped memory.
+// Stages chunk by chunk into `scratch` with the scalar profile and stores
+// each particle's weight products in scratch.w3, which it grows to
+// Support3D(Order) if smaller; size and register it beforehand so those
+// stores land in mapped memory. Staging is charged to Phase::kPreproc, the
+// rest to Phase::kCompute.
 template <int Order>
 void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
                            const DepositParams& params, DepositScratch& scratch,

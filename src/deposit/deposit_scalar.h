@@ -24,8 +24,7 @@ void DepositScalarTile(HwContext& hw, const ParticleTile& tile,
 // accumulations; excludes sorting and staging overheads). A multiply-add
 // counts as 2 FLOPs. The paper uses the same construction (419 FLOPs/particle
 // for order 3 under its counting convention); the exact constant differs with
-// convention, which only rescales all efficiency numbers uniformly — see
-// EXPERIMENTS.md.
+// convention, which only rescales all efficiency numbers uniformly.
 double CanonicalFlopsPerParticle(int order);
 
 }  // namespace mpic

@@ -30,8 +30,7 @@ constexpr int VpuStagingOps() {
   return kIndexOps + kShapeOps + kVelocityOps + kCurrentOps;
 }
 
-// Stages SoA particle `i` into scratch slot `slot` (i itself in the tile-wide
-// layout, the chunk slot in the chunked one). Pure arithmetic.
+// Stages SoA particle `i` into chunk slot `slot`. Pure arithmetic.
 template <int Order>
 void StageOneParticle(const ParticleSoA& soa, size_t i, size_t slot,
                       const DepositParams& params, DepositScratch& scratch) {
@@ -85,7 +84,9 @@ void StageOneScalar(HwContext& hw, const ParticleSoA& soa, size_t i, size_t slot
   hw.ScalarOps(ScalarStagingOps<Order>());
   StageOneParticle<Order>(soa, i, slot, params, scratch);
   // Stores: 3 int indices, 3*kSupport shape terms, 3 current factors.
-  hw.TouchWrite(&scratch.ix[slot], sizeof(int32_t) * 3);
+  hw.TouchWrite(&scratch.ix[slot], sizeof(int32_t));
+  hw.TouchWrite(&scratch.iy[slot], sizeof(int32_t));
+  hw.TouchWrite(&scratch.iz[slot], sizeof(int32_t));
   for (int t = 0; t < kSupport; ++t) {
     hw.TouchWrite(&scratch.sx[t][slot], sizeof(double));
     hw.TouchWrite(&scratch.sy[t][slot], sizeof(double));
@@ -97,21 +98,6 @@ void StageOneScalar(HwContext& hw, const ParticleSoA& soa, size_t i, size_t slot
 }
 
 }  // namespace
-
-template <int Order>
-void StageTileScalar(HwContext& hw, const ParticleTile& tile,
-                     const DepositParams& params, DepositScratch& scratch) {
-  PhaseScope phase(hw.ledger(), Phase::kPreproc);
-  const ParticleSoA& soa = tile.soa();
-  scratch.Resize(soa.size(), Order);
-  for (size_t i = 0; i < soa.size(); ++i) {
-    if (!tile.IsLive(static_cast<int32_t>(i))) {
-      hw.ScalarOps(1);  // validity test
-      continue;
-    }
-    StageOneScalar<Order>(hw, soa, i, i, params, scratch);
-  }
-}
 
 template <int Order>
 void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& params,
@@ -222,12 +208,6 @@ void RegisterStagingRegions(HwContext& hw, uint64_t tile_key_base,
   reg(scratch.w3);
 }
 
-template void StageTileScalar<1>(HwContext&, const ParticleTile&, const DepositParams&,
-                                 DepositScratch&);
-template void StageTileScalar<2>(HwContext&, const ParticleTile&, const DepositParams&,
-                                 DepositScratch&);
-template void StageTileScalar<3>(HwContext&, const ParticleTile&, const DepositParams&,
-                                 DepositScratch&);
 template void LoadStagedBatch<1>(HwContext&, const DepositScratch&, int32_t, int);
 template void LoadStagedBatch<3>(HwContext&, const DepositScratch&, int32_t, int);
 template void StageChunk<1>(HwContext&, const ParticleSoA&, const DepositParams&,

@@ -1,27 +1,24 @@
 // Stage 1 of the deposition pipeline (Algorithm 2): compute per-particle cell
 // indices, 1D shape terms and effective current factors into DepositScratch.
 //
-// Two staging layouts exist for the same arithmetic (StageOneParticle):
-//   * Tile-wide — StageTileScalar stages every SoA slot of the tile, indexed by
-//     pid, before the kernel runs. It models what compilers emit for the
-//     irregular staging loop of the baseline and auto-vectorized rhocell
-//     kernels (scalar loads, scalar math), and those kernels read it back by
-//     pid.
-//   * Chunked — the hand-written batch kernels (DepositMpu, DepositRhocellVpu)
-//     stage one chunk of particles at a time in the order they deposit
-//     (ForEachDepositChunk) and consume it at once, indexed by chunk slot, so
-//     the staged operands are read back while L1-resident. StageChunk stages
-//     a chunk with the VPU profile (8 particles per batch: indexed loads of
-//     the seven SoA streams, vector stores of the staged streams) or with the
-//     scalar profile of StageTileScalar (kMatrixOnly's compiler-emitted
-//     staging).
+// Every staged kernel stages one chunk of particles at a time in the order it
+// deposits (ForEachDepositChunk) and consumes the chunk at once, indexed by
+// chunk slot, so the staged operands are read back while L1-resident.
+// StageChunk stages a chunk with one of two cost profiles over the same
+// arithmetic (StageOneParticle):
+//   * VPU — 8 particles per batch: indexed loads of the seven SoA streams,
+//     vector stores of the staged streams (the hand-written DepositMpu and
+//     DepositRhocellVpu kernels);
+//   * scalar — scalar loads, scalar math and scalar stores per particle, what
+//     compilers emit for the irregular staging loop (the baseline and
+//     auto-vectorized rhocell kernels, and kMatrixOnly's MPU kernel).
 //
-// The Esirkepov scheme's EsirkepovScratch (esirkepov.h) uses the same two
-// layouts: StageEsirkepovTile for its staged scalar/VPU combine, and a
-// StageChunk overload that its MPU combine runs through ForEachStagedChunk.
+// The Esirkepov scheme's EsirkepovScratch (esirkepov.h) is staged the same
+// way, by a StageChunk overload that both of its combines run through
+// ForEachStagedChunk.
 //
-// Every layout and profile produces numerically identical staged values;
-// tests assert this.
+// Both profiles produce numerically identical staged values; tests assert
+// this.
 
 #ifndef MPIC_SRC_DEPOSIT_DEPOSIT_STAGING_H_
 #define MPIC_SRC_DEPOSIT_DEPOSIT_STAGING_H_
@@ -33,18 +30,12 @@
 
 namespace mpic {
 
-// Stages every SoA slot of the tile into the tile-wide layout (dead slots keep
-// stale values). Charged to Phase::kPreproc.
-template <int Order>
-void StageTileScalar(HwContext& hw, const ParticleTile& tile,
-                     const DepositParams& params, DepositScratch& scratch);
-
-// Stages particles pids[0..count) of `soa` into chunk slots [0, count) of the
-// chunked layout; `scratch` must hold `count` entries. With `vpu_staging` each
-// batch of kVpuLanes loads its seven SoA streams through HwContext::VGatherAuto
-// (one vector load when the batch's pids are consecutive, one gather
-// otherwise) and writes the staged streams with vector stores; without it the
-// particles take StageTileScalar's scalar path. Charged to Phase::kPreproc.
+// Stages particles pids[0..count) of `soa` into chunk slots [0, count);
+// `scratch` must hold `count` entries. With `vpu_staging` each batch of
+// kVpuLanes loads its seven SoA streams through HwContext::VGatherAuto (one
+// vector load when the batch's pids are consecutive, one gather otherwise) and
+// writes the staged streams with vector stores; without it each particle takes
+// the scalar profile. Charged to Phase::kPreproc.
 template <int Order>
 void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& params,
                 bool vpu_staging, const int32_t* pids, int32_t count,
@@ -58,7 +49,7 @@ template <int Order>
 void LoadStagedBatch(HwContext& hw, const DepositScratch& scratch, int32_t first,
                      int count);
 
-// The chunked kernels' shared loop: for each chunk of ForEachDepositChunk,
+// The staged kernels' shared loop: for each chunk of ForEachDepositChunk,
 // stages it into `scratch` (the StageChunk overload for the scratch type:
 // DepositScratch here, EsirkepovScratch in esirkepov.h) and hands it to
 // deposit(chunk) while it is L1-resident. The caller sizes `scratch` to

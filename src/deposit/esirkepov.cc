@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/deposit/particle_iteration.h"
+#include "src/deposit/deposit_staging.h"
 #include "src/shape/shape_function.h"
 
 namespace mpic {
@@ -91,8 +91,7 @@ constexpr int VpuEsirkepovStagingOps() {
   return kIndexOps + kShapeOps + kCombineOps + 2;
 }
 
-// Stages SoA particle `i` into scratch slot `slot` (i itself in the tile-wide
-// layout, the chunk slot in the chunked one). Pure arithmetic.
+// Stages SoA particle `i` into chunk slot `slot`. Pure arithmetic.
 template <int Order>
 void StageOneEsirkepov(const ParticleSoA& soa, size_t i, size_t slot,
                        const DepositParams& params, EsirkepovScratch& scratch) {
@@ -145,7 +144,9 @@ void StageOneEsirkepovScalar(HwContext& hw, const ParticleSoA& soa, size_t i,
   hw.TouchRead(&soa.w[i], sizeof(double));
   hw.ScalarOps(ScalarEsirkepovStagingOps<Order>());
   StageOneEsirkepov<Order>(soa, i, slot, params, scratch);
-  hw.TouchWrite(&scratch.bx[slot], sizeof(int32_t) * 3);
+  hw.TouchWrite(&scratch.bx[slot], sizeof(int32_t));
+  hw.TouchWrite(&scratch.by[slot], sizeof(int32_t));
+  hw.TouchWrite(&scratch.bz[slot], sizeof(int32_t));
   hw.TouchWrite(scratch.Win(slot),
                 sizeof(double) * static_cast<size_t>(scratch.stride()));
   hw.TouchWrite(&scratch.qf[slot], sizeof(double));
@@ -175,42 +176,6 @@ void ChargeVpuEsirkepovBatch(HwContext& hw, const EsirkepovScratch& scratch,
 }
 
 }  // namespace
-
-template <int Order>
-void StageEsirkepovTile(HwContext& hw, const ParticleTile& tile,
-                        const DepositParams& params, bool vpu_staging,
-                        EsirkepovScratch& scratch) {
-  PhaseScope phase(hw.ledger(), Phase::kPreproc);
-  const ParticleSoA& soa = tile.soa();
-  scratch.Resize(soa.size(), Order);
-  const size_t n = soa.size();
-  if (!vpu_staging) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!tile.IsLive(static_cast<int32_t>(i))) {
-        hw.ScalarOps(1);  // validity test
-        continue;
-      }
-      StageOneEsirkepovScalar<Order>(hw, soa, i, i, params, scratch);
-    }
-    return;
-  }
-  for (size_t base = 0; base < n; base += kVpuLanes) {
-    const size_t batch = std::min(n - base, static_cast<size_t>(kVpuLanes));
-    // Vector loads of the seven consumed SoA streams (contiguous slot order).
-    for (const auto* stream :
-         {&soa.x, &soa.y, &soa.z, &soa.xo, &soa.yo, &soa.zo, &soa.w}) {
-      hw.TouchRead(stream->data() + base, sizeof(double) * batch);
-      hw.ledger().counters().vpu_mem += 1;
-    }
-    // Real arithmetic (values must be exact; compute per live lane).
-    for (size_t i = base; i < base + batch; ++i) {
-      if (tile.IsLive(static_cast<int32_t>(i))) {
-        StageOneEsirkepov<Order>(soa, i, i, params, scratch);
-      }
-    }
-    ChargeVpuEsirkepovBatch<Order>(hw, scratch, base, batch);
-  }
-}
 
 template <int Order>
 void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& params,
@@ -248,7 +213,8 @@ void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& para
 template <int Order>
 void DepositEsirkepovTile(HwContext& hw, const ParticleTile& tile,
                           const DepositParams& params, bool sorted,
-                          const EsirkepovScratch& scratch, TileCurrent& tile_j) {
+                          bool vpu_staging, EsirkepovScratch& scratch,
+                          TileCurrent& tile_j) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
   MPIC_CHECK_MSG(params.dt > 0.0, "Esirkepov deposition needs the step dt");
   constexpr int kW = Order + 2;
@@ -261,79 +227,82 @@ void DepositEsirkepovTile(HwContext& hw, const ParticleTile& tile,
   double* jy = tile_j.jy().data();
   double* jz = tile_j.jz().data();
 
-  ForEachParticle(hw, tile, sorted, [&](int32_t pid) {
-    const auto i = static_cast<size_t>(pid);
-    hw.TouchRead(&scratch.bx[i], sizeof(int32_t));
-    hw.TouchRead(&scratch.by[i], sizeof(int32_t));
-    hw.TouchRead(&scratch.bz[i], sizeof(int32_t));
-    hw.TouchRead(scratch.Win(i),
-                 sizeof(double) * static_cast<size_t>(scratch.stride()));
-    hw.TouchRead(&scratch.qf[i], sizeof(double));
-    hw.TouchRead(&scratch.wide[i], sizeof(uint8_t));
+  ForEachStagedChunk<Order>(hw, tile, params, vpu_staging, sorted, scratch,
+                            [&](const DepositChunk& chunk) {
+    for (int32_t k = 0; k < chunk.count; ++k) {
+      const auto i = static_cast<size_t>(k);
+      hw.TouchRead(&scratch.bx[i], sizeof(int32_t));
+      hw.TouchRead(&scratch.by[i], sizeof(int32_t));
+      hw.TouchRead(&scratch.bz[i], sizeof(int32_t));
+      hw.TouchRead(scratch.Win(i),
+                   sizeof(double) * static_cast<size_t>(scratch.stride()));
+      hw.TouchRead(&scratch.qf[i], sizeof(double));
+      hw.TouchRead(&scratch.wide[i], sizeof(uint8_t));
 
-    const double* w = scratch.Win(i);
-    const double* dX = w + scratch.OffD(0);
-    const double* dY = w + scratch.OffD(1);
-    const double* dZ = w + scratch.OffD(2);
-    // Rebuild the full m windows: the stored kW - 1 lanes plus the
-    // reconstructed last lane (zero / +-d_last/2, see EsirkepovWideLastM).
-    const uint8_t wb = scratch.wide[i];
-    double mX[kW], mY[kW], mZ[kW];
-    double* ms[3] = {mX, mY, mZ};
-    for (int axis = 0; axis < 3; ++axis) {
-      const double* stored = w + scratch.OffM(axis);
-      for (int t = 0; t < kW - 1; ++t) {
-        ms[axis][t] = stored[t];
+      const double* w = scratch.Win(i);
+      const double* dX = w + scratch.OffD(0);
+      const double* dY = w + scratch.OffD(1);
+      const double* dZ = w + scratch.OffD(2);
+      // Rebuild the full m windows: the stored kW - 1 lanes plus the
+      // reconstructed last lane (zero / +-d_last/2, see EsirkepovWideLastM).
+      const uint8_t wb = scratch.wide[i];
+      double mX[kW], mY[kW], mZ[kW];
+      double* ms[3] = {mX, mY, mZ};
+      for (int axis = 0; axis < 3; ++axis) {
+        const double* stored = w + scratch.OffM(axis);
+        for (int t = 0; t < kW - 1; ++t) {
+          ms[axis][t] = stored[t];
+        }
+        ms[axis][kW - 1] =
+            EsirkepovWideLastM(wb, axis, (w + scratch.OffD(axis))[kW - 1]);
       }
-      ms[axis][kW - 1] =
-          EsirkepovWideLastM(wb, axis, (w + scratch.OffD(axis))[kW - 1]);
-    }
 
-    const double cfx = scratch.qf[i] * fx;
-    const double cfy = scratch.qf[i] * fy;
-    const double cfz = scratch.qf[i] * fz;
-    const int bx = scratch.bx[i];
-    const int by = scratch.by[i];
-    const int bz = scratch.bz[i];
-    hw.ScalarOps(9);  // cf scales + the three m-lane reconstructions
+      const double cfx = scratch.qf[i] * fx;
+      const double cfy = scratch.qf[i] * fy;
+      const double cfz = scratch.qf[i] * fz;
+      const int bx = scratch.bx[i];
+      const int by = scratch.by[i];
+      const int bz = scratch.bz[i];
+      hw.ScalarOps(9);  // cf scales + the three m-lane reconstructions
 
-    // Jx: transverse plane T_yz = outer(my, mz) + (1/12) outer(dy, dz), then
-    // the cumulative sum of -dx[a] * T along x lands at the Yee face a+1/2.
-    for (int c = 0; c < kW; ++c) {
+      // Jx: transverse plane T_yz = outer(my, mz) + (1/12) outer(dy, dz), then
+      // the cumulative sum of -dx[a] * T along x lands at the Yee face a+1/2.
+      for (int c = 0; c < kW; ++c) {
+        for (int b = 0; b < kW; ++b) {
+          const double ty = mY[b] * mZ[c] + k12 * dY[b] * dZ[c];
+          hw.ScalarOps(3);
+          double acc = 0.0;
+          const int64_t row = tile_j.Index(bx, by + b, bz + c);
+          for (int a = 0; a < kW - 1; ++a) {
+            acc -= dX[a] * ty;
+            hw.ScalarOps(2);
+            hw.AccumScalar(&jx[row + a], cfx * acc);
+          }
+        }
+      }
+      // Jy and Jz mirror the Jx structure with permuted axes.
+      for (int c = 0; c < kW; ++c) {
+        for (int a = 0; a < kW; ++a) {
+          const double tx = mX[a] * mZ[c] + k12 * dX[a] * dZ[c];
+          hw.ScalarOps(3);
+          double acc = 0.0;
+          for (int b = 0; b < kW - 1; ++b) {
+            acc -= dY[b] * tx;
+            hw.ScalarOps(2);
+            hw.AccumScalar(&jy[tile_j.Index(bx + a, by + b, bz + c)], cfy * acc);
+          }
+        }
+      }
       for (int b = 0; b < kW; ++b) {
-        const double ty = mY[b] * mZ[c] + k12 * dY[b] * dZ[c];
-        hw.ScalarOps(3);
-        double acc = 0.0;
-        const int64_t row = tile_j.Index(bx, by + b, bz + c);
-        for (int a = 0; a < kW - 1; ++a) {
-          acc -= dX[a] * ty;
-          hw.ScalarOps(2);
-          hw.AccumScalar(&jx[row + a], cfx * acc);
-        }
-      }
-    }
-    // Jy and Jz mirror the Jx structure with permuted axes.
-    for (int c = 0; c < kW; ++c) {
-      for (int a = 0; a < kW; ++a) {
-        const double tx = mX[a] * mZ[c] + k12 * dX[a] * dZ[c];
-        hw.ScalarOps(3);
-        double acc = 0.0;
-        for (int b = 0; b < kW - 1; ++b) {
-          acc -= dY[b] * tx;
-          hw.ScalarOps(2);
-          hw.AccumScalar(&jy[tile_j.Index(bx + a, by + b, bz + c)], cfy * acc);
-        }
-      }
-    }
-    for (int b = 0; b < kW; ++b) {
-      for (int a = 0; a < kW; ++a) {
-        const double txy = mX[a] * mY[b] + k12 * dX[a] * dY[b];
-        hw.ScalarOps(3);
-        double acc = 0.0;
-        for (int c = 0; c < kW - 1; ++c) {
-          acc -= dZ[c] * txy;
-          hw.ScalarOps(2);
-          hw.AccumScalar(&jz[tile_j.Index(bx + a, by + b, bz + c)], cfz * acc);
+        for (int a = 0; a < kW; ++a) {
+          const double txy = mX[a] * mY[b] + k12 * dX[a] * dY[b];
+          hw.ScalarOps(3);
+          double acc = 0.0;
+          for (int c = 0; c < kW - 1; ++c) {
+            acc -= dZ[c] * txy;
+            hw.ScalarOps(2);
+            hw.AccumScalar(&jz[tile_j.Index(bx + a, by + b, bz + c)], cfz * acc);
+          }
         }
       }
     }
@@ -509,7 +478,9 @@ void DepositCharge(HwContext& hw, const ParticleTile& tile,
       hw.ScalarOps(1);
       continue;
     }
-    hw.TouchRead(&soa.x[i], sizeof(double) * 3);
+    hw.TouchRead(&soa.x[i], sizeof(double));
+    hw.TouchRead(&soa.y[i], sizeof(double));
+    hw.TouchRead(&soa.z[i], sizeof(double));
     hw.TouchRead(&soa.w[i], sizeof(double));
     int sx0, sy0, sz0;
     double wx[4], wy[4], wz[4];
@@ -531,12 +502,6 @@ void DepositCharge(HwContext& hw, const ParticleTile& tile,
   }
 }
 
-template void StageEsirkepovTile<1>(HwContext&, const ParticleTile&,
-                                    const DepositParams&, bool, EsirkepovScratch&);
-template void StageEsirkepovTile<2>(HwContext&, const ParticleTile&,
-                                    const DepositParams&, bool, EsirkepovScratch&);
-template void StageEsirkepovTile<3>(HwContext&, const ParticleTile&,
-                                    const DepositParams&, bool, EsirkepovScratch&);
 template void StageChunk<1>(HwContext&, const ParticleSoA&, const DepositParams&,
                             bool, const int32_t*, int32_t, EsirkepovScratch&);
 template void StageChunk<2>(HwContext&, const ParticleSoA&, const DepositParams&,
@@ -544,14 +509,14 @@ template void StageChunk<2>(HwContext&, const ParticleSoA&, const DepositParams&
 template void StageChunk<3>(HwContext&, const ParticleSoA&, const DepositParams&,
                             bool, const int32_t*, int32_t, EsirkepovScratch&);
 template void DepositEsirkepovTile<1>(HwContext&, const ParticleTile&,
-                                      const DepositParams&, bool,
-                                      const EsirkepovScratch&, TileCurrent&);
+                                      const DepositParams&, bool, bool,
+                                      EsirkepovScratch&, TileCurrent&);
 template void DepositEsirkepovTile<2>(HwContext&, const ParticleTile&,
-                                      const DepositParams&, bool,
-                                      const EsirkepovScratch&, TileCurrent&);
+                                      const DepositParams&, bool, bool,
+                                      EsirkepovScratch&, TileCurrent&);
 template void DepositEsirkepovTile<3>(HwContext&, const ParticleTile&,
-                                      const DepositParams&, bool,
-                                      const EsirkepovScratch&, TileCurrent&);
+                                      const DepositParams&, bool, bool,
+                                      EsirkepovScratch&, TileCurrent&);
 template void DepositEsirkepov<1>(HwContext&, const ParticleTile&,
                                   const std::vector<double>&,
                                   const std::vector<double>&,

@@ -17,12 +17,10 @@
 // midpoint weights m = (S_old + S_new)/2 and difference weights
 // d = S_new - S_old — into an EsirkepovScratch (keyed MemMap registration,
 // Phase::kPreproc, scalar or VPU cost profile matching the variant's
-// staging). The layouts follow the direct scheme's (deposit_staging.h):
-// StageEsirkepovTile stages the whole tile for the staged scalar/VPU
-// combine; the MPU combine stages chunk by chunk in deposit order through the
-// chunked StageChunk and consumes each chunk from L1. A combine kernel then
-// forms each transverse plane as the rank-2
-// sum outer(m_b, m_c) + (1/12) outer(d_b, d_c) and accumulates the running
+// staging). As in the direct scheme (deposit_staging.h), every combine stages
+// one chunk at a time in deposit order through StageChunk and consumes the
+// chunk from L1. A combine kernel then forms each transverse plane as the
+// rank-2 sum outer(m_b, m_c) + (1/12) outer(d_b, d_c) and accumulates the running
 // density-decomposition sums into a per-tile Yee-staggered TileCurrent
 // scratch (Phase::kCompute). The writes are tile-private, so tiles fan out in
 // parallel like the rhocell kernels; ReduceEsirkepovToGrid performs the
@@ -124,14 +122,12 @@ class TileCurrent {
   std::vector<double> jx_, jy_, jz_;
 };
 
-// Staged per-particle quantities of the Esirkepov decomposition, in one of
-// DepositScratch's two layouts (deposit_params.h): tile-wide, indexed by
-// tile-local pid (StageEsirkepovTile, read back by DepositEsirkepovTile), or
-// chunked, indexed by chunk slot (the StageChunk overload below, which
-// DepositEsirkepovMpuTile runs chunk by chunk in deposit order). Per axis the window
-// holds the midpoint weights m[t] = (S_old[t] + S_new[t]) / 2 and the
-// difference weights d[t] = S_new[t] - S_old[t] over the union support of
-// Order + 2 nodes.
+// Staged per-particle quantities of the Esirkepov decomposition for one chunk
+// of particles in deposit order, indexed by chunk slot (the StageChunk
+// overload below, which both combines run through ForEachStagedChunk). Per
+// axis the window holds the midpoint weights m[t] = (S_old[t] + S_new[t]) / 2
+// and the difference weights d[t] = S_new[t] - S_old[t] over the union
+// support of Order + 2 nodes.
 //
 // The last m lane is never stored: on a narrow axis it is zero, and on a wide
 // axis exactly one of the two supports covers the last union node, so
@@ -156,11 +152,11 @@ struct EsirkepovScratch {
   int window = 0;
   int stride() const { return 3 * (2 * window - 1); }
 
-  double* Win(size_t pid) {
-    return win.data() + static_cast<size_t>(stride()) * pid;
+  double* Win(size_t slot) {
+    return win.data() + static_cast<size_t>(stride()) * slot;
   }
-  const double* Win(size_t pid) const {
-    return win.data() + static_cast<size_t>(stride()) * pid;
+  const double* Win(size_t slot) const {
+    return win.data() + static_cast<size_t>(stride()) * slot;
   }
   // Offsets of the m/d windows of `axis` (0=x, 1=y, 2=z) inside a block. The
   // m window carries window - 1 stored lanes, d the full width.
@@ -183,7 +179,7 @@ struct EsirkepovScratch {
 
   // Lowest node index of the union window per axis (global nodes).
   std::vector<int32_t> bx, by, bz;
-  // Packed m/d blocks; Win(pid)[OffM(0) + t] pairs with node bx[pid] + t.
+  // Packed m/d blocks; Win(slot)[OffM(0) + t] pairs with node bx[slot] + t.
   std::vector<double> win;
   // Per-particle charge factor q * w / cell_volume.
   std::vector<double> qf;
@@ -209,39 +205,32 @@ inline double EsirkepovWideLastM(uint8_t wide_bits, int axis, double d_last) {
   return ((wide_bits >> (3 + axis)) & 1) != 0 ? -0.5 * d_last : 0.5 * d_last;
 }
 
-// Stage 1: per-axis weight windows + charge factor for every live particle,
-// from the SoA old-position lanes and current positions, tile-wide (every
-// SoA slot, indexed by pid). `vpu_staging` selects the batched VPU cost
-// profile (contiguous vector loads of the SoA streams, vector stores) or the
-// scalar loop; values are identical either way. Used by the staged
-// scalar/VPU combine. Charged to Phase::kPreproc.
-template <int Order>
-void StageEsirkepovTile(HwContext& hw, const ParticleTile& tile,
-                        const DepositParams& params, bool vpu_staging,
-                        EsirkepovScratch& scratch);
-
-// Stage 1, chunked: stages particles pids[0..count) of `soa` into chunk slots
-// [0, count); `scratch` must hold `count` slots. The cost profiles are those
-// of the direct scheme's StageChunk (deposit_staging.h): with `vpu_staging`
-// each batch of kVpuLanes loads its seven SoA streams through
-// HwContext::VGatherAuto (one vector load when the batch's pids are
+// Stage 1: per-axis weight windows + charge factor of particles
+// pids[0..count) of `soa`, from its old-position lanes and current positions,
+// into chunk slots [0, count); `scratch` must hold `count` slots. The cost
+// profiles are those of the direct scheme's StageChunk (deposit_staging.h):
+// with `vpu_staging` each batch of kVpuLanes loads its seven SoA streams
+// through HwContext::VGatherAuto (one vector load when the batch's pids are
 // consecutive, one gather otherwise) and writes the staged streams with
-// vector stores; without it, StageEsirkepovTile's scalar path per particle.
-// Values equal StageEsirkepovTile's. Charged to Phase::kPreproc.
+// vector stores; without it, scalar loads, math and stores per particle.
+// Values are identical either way. Charged to Phase::kPreproc.
 template <int Order>
 void StageChunk(HwContext& hw, const ParticleSoA& soa, const DepositParams& params,
                 bool vpu_staging, const int32_t* pids, int32_t count,
                 EsirkepovScratch& scratch);
 
-// Stage 2: combines the staged axis windows by outer product into the
-// density-decomposition stencil and accumulates the running sums into the
-// tile-private TileCurrent at Yee-staggered locations. `sorted` iterates
-// cell-by-cell through the GPMA bins (sorting variants); otherwise slot
-// order. Charged to Phase::kCompute. params.dt must be the step dt.
+// Stages the tile chunk by chunk into `scratch` (StageChunk with the
+// `vpu_staging` profile, Phase::kPreproc), then per chunk combines the staged
+// axis windows by outer product into the density-decomposition stencil and
+// accumulates the running sums into the tile-private TileCurrent at
+// Yee-staggered locations (Phase::kCompute). `sorted` iterates cell-by-cell
+// through the GPMA bins (sorting variants); otherwise slot order. params.dt
+// must be the step dt.
 template <int Order>
 void DepositEsirkepovTile(HwContext& hw, const ParticleTile& tile,
                           const DepositParams& params, bool sorted,
-                          const EsirkepovScratch& scratch, TileCurrent& tile_j);
+                          bool vpu_staging, EsirkepovScratch& scratch,
+                          TileCurrent& tile_j);
 
 // Scatter-adds the tile scratch onto fields.jx/jy/jz (row-contiguous vector
 // adds) and zeroes it. Tiles of one reduce-coloring class have disjoint node

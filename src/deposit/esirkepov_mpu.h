@@ -58,8 +58,8 @@
 // (pairs come from the same cell; bins below sparse_fallback_ppc take a
 // per-particle VPU path that reproduces DepositEsirkepovTile's arithmetic
 // bit-for-bit), pairwise walks slot order for the unsorted hybrid variants.
-// The kernel stages its own windows in the chunked layout (esirkepov.h), one
-// chunk at a time in deposit order — whole GPMA bins for cell-resident, the
+// The kernel stages its own windows (esirkepov.h), one chunk at a time in
+// deposit order — whole GPMA bins for cell-resident, the
 // next 64 live slots for pairwise; a chunk of windows is 9 KB at order 1 and
 // 15 KB at order 3, inside the 32 KB L1 — so each batch reads its side
 // streams and window blocks as contiguous vector loads from L1; the batches,
@@ -78,7 +78,7 @@
 namespace mpic {
 
 // Stages and combines every live particle of the tile, accumulating into the
-// tile-private TileCurrent. Staging (the chunked StageChunk into `scratch`,
+// tile-private TileCurrent. Staging (StageChunk into `scratch`,
 // VPU profile when `vpu_staging`, scalar otherwise) is charged to
 // Phase::kPreproc, the combine to Phase::kCompute. Requires a machine with an
 // MPU; cell-resident scheduling additionally requires valid GPMA bins.

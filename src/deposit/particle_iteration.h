@@ -1,11 +1,10 @@
 // Iteration helpers shared by the deposition kernels.
 //
-// ForEachParticle visits every live particle of a tile either in SoA slot order
-// (the unsorted baselines) or cell-by-cell through the GPMA bins (the sorted
-// kernels), charging the modeled cost of the traversal itself (live-flag tests
-// resp. GPMA index loads). ForEachDepositChunk visits the same particles in the
-// same order, grouped into the chunks the chunk-staged kernels stage and
-// deposit together (see deposit_staging.h).
+// ForEachDepositChunk visits every live particle of a tile either in SoA slot
+// order (the unsorted kernels) or cell-by-cell through the GPMA bins (the
+// sorted kernels), grouped into the chunks the staged kernels stage and
+// deposit together (see deposit_staging.h), and charges the modeled cost of
+// the traversal itself (live-flag tests resp. GPMA index loads).
 
 #ifndef MPIC_SRC_DEPOSIT_PARTICLE_ITERATION_H_
 #define MPIC_SRC_DEPOSIT_PARTICLE_ITERATION_H_
@@ -17,34 +16,6 @@
 #include "src/particles/particle_tile.h"
 
 namespace mpic {
-
-// fn(pid) is invoked for each live particle.
-template <typename Fn>
-void ForEachParticle(HwContext& hw, const ParticleTile& tile, bool sorted, Fn&& fn) {
-  if (!sorted) {
-    const int32_t n = tile.num_slots();
-    for (int32_t pid = 0; pid < n; ++pid) {
-      hw.ScalarOps(1);  // live-flag test
-      if (tile.IsLive(pid)) {
-        fn(pid);
-      }
-    }
-    return;
-  }
-  const Gpma& gpma = tile.gpma();
-  const auto& index = gpma.local_index();
-  for (int cell = 0; cell < gpma.num_cells(); ++cell) {
-    const int64_t off = gpma.BinOffset(cell);
-    const int32_t len = gpma.BinLen(cell);
-    if (len > 0) {
-      // The bin's index words stream in contiguously.
-      hw.TouchRead(&index[static_cast<size_t>(off)], sizeof(int32_t) * len);
-    }
-    for (int32_t s = 0; s < len; ++s) {
-      fn(index[static_cast<size_t>(off + s)]);
-    }
-  }
-}
 
 // Particles per staging chunk: 8 batches of kVpuLanes. At QSP's 132 staged
 // bytes per particle a chunk is 8.4 KB, a quarter of the modeled 32 KB L1, so
@@ -78,8 +49,9 @@ inline int32_t DepositChunkSlots(const ParticleTile& tile, bool sorted) {
 // fn(chunk) is invoked for each chunk in deposit order. Sorted tiles: a run of
 // whole GPMA bins holding at most kStageChunk particles, or one bin that alone
 // holds more. Unsorted tiles: the next kStageChunk live slots, so chunk
-// boundaries fall on kVpuLanes batch boundaries. The traversal is charged as
-// ForEachParticle charges it.
+// boundaries fall on kVpuLanes batch boundaries. The traversal charges one
+// scalar live-flag test per slot (unsorted) or one contiguous read of each
+// non-empty bin's index words (sorted).
 template <typename Fn>
 void ForEachDepositChunk(HwContext& hw, const ParticleTile& tile, bool sorted,
                          Fn&& fn) {

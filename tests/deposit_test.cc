@@ -71,6 +71,12 @@ void ExpectMatchesReference(TestWorld& world, const FieldSet& got) {
   EXPECT_LT(RelMaxError(jz, got.jz.vec()), kTol);
 }
 
+void ExpectBitwiseEqual(const FieldSet& want, const FieldSet& got) {
+  EXPECT_EQ(want.jx.vec(), got.jx.vec());
+  EXPECT_EQ(want.jy.vec(), got.jy.vec());
+  EXPECT_EQ(want.jz.vec(), got.jz.vec());
+}
+
 // ---------------------------------------------------------------------------
 // Staging
 // ---------------------------------------------------------------------------
@@ -97,28 +103,37 @@ DepositScratch StageAsChunk(HwContext& hw, const TestWorld& world, bool vpu_stag
   return scratch;
 }
 
+// Chunk slot `k` of `got` holds the values slot `i` of `want` holds, bit for
+// bit.
+template <int Order>
+void ExpectSameStaged(const DepositScratch& want, size_t i, const DepositScratch& got,
+                      size_t k) {
+  EXPECT_EQ(got.ix[k], want.ix[i]);
+  EXPECT_EQ(got.iy[k], want.iy[i]);
+  EXPECT_EQ(got.iz[k], want.iz[i]);
+  for (int t = 0; t <= Order; ++t) {
+    EXPECT_EQ(got.sx[t][k], want.sx[t][i]);
+    EXPECT_EQ(got.sy[t][k], want.sy[t][i]);
+    EXPECT_EQ(got.sz_[t][k], want.sz_[t][i]);
+  }
+  EXPECT_EQ(got.wqx[k], want.wqx[i]);
+  EXPECT_EQ(got.wqy[k], want.wqy[i]);
+  EXPECT_EQ(got.wqz[k], want.wqz[i]);
+}
+
+// The two cost profiles stage the same chunk (every live pid in slot order)
+// to the same values.
 template <int Order>
 void ExpectStagingAgrees() {
   TestWorld world(3, 7, 1234);
   HwContext hw;
-  DepositScratch scalar_scratch;
-  StageTileScalar<Order>(hw, world.tile, world.params, scalar_scratch);
   const std::vector<int32_t> pids = LivePids(world.tile);
+  const DepositScratch scalar_scratch =
+      StageAsChunk<Order>(hw, world, /*vpu_staging=*/false, pids);
   const DepositScratch vpu_scratch =
       StageAsChunk<Order>(hw, world, /*vpu_staging=*/true, pids);
   for (size_t k = 0; k < pids.size(); ++k) {
-    const auto i = static_cast<size_t>(pids[k]);
-    EXPECT_EQ(scalar_scratch.ix[i], vpu_scratch.ix[k]);
-    EXPECT_EQ(scalar_scratch.iy[i], vpu_scratch.iy[k]);
-    EXPECT_EQ(scalar_scratch.iz[i], vpu_scratch.iz[k]);
-    for (int t = 0; t <= Order; ++t) {
-      EXPECT_DOUBLE_EQ(scalar_scratch.sx[t][i], vpu_scratch.sx[t][k]);
-      EXPECT_DOUBLE_EQ(scalar_scratch.sy[t][i], vpu_scratch.sy[t][k]);
-      EXPECT_DOUBLE_EQ(scalar_scratch.sz_[t][i], vpu_scratch.sz_[t][k]);
-    }
-    EXPECT_DOUBLE_EQ(scalar_scratch.wqx[i], vpu_scratch.wqx[k]);
-    EXPECT_DOUBLE_EQ(scalar_scratch.wqy[i], vpu_scratch.wqy[k]);
-    EXPECT_DOUBLE_EQ(scalar_scratch.wqz[i], vpu_scratch.wqz[k]);
+    ExpectSameStaged<Order>(scalar_scratch, k, vpu_scratch, k);
   }
 }
 
@@ -153,16 +168,18 @@ TEST(Staging, PhasesChargedToPreproc) {
 }
 
 // StageChunk, per order and cost profile: a chunk of scattered pids stages the
-// values StageTileScalar stages for the same particles, bit for bit, and
-// every charge lands in Phase::kPreproc.
+// values a scalar-profile chunk of every slot in slot order stages for the
+// same particles, bit for bit, and every charge lands in Phase::kPreproc.
 class ChunkStager : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 template <int Order>
-void ExpectChunkMatchesTileScalar(bool vpu_staging) {
+void ExpectChunkMatchesSlotOrderChunk(bool vpu_staging) {
   TestWorld world(3, 7, 4321);
-  HwContext tile_hw;
-  DepositScratch tile_scratch;
-  StageTileScalar<Order>(tile_hw, world.tile, world.params, tile_scratch);
+  const std::vector<int32_t> slots = LivePids(world.tile);
+  ASSERT_EQ(slots.size(), static_cast<size_t>(world.tile.num_slots()));
+  HwContext ref_hw;
+  const DepositScratch ref =
+      StageAsChunk<Order>(ref_hw, world, /*vpu_staging=*/false, slots);
   // Every third pid, back to front: no two neighbours are consecutive.
   std::vector<int32_t> pids;
   for (int32_t pid = world.tile.num_slots() - 1; pid >= 0; pid -= 3) {
@@ -171,18 +188,7 @@ void ExpectChunkMatchesTileScalar(bool vpu_staging) {
   HwContext hw;
   const DepositScratch chunk = StageAsChunk<Order>(hw, world, vpu_staging, pids);
   for (size_t k = 0; k < pids.size(); ++k) {
-    const auto i = static_cast<size_t>(pids[k]);
-    EXPECT_EQ(chunk.ix[k], tile_scratch.ix[i]);
-    EXPECT_EQ(chunk.iy[k], tile_scratch.iy[i]);
-    EXPECT_EQ(chunk.iz[k], tile_scratch.iz[i]);
-    for (int t = 0; t <= Order; ++t) {
-      EXPECT_EQ(chunk.sx[t][k], tile_scratch.sx[t][i]);
-      EXPECT_EQ(chunk.sy[t][k], tile_scratch.sy[t][i]);
-      EXPECT_EQ(chunk.sz_[t][k], tile_scratch.sz_[t][i]);
-    }
-    EXPECT_EQ(chunk.wqx[k], tile_scratch.wqx[i]);
-    EXPECT_EQ(chunk.wqy[k], tile_scratch.wqy[i]);
-    EXPECT_EQ(chunk.wqz[k], tile_scratch.wqz[i]);
+    ExpectSameStaged<Order>(ref, static_cast<size_t>(pids[k]), chunk, k);
   }
   const CostLedger& ledger = hw.ledger();
   EXPECT_GT(ledger.PhaseCycles(Phase::kPreproc), 0.0);
@@ -193,12 +199,12 @@ void ExpectChunkMatchesTileScalar(bool vpu_staging) {
   }
 }
 
-TEST_P(ChunkStager, MatchesTileScalarAndChargesPreproc) {
+TEST_P(ChunkStager, MatchesSlotOrderChunkAndChargesPreproc) {
   const auto [order, vpu_staging] = GetParam();
   if (order == 1) {
-    ExpectChunkMatchesTileScalar<1>(vpu_staging);
+    ExpectChunkMatchesSlotOrderChunk<1>(vpu_staging);
   } else {
-    ExpectChunkMatchesTileScalar<3>(vpu_staging);
+    ExpectChunkMatchesSlotOrderChunk<3>(vpu_staging);
   }
 }
 
@@ -297,62 +303,79 @@ TEST(DepositScalar, SingleParticleCicWeights) {
 }
 
 // ---------------------------------------------------------------------------
-// Variant equivalence: every kernel reproduces the scalar reference.
+// Variant equivalence: every kernel reproduces the scalar reference, bit for
+// bit where it sums in the reference's order.
 // ---------------------------------------------------------------------------
+
+// Unsorted, the baseline kernel runs the scalar reference's arithmetic in the
+// same slot order, so J is bitwise equal. Sorted, it sums in GPMA order, so J
+// matches to rounding.
+template <int Order>
+void RunBaseline(bool sorted, int ppc) {
+  TestWorld world(4, ppc, 999 + ppc);
+  HwContext hw;
+  DepositScratch scratch;
+  DepositBaselineTile<Order>(hw, world.tile, world.params, scratch, world.fields,
+                             sorted);
+  if (sorted) {
+    ExpectMatchesReference<Order>(world, world.fields);
+    return;
+  }
+  HwContext ref_hw;
+  FieldSet ref(world.geom, 2);
+  DepositScalarTile<Order>(ref_hw, world.tile, world.params, ref);
+  ExpectBitwiseEqual(ref, world.fields);
+}
 
 class BaselineEquivalence
     : public ::testing::TestWithParam<std::tuple<int, bool, int>> {};
 
 TEST_P(BaselineEquivalence, MatchesScalarReference) {
   const auto [order, sorted, ppc] = GetParam();
-  TestWorld world(4, ppc, 999 + ppc);
-  HwContext hw;
-  DepositScratch scratch;
-  switch (order) {
-    case 1: {
-      StageTileScalar<1>(hw, world.tile, world.params, scratch);
-      DepositBaselineTile<1>(hw, world.tile, world.params, scratch, world.fields,
-                             sorted);
-      ExpectMatchesReference<1>(world, world.fields);
-      break;
-    }
-    case 2: {
-      StageTileScalar<2>(hw, world.tile, world.params, scratch);
-      DepositBaselineTile<2>(hw, world.tile, world.params, scratch, world.fields,
-                             sorted);
-      ExpectMatchesReference<2>(world, world.fields);
-      break;
-    }
-    default: {
-      StageTileScalar<3>(hw, world.tile, world.params, scratch);
-      DepositBaselineTile<3>(hw, world.tile, world.params, scratch, world.fields,
-                             sorted);
-      ExpectMatchesReference<3>(world, world.fields);
-      break;
-    }
+  if (order == 1) {
+    RunBaseline<1>(sorted, ppc);
+  } else if (order == 2) {
+    RunBaseline<2>(sorted, ppc);
+  } else {
+    RunBaseline<3>(sorted, ppc);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BaselineEquivalence,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Bool(),
-                                            ::testing::Values(1, 4, 9)));
+                                            ::testing::Values(1, 4, 9, 80)));
 
+// Deposits the world's tile through one rhocell kernel and reduces it onto
+// `fields`.
 template <int Order>
-void RunRhocellVariant(bool hand_tuned, bool sorted, int ppc, uint64_t seed) {
-  TestWorld world(4, ppc, seed);
+void DepositRhocell(bool hand_tuned, bool sorted, TestWorld& world,
+                    FieldSet& fields) {
   HwContext hw;
   DepositScratch scratch;
   RhocellBuffer rhocell(world.tile.num_cells(), Order);
   if (hand_tuned) {
     DepositRhocellVpu<Order>(hw, world.tile, world.params, scratch, rhocell, sorted);
   } else {
-    StageTileScalar<Order>(hw, world.tile, world.params, scratch);
     DepositRhocellAutoVec<Order>(hw, world.tile, world.params, scratch, rhocell,
                                  sorted);
   }
-  ReduceRhocellToGrid<Order>(hw, world.tile, rhocell, world.fields);
+  ReduceRhocellToGrid<Order>(hw, world.tile, rhocell, fields);
+}
+
+// Both rhocell kernels match the scalar reference to rounding. The auto-vec
+// kernel runs the VPU kernel's NodeWeights/AccumulateBlock arithmetic in the
+// same deposit order, so its J is bitwise the VPU kernel's.
+template <int Order>
+void RunRhocellVariant(bool hand_tuned, bool sorted, int ppc, uint64_t seed) {
+  TestWorld world(4, ppc, seed);
+  DepositRhocell<Order>(hand_tuned, sorted, world, world.fields);
   ExpectMatchesReference<Order>(world, world.fields);
+  if (!hand_tuned) {
+    FieldSet vpu(world.geom, 2);
+    DepositRhocell<Order>(/*hand_tuned=*/true, sorted, world, vpu);
+    ExpectBitwiseEqual(vpu, world.fields);
+  }
 }
 
 class RhocellEquivalence
@@ -467,7 +490,6 @@ TEST(Deposit, EmptyTileDepositsNothing) {
   FieldSet fields(g, 2);
   HwContext hw;
   DepositScratch scratch;
-  StageTileScalar<1>(hw, tile, params, scratch);
   DepositBaselineTile<1>(hw, tile, params, scratch, fields, false);
   EXPECT_DOUBLE_EQ(Sum(fields.jx.vec()), 0.0);
 }
@@ -482,14 +504,15 @@ TEST(Deposit, DeadSlotsAreSkipped) {
     }
   }
   world.tile.BuildGpma(world.geom, GpmaConfig{});
-  HwContext hw;
-  DepositScratch scratch;
-  StageTileScalar<1>(hw, world.tile, world.params, scratch);
   // Unsorted (slot order) and sorted (GPMA order) must both skip dead slots
   // and produce the same J as the scalar reference on the live set.
-  DepositBaselineTile<1>(hw, world.tile, world.params, scratch, world.fields,
-                         false);
-  ExpectMatchesReference<1>(world, world.fields);
+  for (const bool sorted : {false, true}) {
+    HwContext hw;
+    DepositScratch scratch;
+    FieldSet fields(world.geom, 2);
+    DepositBaselineTile<1>(hw, world.tile, world.params, scratch, fields, sorted);
+    ExpectMatchesReference<1>(world, fields);
+  }
 }
 
 
@@ -542,7 +565,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SparseFallback,
 
 TEST(CanonicalFlops, CountsAreStable) {
   // Pinned values: changing the canonical count silently rescales every
-  // efficiency number in EXPERIMENTS.md.
+  // efficiency number bench_table3_efficiency prints.
   EXPECT_DOUBLE_EQ(CanonicalFlopsPerParticle(1), 12 + 3 + 17 + 4 + 8 * 7);
   EXPECT_DOUBLE_EQ(CanonicalFlopsPerParticle(2), 12 + 15 + 17 + 9 + 27 * 7);
   EXPECT_DOUBLE_EQ(CanonicalFlopsPerParticle(3), 12 + 27 + 17 + 16 + 64 * 7);

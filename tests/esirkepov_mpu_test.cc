@@ -187,9 +187,8 @@ void ExpectSparseFallbackBitwise() {
     EsirkepovScratch scratch;
     TileCurrent tile_j;
     tile_j.Resize(world.tile, Order);
-    StageEsirkepovTile<Order>(hw, world.tile, dp, /*vpu=*/true, scratch);
-    DepositEsirkepovTile<Order>(hw, world.tile, dp, /*sorted=*/true, scratch,
-                                tile_j);
+    DepositEsirkepovTile<Order>(hw, world.tile, dp, /*sorted=*/true, /*vpu=*/true,
+                                scratch, tile_j);
     ReduceEsirkepovToGrid(hw, tile_j, scalar);
   }
   const uint64_t mopas_before = hw.ledger().counters().mopas;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -65,8 +66,8 @@ struct MovedWorld {
   std::vector<double> x_old, y_old, z_old;
 };
 
-// Runs the staged tile path (stage -> outer-product kernel -> reduce) into a
-// fresh FieldSet.
+// Runs the staged tile path (chunk staging -> outer-product kernel -> reduce)
+// into a fresh FieldSet.
 template <int Order>
 void RunStagedPath(HwContext& hw, MovedWorld& world, const DepositParams& dp,
                    bool vpu, bool sorted, FieldSet& fields) {
@@ -74,8 +75,7 @@ void RunStagedPath(HwContext& hw, MovedWorld& world, const DepositParams& dp,
   EsirkepovScratch scratch;
   TileCurrent tile_j;
   tile_j.Resize(world.tile, Order);
-  StageEsirkepovTile<Order>(hw, world.tile, dp, vpu, scratch);
-  DepositEsirkepovTile<Order>(hw, world.tile, dp, sorted, scratch, tile_j);
+  DepositEsirkepovTile<Order>(hw, world.tile, dp, sorted, vpu, scratch, tile_j);
   ReduceEsirkepovToGrid(hw, tile_j, fields);
 }
 
@@ -212,8 +212,7 @@ TEST(EsirkepovStaged, ReduceZeroesTheScratch) {
   EsirkepovScratch scratch;
   TileCurrent tile_j;
   tile_j.Resize(world.tile, 1);
-  StageEsirkepovTile<1>(hw, world.tile, dp, false, scratch);
-  DepositEsirkepovTile<1>(hw, world.tile, dp, false, scratch, tile_j);
+  DepositEsirkepovTile<1>(hw, world.tile, dp, false, false, scratch, tile_j);
   ReduceEsirkepovToGrid(hw, tile_j, fields);
   for (const std::vector<double>* v : {&tile_j.jx(), &tile_j.jy(), &tile_j.jz()}) {
     for (double x : *v) {
@@ -222,9 +221,10 @@ TEST(EsirkepovStaged, ReduceZeroesTheScratch) {
   }
 }
 
-// The chunked StageChunk overload, per order and cost profile: a chunk of
-// scattered pids stages the values StageEsirkepovTile stages for the same
-// particles, bit for bit, and every charge lands in Phase::kPreproc.
+// The Esirkepov StageChunk overload, per order and cost profile: a chunk of
+// scattered pids stages the values a scalar-profile chunk of every slot in
+// slot order stages for the same particles, bit for bit, and every charge
+// lands in Phase::kPreproc.
 template <int Order>
 EsirkepovScratch StageEsirkepovAsChunk(HwContext& hw, MovedWorld& world,
                                        bool vpu_staging,
@@ -238,13 +238,14 @@ EsirkepovScratch StageEsirkepovAsChunk(HwContext& hw, MovedWorld& world,
 }
 
 template <int Order>
-void ExpectEsirkepovChunkMatchesTile(bool vpu_staging) {
+void ExpectEsirkepovChunkMatchesSlotOrderChunk(bool vpu_staging) {
   MovedWorld world(8, 120, 0.7, 4321 + Order);
-  world.FillOldLanes();
-  HwContext tile_hw;
-  EsirkepovScratch tile_scratch;
-  StageEsirkepovTile<Order>(tile_hw, world.tile, world.Params(1e-15),
-                            /*vpu_staging=*/false, tile_scratch);
+  std::vector<int32_t> slots(static_cast<size_t>(world.tile.num_slots()));
+  std::iota(slots.begin(), slots.end(), 0);
+  ASSERT_EQ(world.tile.num_live(), world.tile.num_slots());
+  HwContext ref_hw;
+  const EsirkepovScratch ref =
+      StageEsirkepovAsChunk<Order>(ref_hw, world, /*vpu_staging=*/false, slots);
   // Every third pid, back to front: no two neighbours are consecutive.
   std::vector<int32_t> pids;
   for (int32_t pid = world.tile.num_slots() - 1; pid >= 0; pid -= 3) {
@@ -257,14 +258,13 @@ void ExpectEsirkepovChunkMatchesTile(bool vpu_staging) {
   bool any_wide = false;
   for (size_t k = 0; k < pids.size(); ++k) {
     const auto i = static_cast<size_t>(pids[k]);
-    EXPECT_EQ(chunk.bx[k], tile_scratch.bx[i]);
-    EXPECT_EQ(chunk.by[k], tile_scratch.by[i]);
-    EXPECT_EQ(chunk.bz[k], tile_scratch.bz[i]);
-    EXPECT_EQ(std::memcmp(chunk.Win(k), tile_scratch.Win(i), sizeof(double) * stride),
-              0)
+    EXPECT_EQ(chunk.bx[k], ref.bx[i]);
+    EXPECT_EQ(chunk.by[k], ref.by[i]);
+    EXPECT_EQ(chunk.bz[k], ref.bz[i]);
+    EXPECT_EQ(std::memcmp(chunk.Win(k), ref.Win(i), sizeof(double) * stride), 0)
         << "window block of chunk slot " << k;
-    EXPECT_EQ(chunk.qf[k], tile_scratch.qf[i]);
-    EXPECT_EQ(chunk.wide[k], tile_scratch.wide[i]);
+    EXPECT_EQ(chunk.qf[k], ref.qf[i]);
+    EXPECT_EQ(chunk.wide[k], ref.wide[i]);
     any_wide = any_wide || chunk.wide[k] != 0;
   }
   EXPECT_TRUE(any_wide) << "no boundary crossing staged";
@@ -280,14 +280,14 @@ void ExpectEsirkepovChunkMatchesTile(bool vpu_staging) {
 class EsirkepovChunkStager
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
-TEST_P(EsirkepovChunkStager, MatchesTileStagingAndChargesPreproc) {
+TEST_P(EsirkepovChunkStager, MatchesSlotOrderChunkAndChargesPreproc) {
   const auto [order, vpu_staging] = GetParam();
   if (order == 1) {
-    ExpectEsirkepovChunkMatchesTile<1>(vpu_staging);
+    ExpectEsirkepovChunkMatchesSlotOrderChunk<1>(vpu_staging);
   } else if (order == 2) {
-    ExpectEsirkepovChunkMatchesTile<2>(vpu_staging);
+    ExpectEsirkepovChunkMatchesSlotOrderChunk<2>(vpu_staging);
   } else {
-    ExpectEsirkepovChunkMatchesTile<3>(vpu_staging);
+    ExpectEsirkepovChunkMatchesSlotOrderChunk<3>(vpu_staging);
   }
 }
 
